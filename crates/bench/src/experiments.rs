@@ -1325,3 +1325,42 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("ablate-hier", ablate_hier),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Events one run of E5's kernel-pinned storm processes: four
+    /// processes of `per_proc` local threads, `iters` rounds each.
+    fn e5_storm_events(kind: OsKind, per_proc: usize, iters: u32) -> u64 {
+        let rig = Rig::paper();
+        let mut os = rig.build(kind);
+        for _ in 0..4 {
+            os.load(mmap_storm_placed(
+                per_proc,
+                iters,
+                4 * 4096,
+                Placement::Local,
+            ));
+        }
+        let r = os.run_with(rig.horizon, rig.event_budget);
+        assert!(r.is_clean(), "{} E5 storm run unclean", kind.name());
+        r.events
+    }
+
+    /// Duplicate core re-poll chains that never merge make events grow
+    /// with the square of the rounds (~4x per doubling); merged, the
+    /// growth is linear (~2x).
+    #[test]
+    fn e5_storm_events_grow_linearly_with_rounds() {
+        for kind in OsKind::ALL {
+            let r = e5_storm_events(kind, 8, 20);
+            let r2 = e5_storm_events(kind, 8, 40);
+            assert!(
+                r2 * 2 <= r * 5,
+                "{}: {r} events at 20 rounds, {r2} at 40 (over 2.5x)",
+                kind.name()
+            );
+        }
+    }
+}

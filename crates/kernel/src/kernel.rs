@@ -28,6 +28,10 @@ struct CoreState {
     current: Option<Tid>,
     runqueue: VecDeque<Tid>,
     busy_until: SimTime,
+    /// The `busy_until` for which a `Busy` re-poll was last handed out: a
+    /// `CoreRun` at that time is already queued, so further polls of the
+    /// still-busy core need not start another one.
+    repoll_at: SimTime,
     slice_end: SimTime,
 }
 
@@ -38,6 +42,7 @@ impl CoreState {
             current: None,
             runqueue: VecDeque::new(),
             busy_until: SimTime::ZERO,
+            repoll_at: SimTime::ZERO,
             slice_end: SimTime::ZERO,
         }
     }
@@ -45,14 +50,29 @@ impl CoreState {
     fn load(&self) -> usize {
         self.runqueue.len() + usize::from(self.current.is_some())
     }
+
+    /// Occupies the core until `until` and hands out its one re-poll.
+    fn repoll(&mut self, until: SimTime) -> RunOutcome {
+        self.busy_until = until;
+        self.repoll_at = until;
+        RunOutcome::Busy { until }
+    }
 }
 
 /// What [`Kernel::run_core`] found to do.
 #[derive(Debug)]
 pub enum RunOutcome {
-    /// No runnable task; the core sleeps until a wake kicks it.
+    /// Nothing to do now: either no runnable task (the core sleeps until a
+    /// wake kicks it), or the core is busy and its re-poll is already
+    /// queued (see [`RunOutcome::Busy`]).
     Idle,
     /// The core is occupied until `until`; re-poll then.
+    ///
+    /// Handed out at most once per `until`: a later poll of the still-busy
+    /// core returns `Idle` until `busy_until` moves forward again. Two facts
+    /// make that sound: every dispatcher schedules a `CoreRun` at `until`
+    /// when it gets `Busy`, and a core's `busy_until` never decreases — so
+    /// the one queued re-poll runs the core as soon as it is free.
     Busy {
         /// When the occupation ends.
         until: SimTime,
@@ -355,10 +375,14 @@ impl Kernel {
             .get(&core)
             .unwrap_or_else(|| panic!("{core} not owned by {}", self.id));
 
-        if self.cores[ci].busy_until > now {
-            return RunOutcome::Busy {
-                until: self.cores[ci].busy_until,
-            };
+        let cs = &mut self.cores[ci];
+        if cs.busy_until > now {
+            // A re-poll at `busy_until` is already queued: don't start a
+            // second chain.
+            if cs.repoll_at == cs.busy_until {
+                return RunOutcome::Idle;
+            }
+            return cs.repoll(cs.busy_until);
         }
         let mut t = now;
 
@@ -403,8 +427,7 @@ impl Kernel {
             }
             // Batching bound: yield to the event loop without modelling cost.
             if ops >= self.params.max_batched_ops {
-                self.cores[ci].busy_until = t;
-                return RunOutcome::Busy { until: t };
+                return self.cores[ci].repoll(t);
             }
             ops += 1;
 
@@ -450,8 +473,7 @@ impl Kernel {
                             if self.cores[ci].runqueue.is_empty() {
                                 // Sole runner: yield to the event loop so
                                 // arrivals within this quantum get seen.
-                                self.cores[ci].busy_until = t;
-                                return RunOutcome::Busy { until: t };
+                                return self.cores[ci].repoll(t);
                             }
                             continue; // the loop head performs the preemption
                         }
@@ -1540,6 +1562,77 @@ mod tests {
         match k.run_core(SimTime::ZERO, core) {
             RunOutcome::Busy { until } => assert_eq!(until, at),
             other => panic!("expected busy, got {other:?}"),
+        }
+    }
+
+    /// A `Toucher` that faulted at `at` and whose fault resolves inline
+    /// 1 µs later, at `done`: the core is busy until `done`.
+    fn faulted() -> (Kernel, Tid, CoreId, SimTime, SimTime) {
+        let mut k = kernel();
+        let g = group(&mut k);
+        let addr = k.mm_mut(g).map_anon(4096).unwrap();
+        let tid = k.alloc_tid();
+        let core = k.spawn(
+            tid,
+            g,
+            Box::new(Toucher { addr, state: 0 }),
+            None,
+            SimTime::ZERO,
+        );
+        let (page, at) = match k.run_core(SimTime::ZERO, core) {
+            RunOutcome::Fault { page, at, .. } => (page, at),
+            other => panic!("expected fault, got {other:?}"),
+        };
+        k.mm_mut(g)
+            .install_zero_page(page, crate::mm::PageState::Exclusive);
+        let done = at + SimTime::from_micros(1);
+        k.finish_fault_inline(tid, done);
+        (k, tid, core, at, done)
+    }
+
+    #[test]
+    fn busy_core_hands_out_one_repoll() {
+        let (mut k, _, core, at, done) = faulted();
+        match k.run_core(at, core) {
+            RunOutcome::Busy { until } => assert_eq!(until, done),
+            other => panic!("expected busy, got {other:?}"),
+        }
+        // The re-poll at `done` is queued: later kicks start no chain.
+        for now in [at, at + SimTime::from_nanos(500)] {
+            assert!(matches!(k.run_core(now, core), RunOutcome::Idle));
+        }
+    }
+
+    #[test]
+    fn raised_busy_until_hands_out_a_new_repoll() {
+        let (mut k, tid, core, at, done) = faulted();
+        assert!(matches!(k.run_core(at, core), RunOutcome::Busy { .. }));
+        let later = done + SimTime::from_nanos(1_000);
+        k.finish_fault_inline(tid, later);
+        match k.run_core(at, core) {
+            RunOutcome::Busy { until } => assert_eq!(until, later),
+            other => panic!("expected busy, got {other:?}"),
+        }
+        assert!(matches!(k.run_core(at, core), RunOutcome::Idle));
+        // The old re-poll at `done` ends its chain; the one at `later` runs.
+        assert!(matches!(k.run_core(done, core), RunOutcome::Idle));
+        assert!(matches!(
+            k.run_core(later, core),
+            RunOutcome::Exited { code: 0, .. }
+        ));
+    }
+
+    #[test]
+    fn core_runs_normally_at_busy_until() {
+        let (mut k, tid, core, at, done) = faulted();
+        assert!(matches!(k.run_core(at, core), RunOutcome::Busy { .. }));
+        assert!(matches!(k.run_core(at, core), RunOutcome::Idle));
+        match k.run_core(done, core) {
+            RunOutcome::Exited { tid: t, code, .. } => {
+                assert_eq!(t, tid);
+                assert_eq!(code, 0);
+            }
+            other => panic!("expected exit, got {other:?}"),
         }
     }
 }

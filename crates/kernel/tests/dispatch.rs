@@ -147,8 +147,35 @@ impl Program for Everything {
     }
 }
 
-#[test]
-fn dispatch_routes_every_outcome_to_its_hook() {
+/// Stores to each of `pages` pages once, then exits: every store faults,
+/// so the core is busy for back-to-back fault resolutions.
+#[derive(Debug)]
+struct PageWalker {
+    base: VAddr,
+    pages: u64,
+    next: u64,
+}
+
+impl Program for PageWalker {
+    fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
+        if self.next == self.pages {
+            return Op::Exit(0);
+        }
+        let addr = self.base.add(self.next * VAddr::PAGE_SIZE);
+        self.next += 1;
+        Op::Store(addr, self.next)
+    }
+}
+
+/// Runs the program `make` builds over a fresh `pages`-page mapping to
+/// completion, with one `CoreRun` kick at time zero plus one extra kick at
+/// each of `extra_kicks`. Returns the hooks that fired, the final virtual
+/// time and the events processed.
+fn run_tiny(
+    pages: u64,
+    make: impl FnOnce(VAddr) -> Box<dyn Program>,
+    extra_kicks: &[SimTime],
+) -> (Vec<&'static str>, SimTime, u64) {
     let machine = Machine::new(Topology::single_socket(2), HwParams::default());
     let mut kernel = Kernel::new(
         KernelId(0),
@@ -159,18 +186,11 @@ fn dispatch_routes_every_outcome_to_its_hook() {
     let leader = kernel.alloc_tid();
     let group = GroupId(leader);
     kernel.adopt_mm(Mm::new(group));
-    let mut mm_addr = kernel.mm_mut(group).map_anon(4096).unwrap();
-    let core = kernel.spawn(
-        leader,
-        group,
-        Box::new(Everything {
-            addr: mm_addr,
-            state: 0,
-        }),
-        None,
-        SimTime::ZERO,
-    );
-    let _ = &mut mm_addr;
+    let addr = kernel
+        .mm_mut(group)
+        .map_anon(pages * VAddr::PAGE_SIZE)
+        .unwrap();
+    let core = kernel.spawn(leader, group, make(addr), None, SimTime::ZERO);
     let mut os = TinyOs {
         kernels: vec![kernel],
         group,
@@ -178,13 +198,56 @@ fn dispatch_routes_every_outcome_to_its_hook() {
     };
     let mut sim = Simulator::new();
     sim.schedule(SimTime::ZERO, OsEvent::CoreRun { kernel: 0, core });
+    for &at in extra_kicks {
+        sim.schedule(at, OsEvent::CoreRun { kernel: 0, core });
+    }
     sim.run(&mut os);
+    assert_eq!(os.kernels[0].live_tasks(), 0);
+    (os.hooks, sim.now(), sim.events_processed())
+}
+
+#[test]
+fn dispatch_routes_every_outcome_to_its_hook() {
+    let everything = |addr| -> Box<dyn Program> { Box::new(Everything { addr, state: 0 }) };
+    let (hooks, end, _) = run_tiny(1, everything, &[]);
     assert_eq!(
-        os.hooks,
+        hooks,
         vec!["syscall", "syscall", "sync", "fault", "exit"],
         "each mechanism outcome must reach exactly its policy hook"
     );
-    assert_eq!(os.kernels[0].live_tasks(), 0);
     // The sleep's timer really advanced virtual time.
-    assert!(sim.now() >= SimTime::from_nanos(5_000));
+    assert!(end >= SimTime::from_nanos(5_000));
+}
+
+#[test]
+fn extra_kicks_of_a_busy_core_merge_into_its_one_repoll() {
+    let pages = 16;
+    let walker = |base| -> Box<dyn Program> {
+        Box::new(PageWalker {
+            base,
+            pages,
+            next: 0,
+        })
+    };
+    let (hooks, end, events) = run_tiny(pages, walker, &[]);
+    assert_eq!(
+        hooks.len() as u64,
+        pages + 1,
+        "one fault per page, one exit"
+    );
+    // K kicks spread over the whole run, so most land on a busy core.
+    let k = 200u64;
+    let kicks: Vec<SimTime> = (0..k)
+        .map(|i| SimTime::from_nanos(end.as_nanos() * i / k))
+        .collect();
+    let (kicked_hooks, kicked_end, kicked_events) = run_tiny(pages, walker, &kicks);
+    assert_eq!(kicked_hooks, hooks, "extra kicks changed what ran");
+    assert_eq!(kicked_end, end, "extra kicks changed virtual time");
+    // Each kick costs its own event plus at most one re-poll; a chain per
+    // kick would re-poll through every later busy period.
+    assert!(
+        kicked_events <= events + 2 * k,
+        "{k} extra kicks added {} events",
+        kicked_events - events
+    );
 }
