@@ -13,7 +13,8 @@
 //!
 //! Word contents are stored sparsely so that page transfers can actually
 //! carry data — letting the test suite verify *memory values*, not just
-//! protocol bookkeeping, survive migration.
+//! protocol bookkeeping, survive migration. They are kept per page, in the
+//! form [`PageContents`] ships, so a page operation never scans the others.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -50,7 +51,8 @@ pub struct PageInfo {
 pub struct PageContents {
     /// Version at extraction.
     pub version: u64,
-    /// Non-zero words within the page, as `(address, value)`.
+    /// Non-zero words within the page, as `(address, value)`, ascending by
+    /// address.
     pub words: Vec<(u64, u64)>,
 }
 
@@ -117,7 +119,8 @@ pub struct Mm {
     group: GroupId,
     vmas: BTreeMap<u64, Vma>,
     pages: HashMap<PageNo, PageInfo>,
-    words: HashMap<u64, u64>,
+    /// Each page's non-zero words, ascending by address.
+    words: HashMap<PageNo, Vec<(u64, u64)>>,
     next_map: u64,
     brk: u64,
 }
@@ -240,9 +243,7 @@ impl Mm {
                 if self.pages.remove(&page).is_some() {
                     dropped.push(page);
                 }
-                let base = page.base().0;
-                self.words
-                    .retain(|&a, _| !(base..base + VAddr::PAGE_SIZE).contains(&a));
+                self.words.remove(&page);
             }
         }
         Ok(dropped)
@@ -308,8 +309,15 @@ impl Mm {
         self.pages.insert(page, PageInfo { state, version: 0 });
     }
 
-    /// Installs a page received from another kernel, with its contents.
+    /// Installs a page received from another kernel, with its contents,
+    /// replacing any words held for it.
     pub fn install_page(&mut self, page: PageNo, state: PageState, contents: PageContents) {
+        let ws = &contents.words;
+        debug_assert!(
+            ws.iter().all(|&(a, v)| VAddr(a).page() == page && v != 0)
+                && ws.windows(2).all(|w| w[0].0 < w[1].0),
+            "contents must be non-zero words of {page}, ascending by address"
+        );
         self.pages.insert(
             page,
             PageInfo {
@@ -317,13 +325,7 @@ impl Mm {
                 version: contents.version,
             },
         );
-        let base = page.base().0;
-        self.words
-            .retain(|&a, _| !(base..base + VAddr::PAGE_SIZE).contains(&a));
-        for (a, v) in contents.words {
-            debug_assert_eq!(VAddr(a).page(), page, "word outside page");
-            self.words.insert(a, v);
-        }
+        self.words.insert(page, contents.words);
     }
 
     /// Downgrades or upgrades a resident page's state in place.
@@ -363,17 +365,9 @@ impl Mm {
             .pages
             .get(&page)
             .unwrap_or_else(|| panic!("{page} not resident"));
-        let base = page.base().0;
-        let mut words: Vec<(u64, u64)> = self
-            .words
-            .iter()
-            .filter(|&(&a, _)| (base..base + VAddr::PAGE_SIZE).contains(&a))
-            .map(|(&a, &v)| (a, v))
-            .collect();
-        words.sort_unstable();
         PageContents {
             version: info.version,
-            words,
+            words: self.words.get(&page).cloned().unwrap_or_default(),
         }
     }
 
@@ -383,12 +377,14 @@ impl Mm {
     ///
     /// Panics if the page is not resident.
     pub fn evict_page(&mut self, page: PageNo) -> PageContents {
-        let contents = self.snapshot_page(page);
-        self.pages.remove(&page);
-        let base = page.base().0;
-        self.words
-            .retain(|&a, _| !(base..base + VAddr::PAGE_SIZE).contains(&a));
-        contents
+        let info = self
+            .pages
+            .remove(&page)
+            .unwrap_or_else(|| panic!("{page} not resident"));
+        PageContents {
+            version: info.version,
+            words: self.words.remove(&page).unwrap_or_default(),
+        }
     }
 
     /// Applies a consistency-protocol grant: installs the page with the
@@ -426,15 +422,22 @@ impl Mm {
     /// Reads a word (0 for never-written addresses — zero-fill semantics).
     /// The caller must have established access rights first.
     pub fn read_word(&self, addr: VAddr) -> u64 {
-        self.words.get(&addr.0).copied().unwrap_or(0)
+        let ws = self.words.get(&addr.page()).map_or(&[][..], Vec::as_slice);
+        ws.binary_search_by_key(&addr.0, |&(a, _)| a)
+            .map_or(0, |i| ws[i].1)
     }
 
     /// Writes a word. The caller must have established write rights first.
     pub fn write_word(&mut self, addr: VAddr, value: u64) {
-        if value == 0 {
-            self.words.remove(&addr.0);
-        } else {
-            self.words.insert(addr.0, value);
+        let ws = self.words.entry(addr.page()).or_default();
+        // Zeros are never stored: writing 0 drops the word.
+        match ws.binary_search_by_key(&addr.0, |&(a, _)| a) {
+            Ok(i) if value == 0 => {
+                ws.remove(i);
+            }
+            Ok(i) => ws[i].1 = value,
+            Err(i) if value != 0 => ws.insert(i, (addr.0, value)),
+            Err(_) => {}
         }
     }
 }

@@ -670,6 +670,8 @@ mod tests {
         assert_eq!(ts.disorder(), 1);
         let pts: Vec<_> = ts.iter().collect();
         assert_eq!(pts[1].0, SimTime::from_nanos(10), "clamped, not reordered");
-        assert_eq!(ts.time_weighted_mean(), 1.0);
+        // The clamped series spans zero time, so it falls back to the point
+        // mean (1.5), as documented.
+        assert_eq!(ts.time_weighted_mean(), ts.mean());
     }
 }
