@@ -24,11 +24,6 @@ pub struct Cli {
     /// Host worker threads (`--jobs N` / `-j N`); `None` means the
     /// default (available host parallelism). `--serial` forces 1.
     pub jobs: Option<usize>,
-    /// Worker threads *inside* one simulation (`--sim-threads N`); `None`
-    /// means 1 (the serial engine). Composes with `--jobs`: `--jobs`
-    /// parallelizes across independent simulations, `--sim-threads`
-    /// partitions each opted-in simulation internally.
-    pub sim_threads: Option<usize>,
 }
 
 impl Cli {
@@ -36,11 +31,6 @@ impl Cli {
     /// or 0 for "use the host's available parallelism".
     pub fn jobs_setting(&self) -> usize {
         self.jobs.unwrap_or(0)
-    }
-
-    /// The value to hand to [`popcorn_sim::set_sim_threads`].
-    pub fn sim_threads_setting(&self) -> usize {
-        self.sim_threads.unwrap_or(1)
     }
 }
 
@@ -63,7 +53,6 @@ pub fn parse(args: &[String], known_ids: &[&str]) -> Result<Cli, String> {
         selected: Vec::new(),
         json_dir: None,
         jobs: None,
-        sim_threads: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -93,18 +82,6 @@ pub fn parse(args: &[String], known_ids: &[&str]) -> Result<Cli, String> {
                 cli.jobs = Some(n);
             }
             "--serial" => cli.jobs = Some(1),
-            "--sim-threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{a} requires a thread count"))?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("{a} expects a positive integer, got '{v}'"))?;
-                if n == 0 {
-                    return Err(format!("{a} expects a positive integer, got '0'"));
-                }
-                cli.sim_threads = Some(n);
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             id => {
                 if !known_ids.contains(&id) {
@@ -117,7 +94,7 @@ pub fn parse(args: &[String], known_ids: &[&str]) -> Result<Cli, String> {
     dedup_preserving_order(&mut cli.selected);
     if cli.mode == Mode::Run && cli.selected.is_empty() {
         return Err(format!(
-            "usage: repro [all | list | check | <ids...>] [--json DIR] [--jobs N | --serial] [--sim-threads N]\nids: {}",
+            "usage: repro [all | list | check | <ids...>] [--json DIR] [--jobs N | --serial]\nids: {}",
             known_ids.join(" ")
         ));
     }
@@ -177,21 +154,16 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_flag() {
-        let cli = parse(&argv(&["all", "--sim-threads", "4"]), &IDS).expect("parses");
-        assert_eq!(cli.sim_threads, Some(4));
-        assert_eq!(cli.sim_threads_setting(), 4);
-        // Composes with --jobs.
-        let cli =
-            parse(&argv(&["all", "--jobs", "2", "--sim-threads", "3"]), &IDS).expect("parses");
-        assert_eq!((cli.jobs, cli.sim_threads), (Some(2), Some(3)));
-        // Default is the serial engine.
-        let cli = parse(&argv(&["all"]), &IDS).expect("parses");
-        assert_eq!(cli.sim_threads, None);
-        assert_eq!(cli.sim_threads_setting(), 1);
-        assert!(parse(&argv(&["all", "--sim-threads", "0"]), &IDS).is_err());
-        assert!(parse(&argv(&["all", "--sim-threads"]), &IDS).is_err());
-        assert!(parse(&argv(&["all", "--sim-threads", "x"]), &IDS).is_err());
+    fn removed_engine_thread_flag_is_unknown() {
+        // Every simulation runs on the one serial engine; the flag that
+        // once split a simulation across host threads is gone.
+        let flag = "--sim-threads";
+        for args in [vec!["all", flag, "2"], vec!["all", flag]] {
+            assert_eq!(
+                parse(&argv(&args), &IDS),
+                Err(format!("unknown flag '{flag}'"))
+            );
+        }
     }
 
     #[test]

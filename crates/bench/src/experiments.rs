@@ -401,14 +401,7 @@ pub fn e5_mmap_storm() -> Table {
         ],
     );
     let total_iters = 2880u32;
-    // Four processes, each pinned to its own kernel: per-group protocol
-    // state stays kernel-local, so the popcorn runs are safe to partition
-    // across host threads under `--sim-threads` (results byte-identical;
-    // see `machine::partition` in popcorn-core).
-    let rig = Rig {
-        parallel_sim: true,
-        ..Rig::paper()
-    };
+    let rig = Rig::paper();
     let procs = 4usize;
     let totals = [4usize, 8, 16, 32, 60];
     let cells: Vec<(usize, OsKind)> = totals

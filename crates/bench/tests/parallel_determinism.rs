@@ -1,13 +1,11 @@
-//! The tentpole guarantee of the parallel harness: running experiments
-//! with host-thread parallelism — across simulations (`--jobs`) and
-//! *inside* opted-in simulations (`--sim-threads`) — produces
+//! The guarantee of the parallel harness: running experiments with
+//! host-thread parallelism across simulations (`--jobs`) produces
 //! byte-identical table JSON to a fully serial run. One test function
-//! (not several) because both knobs are process-global and tests in one
+//! (not several) because the knob is process-global and tests in one
 //! binary run concurrently.
 
 use popcorn_bench::experiments;
 use popcorn_bench::{set_jobs, Table};
-use popcorn_sim::set_sim_threads;
 
 /// A named experiment entry point.
 type Case = (&'static str, fn() -> Table);
@@ -42,42 +40,5 @@ fn parallel_runs_are_byte_identical_to_serial() {
         let again = f().to_json_pretty();
         set_jobs(0);
         assert_eq!(parallel, again, "{id}: parallel run not reproducible");
-    }
-
-    // The partitioned engine: E5 is the experiment opted into
-    // `--sim-threads` partitioning (four kernel-pinned processes). Sweep
-    // the full --sim-threads × --jobs matrix; every cell must render the
-    // same bytes as the serial baseline. E13 rides along as the
-    // gate-refusal case: its policy-driven cells fall back to the serial
-    // engine under the partition gate, so `--sim-threads` must be a no-op.
-    // E15 and E16 are gate-refusal cases: E15's replica-active cells
-    // write holder shadows through the shared group state, and E16's
-    // sharded cells route through the root-owned shard map (written on
-    // one side of any partition cut, read on the other), so
-    // `partition_safe` rejects them and the serial fallback must not
-    // change a byte.
-    let partitioned: [Case; 4] = [
-        ("e5", experiments::e5_mmap_storm),
-        ("e13", experiments::e13_policies),
-        ("e15", popcorn_bench::e15::e15_replication),
-        ("e16", popcorn_bench::e16::e16_hierarchical_homes),
-    ];
-    for (id, f) in partitioned {
-        set_jobs(1);
-        set_sim_threads(1);
-        let baseline = f().to_json_pretty();
-        for jobs in [1usize, 4] {
-            for sim_threads in [2usize, 4] {
-                set_jobs(jobs);
-                set_sim_threads(sim_threads);
-                let got = f().to_json_pretty();
-                assert_eq!(
-                    got, baseline,
-                    "{id}: --jobs {jobs} --sim-threads {sim_threads} diverged from serial"
-                );
-            }
-        }
-        set_jobs(0);
-        set_sim_threads(1);
     }
 }

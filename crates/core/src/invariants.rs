@@ -3,10 +3,9 @@
 //!
 //! A completed run means the event queue fully drained: everything still
 //! inconsistent at that point is permanent damage, not work in flight. The
-//! checker is wired into [`crate::os::PopcornOs::run_with`] (gated by
-//! [`crate::params::PopcornParams::check_invariants`]) so every experiment
-//! — fault-free, faulty, and crash-recovery — ends with a machine-wide
-//! audit rather than trusting per-path cleanup:
+//! checker runs at the end of every `run_with` on [`crate::PopcornOs`], so
+//! every experiment — fault-free, faulty, and crash-recovery — ends with a
+//! machine-wide audit rather than trusting per-path cleanup:
 //!
 //! 1. **No thread lost or duplicated** — a tid has at most one live
 //!    (non-shadow, non-exited) instance across all kernels.

@@ -37,9 +37,8 @@
 //! silently destroyed.
 //!
 //! Everything here is gated on `scheduled`, which only flips when the run
-//! has planned crashes, `crash_recovery` is on, and the reliability layer
-//! is active — fault-free runs take a single boolean branch and stay
-//! byte-identical.
+//! has planned crashes and the reliability layer is active — fault-free
+//! runs take a single boolean branch and stay byte-identical.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,9 +57,7 @@ use super::{
     PopEvent, PopMsg, PopcornMachine,
 };
 
-/// Per-machine crash-recovery state. One instance per [`PopcornMachine`];
-/// partitions of a parallel run get fresh (inert) ones, which is correct
-/// because the partition gate excludes fault plans entirely.
+/// Per-machine crash-recovery state. One instance per [`PopcornMachine`].
 #[derive(Debug)]
 pub struct RecoveryCtl {
     /// Whether detection timers were scheduled for this run. False means
@@ -122,10 +119,10 @@ impl PopcornMachine {
     /// self-addressed deliveries for the harness to schedule (the
     /// crash-recovery twin of `policy_tick_starts`). Flips `scheduled`;
     /// returns nothing on later calls, without planned crashes, or when
-    /// recovery/reliability is off — the fault-free configuration never
+    /// reliable delivery is off — the fault-free configuration never
     /// allocates a single event here.
     pub fn crash_detect_starts(&mut self) -> Vec<(SimTime, PopMsg)> {
-        if self.recovery.scheduled || !self.params.crash_recovery || !self.net.is_reliable() {
+        if self.recovery.scheduled || !self.net.is_reliable() {
             return Vec::new();
         }
         let crashes = self.net.fabric().planned_crashes().to_vec();

@@ -46,7 +46,6 @@ pub struct PopcornOsBuilder {
     os: OsParams,
     msg: MsgParams,
     pop: PopcornParams,
-    parallel: bool,
 }
 
 impl Default for PopcornOsBuilder {
@@ -59,7 +58,6 @@ impl Default for PopcornOsBuilder {
             os: OsParams::default(),
             msg: MsgParams::default(),
             pop: PopcornParams::default(),
-            parallel: false,
         }
     }
 }
@@ -111,17 +109,6 @@ impl PopcornOsBuilder {
         self
     }
 
-    /// Opts this model into the partitioned parallel engine. The run only
-    /// actually parallelizes when `popcorn_sim::sim_threads() > 1` and the
-    /// configuration passes the partition-safety gate (see
-    /// `machine::partition`); otherwise the serial engine runs as always.
-    /// Callers opting in assert that the workload keeps per-group state
-    /// kernel-local (no spanning groups touching remote page/VMA service).
-    pub fn parallel_sim(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
-
     /// Builds the OS model.
     ///
     /// # Panics
@@ -136,10 +123,7 @@ impl PopcornOsBuilder {
         // Crash detection infers death from ack silence: the window must
         // outlast the worst-case retransmit chain or survivors would
         // declare a congested peer dead.
-        if !self.msg.faults.crashes.is_empty()
-            && self.pop.crash_recovery
-            && self.pop.reliable_delivery
-        {
+        if !self.msg.faults.crashes.is_empty() && self.pop.reliable_delivery {
             assert!(
                 self.pop.crash_detect_ns > self.pop.worst_retx_chain_ns(),
                 "crash_detect_ns ({}) must exceed the worst-case retransmit \
@@ -167,7 +151,6 @@ impl PopcornOsBuilder {
             machine: PopcornMachine::new(kernels, fabric, machine, self.pop),
             topology: self.topology,
             next_home: 0,
-            parallel: self.parallel,
         }
     }
 }
@@ -181,7 +164,6 @@ pub struct PopcornOs {
     machine: PopcornMachine,
     topology: Topology,
     next_home: usize,
-    parallel: bool,
 }
 
 impl PopcornOs {
@@ -246,25 +228,11 @@ impl OsModel for PopcornOs {
     }
 
     fn run_with(&mut self, horizon: SimTime, event_budget: u64) -> RunReport {
-        let threads = popcorn_sim::sim_threads();
-        let (stop, events, now) = if self.parallel && threads > 1 && self.machine.partition_safe() {
-            let threads = popcorn_sim::effective_sim_threads();
-            let initial = self.sim.drain();
-            let outcome = self
-                .machine
-                .run_parallel(initial, horizon, event_budget, threads);
-            (
-                outcome.stop,
-                self.sim.events_processed() + outcome.events,
-                outcome.now,
-            )
-        } else {
-            let stop = self.sim.run_until(&mut self.machine, horizon, event_budget);
-            (stop, self.sim.events_processed(), self.sim.now())
-        };
+        let stop = self.sim.run_until(&mut self.machine, horizon, event_budget);
+        let now = self.sim.now();
         // Global invariant check on every completed run (the queue fully
         // drained, so any inconsistency is permanent, not in flight).
-        if self.machine.params().check_invariants && stop == StopCondition::QueueEmpty {
+        if stop == StopCondition::QueueEmpty {
             if let Err(violations) = crate::invariants::check(&self.machine, now) {
                 panic!(
                     "global invariants violated at {now:?}:\n  {}",
@@ -291,12 +259,15 @@ impl OsModel for PopcornOs {
             metrics.insert("blackout_drops".into(), fc.blackout_drops as f64);
             metrics.insert("crash_drops".into(), fc.crash_drops as f64);
         }
-        if self.machine.policy_active() {
-            metrics.insert(
-                "runq_depth_tw_mean".into(),
-                self.machine.telemetry().mean_depth_tw(),
-            );
-        }
+        // Zero under `ScriptedOnly`: no telemetry is sampled.
+        metrics.insert(
+            "runq_depth_tw_mean".into(),
+            if self.machine.policy_active() {
+                self.machine.telemetry().mean_depth_tw()
+            } else {
+                0.0
+            },
+        );
         let exited: u64 = kernels.iter().map(|k| k.stats.exited.get()).sum();
         // Under fault injection, moot RPC-deadline timers can trail the real
         // work by up to `rpc_deadline_ns`; report when the workload actually
@@ -346,7 +317,7 @@ impl OsModel for PopcornOs {
             finished_at,
             exited_tasks: exited,
             stuck_tasks: osmodel::stuck_tasks(kernels),
-            events,
+            events: self.sim.events_processed(),
             stop,
             metrics,
         }

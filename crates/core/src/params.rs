@@ -40,9 +40,6 @@ pub struct PopcornParams {
     /// Ablation: replicate the whole VMA layout with each migration
     /// (`false` = the paper's on-demand VMA retrieval).
     pub eager_vma_replication: bool,
-    /// Ablation: push every resident page of the address space with the
-    /// migrating thread (`false` = the paper's on-demand page retrieval).
-    pub eager_page_replication: bool,
     /// Reliable delivery over a faulty fabric: sequence numbers, duplicate
     /// suppression, retransmission with backoff, and RPC deadlines. Only
     /// engaged when the fabric's [`popcorn_msg::FaultPlan`] is active —
@@ -75,13 +72,11 @@ pub struct PopcornParams {
     /// initiates (added to the marshalling path). Ignored under
     /// `ScriptedOnly`.
     pub policy_eval_ns: u64,
-    /// Crash recovery: survivors detect a scripted kernel crash, fence the
-    /// dead kernel behind a membership epoch, and a deterministic successor
-    /// re-homes its groups, directory entries and futex waiters. Only
-    /// engaged when the fault plan scripts a crash *and* reliable delivery
-    /// is on — with no planned crash every path is untouched and results
-    /// stay byte-identical with this on or off.
-    pub crash_recovery: bool,
+    /// Crash recovery engages whenever the fault plan scripts a crash and
+    /// reliable delivery is on: survivors detect the crash, fence the dead
+    /// kernel behind a membership epoch, and a deterministic successor
+    /// re-homes its groups, directory entries and futex waiters.
+    ///
     /// Ack-silence window before survivors declare a crashed peer dead,
     /// measured from the crash instant. Models the paper fleet's heartbeat
     /// timeout; must exceed the worst-case retransmit chain so a message
@@ -137,11 +132,6 @@ pub struct PopcornParams {
     /// (the default) means uncapped — the pre-existing behaviour where
     /// `pt_holders` never shrinks outside crashes.
     pub pt_replica_cap: u32,
-    /// Run the global invariant checker (`crate::invariants`) at the end of
-    /// every completed run: no thread lost or duplicated, no directory
-    /// entry naming a dead owner, no RPC wedged. Panics on violation.
-    /// Opt-out exists for tests that deliberately wedge the machine.
-    pub check_invariants: bool,
 }
 
 impl Default for PopcornParams {
@@ -160,7 +150,6 @@ impl Default for PopcornParams {
             futex_local_fastpath: true,
             sync_first_touch_homing: false,
             eager_vma_replication: false,
-            eager_page_replication: false,
             reliable_delivery: true,
             retx_base_ns: 50_000,
             retx_cap_ns: 2_000_000,
@@ -169,7 +158,6 @@ impl Default for PopcornParams {
             policy: PolicyKind::ScriptedOnly,
             telemetry_period_ns: 50_000,
             policy_eval_ns: 400,
-            crash_recovery: true,
             // Worst-case retransmit chain at the default policy is
             // Σ min(50µs·2ⁱ, 2ms) ≈ 11.55ms; 12ms clears it.
             crash_detect_ns: 12_000_000,
@@ -183,7 +171,6 @@ impl Default for PopcornParams {
             replica_install_page_ns: 150,
             home_sharding: false,
             pt_replica_cap: 0,
-            check_invariants: true,
         }
     }
 }
@@ -195,11 +182,6 @@ impl PopcornParams {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.eager_page_replication && !self.eager_vma_replication {
-            return Err("eager page replication requires eager VMA replication \
-                 (pages cannot be mapped without their VMAs)"
-                .into());
-        }
         // The retransmit bounds live in `RetxPolicy` (popcorn-msg), which
         // owns their validation; surface its verdict here so a bad knob is
         // caught at build time instead of misbehaving silently.
@@ -286,22 +268,6 @@ mod tests {
     #[test]
     fn defaults_validate() {
         assert_eq!(PopcornParams::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn eager_pages_require_eager_vmas() {
-        let p = PopcornParams {
-            eager_page_replication: true,
-            eager_vma_replication: false,
-            ..PopcornParams::default()
-        };
-        assert!(p.validate().is_err());
-        let ok = PopcornParams {
-            eager_page_replication: true,
-            eager_vma_replication: true,
-            ..PopcornParams::default()
-        };
-        assert_eq!(ok.validate(), Ok(()));
     }
 
     #[test]

@@ -206,9 +206,19 @@ impl RunReport {
         self.stop == StopCondition::QueueEmpty && self.stuck_tasks.is_empty()
     }
 
-    /// A metric by name (0.0 when absent).
+    /// A metric by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this model does not report `name`, so a misspelled
+    /// metric fails loudly instead of reading as zero. Check
+    /// [`RunReport::metrics`] directly for metrics that exist only on
+    /// some models or configurations.
     pub fn metric(&self, name: &str) -> f64 {
-        self.metrics.get(name).copied().unwrap_or(0.0)
+        match self.metrics.get(name) {
+            Some(&v) => v,
+            None => panic!("{} reports no metric {name:?}", self.os),
+        }
     }
 }
 
@@ -352,7 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn metric_lookup_defaults_to_zero() {
+    #[should_panic(expected = "x reports no metric \"fualts\"")]
+    fn metric_lookup_panics_on_a_misspelled_name() {
         let mut r = RunReport {
             os: "x",
             finished_at: SimTime::ZERO,
@@ -364,6 +375,6 @@ mod tests {
         };
         r.metrics.insert("faults".into(), 4.0);
         assert_eq!(r.metric("faults"), 4.0);
-        assert_eq!(r.metric("absent"), 0.0);
+        let _ = r.metric("fualts");
     }
 }

@@ -225,14 +225,6 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
         &mut self.fabric
     }
 
-    /// Unwraps the fabric, discarding reliability state. Only meaningful
-    /// when the reliability layer is inactive (partitioned runs gate out
-    /// fault plans, so sequencing state is never allocated there).
-    pub fn into_fabric(self) -> Fabric {
-        debug_assert!(self.seq.is_none(), "dropping live retransmission state");
-        self.fabric
-    }
-
     /// True when the reliability layer is active.
     pub fn is_reliable(&self) -> bool {
         self.seq.is_some()

@@ -240,25 +240,6 @@ impl<E> Simulator<E> {
         self.queue.len()
     }
 
-    /// The fire time of the earliest pending event, if any. (`&mut` because
-    /// the calendar queue may rotate buckets to find its minimum.)
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        self.queue.peek().map(|(at, _)| at)
-    }
-
-    /// Removes and returns every pending event in `(time, seq)` firing
-    /// order. The clock and sequence counter are untouched, so events
-    /// re-scheduled elsewhere in the returned order reproduce the original
-    /// tie-breaking. The parallel engine uses this to deal a simulation's
-    /// initial events out to per-partition queues.
-    pub fn drain(&mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.queue.len());
-        while let Some((at, _seq, ev)) = self.queue.pop() {
-            out.push((at, ev));
-        }
-        out
-    }
-
     /// Schedules an event at absolute time `at` (clamped to now).
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);

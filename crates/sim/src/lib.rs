@@ -42,7 +42,6 @@
 //! ```
 
 pub mod engine;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -50,10 +49,6 @@ pub mod time;
 
 pub use engine::{
     current_event_sink, with_event_sink, Handler, Scheduler, Simulator, StopCondition,
-};
-pub use parallel::{
-    current_parallel_meter, effective_sim_threads, run_partitioned, set_sim_threads, sim_threads,
-    with_parallel_meter, ParallelMeter, ParallelOutcome, Partition,
 };
 pub use queue::CalendarQueue;
 pub use rng::SimRng;
