@@ -57,7 +57,11 @@ fn main() {
             let mut failed = false;
             for r in &results {
                 let mark = if r.passed { "PASS" } else { "FAIL" };
-                println!("[{mark}] {} — {}", r.name, r.detail);
+                let c = r.claim;
+                println!(
+                    "[{mark}] {} — results/{}.json [{}]: {}",
+                    c.name, c.experiment, c.rows, r.detail
+                );
                 failed |= !r.passed;
             }
             if failed {

@@ -1,512 +1,505 @@
-//! Shape assertions: programmatic checks that the reproduction still
-//! exhibits the paper's claimed behaviours.
+//! Shape assertions: the paper's claims as predicates over the published
+//! tables.
 //!
-//! `repro check` runs a reduced-scale version of the headline experiments
-//! and asserts on *orderings and factors*, not absolute numbers — exactly
-//! the properties EXPERIMENTS.md claims. A violated shape is a science
-//! regression even when every unit test passes.
+//! Each [`Claim`] names the experiment whose [`Table`] it reads — the table
+//! `repro all` writes to `results/<id>.json` — and checks *orderings and
+//! factors* on cells it looks up by row key and column name, exactly the
+//! properties EXPERIMENTS.md claims. `repro check` regenerates every
+//! claimed experiment once and evaluates each claim on its table, so a
+//! claim can only pass on the numbers that are published. A violated shape
+//! is a science regression even when every unit test passes.
 
-use popcorn_core::{PopcornOs, PopcornParams};
-use popcorn_hw::Topology;
-use popcorn_kernel::osmodel::OsModel;
-use popcorn_kernel::program::Placement;
-use popcorn_workloads::micro;
-use popcorn_workloads::npb::{self, NpbConfig};
+use crate::experiments::{all_experiments, Experiment};
+use crate::rig::parallel_map;
+use crate::table::Table;
 
-use crate::rig::{parallel_map, OsKind, Rig};
-
-/// One shape check: name plus pass/fail with an explanation.
+/// One evaluated claim: pass/fail with the cells it read.
 #[derive(Debug, Clone)]
 pub struct ShapeResult {
-    /// Which claim was checked.
-    pub name: &'static str,
+    /// The claim checked.
+    pub claim: &'static Claim,
     /// Whether the shape held.
     pub passed: bool,
     /// Measured evidence, human-readable.
     pub detail: String,
 }
 
-fn result(name: &'static str, passed: bool, detail: String) -> ShapeResult {
-    ShapeResult {
-        name,
-        passed,
-        detail,
-    }
+/// One claim of the evaluation, checked against one experiment's table.
+#[derive(Debug)]
+pub struct Claim {
+    /// What the claim says.
+    pub name: &'static str,
+    /// `repro` id of the experiment whose table the claim reads (its
+    /// `results/<id>.json`).
+    pub experiment: &'static str,
+    /// The rows the predicate reads, named by their leading cells.
+    pub rows: &'static str,
+    /// Whether the claim holds on the table, and the cells it read.
+    holds: fn(&Table) -> (bool, String),
 }
 
-/// Claim: back-migration (shadow revival) is cheaper than first-visit
-/// migration.
-pub fn check_back_migration_cheaper() -> ShapeResult {
-    let mut os = PopcornOs::builder()
-        .topology(Topology::new(2, 4))
-        .kernels(2)
-        .build();
-    os.load(Box::new(micro::MigrationPingPong::new(20)));
-    let r = os.run();
-    let first = os.stats().migration_first_lat.mean() / 1_000.0;
-    let back = os.stats().migration_back_lat.mean() / 1_000.0;
-    result(
-        "back-migration cheaper than first visit (E2/A1)",
-        r.is_clean() && back < first * 0.7,
-        format!("first {first:.1}us, back {back:.1}us"),
+/// Every claim `repro check` asserts, in report order.
+static CLAIMS: [Claim; 11] = [
+    Claim {
+        name: "back-migration cheaper than first visit (E2/A1)",
+        experiment: "e2",
+        rows: "idle",
+        holds: back_migration_cheaper,
+    },
+    Claim {
+        name: "SMP flattens on shared structures well above popcorn's floor (E5)",
+        experiment: "e5",
+        rows: "32, 60",
+        holds: smp_contention_collapse,
+    },
+    Claim {
+        name: "popcorn beats SMP on IS-class at 64 threads (E8, paper: up to 40%)",
+        experiment: "e8",
+        rows: "64",
+        holds: is_class_win,
+    },
+    Claim {
+        name: "popcorn scales like the multikernel (E5/E8)",
+        experiment: "e8",
+        rows: "64",
+        holds: tracks_multikernel,
+    },
+    Claim {
+        name: "kernel-local futexes competitive with SMP (E6)",
+        experiment: "e6",
+        rows: "8",
+        holds: local_futex_competitive,
+    },
+    Claim {
+        name: "remote faults ≫ local faults (E4)",
+        experiment: "e4",
+        rows: "read-share-then-write/2",
+        holds: page_protocol_costs,
+    },
+    Claim {
+        name: "hier barriers + first-touch homing beat flat/origin (A4)",
+        experiment: "ablate-hier",
+        rows: "flat/origin, hier/first-touch",
+        holds: hier_extension_wins,
+    },
+    Claim {
+        name: "policy gate: fault-aware dodges straggler, wake-locality chases, threshold stays tame (E13)",
+        experiment: "e13",
+        rows: "straggler kernel, thundering herd, ping-pong storm",
+        holds: policy_shootout,
+    },
+    Claim {
+        name: "crash gate: detection on time, orphans killed, work partial, baselines inert (E14)",
+        experiment: "e14",
+        rows: "every row",
+        holds: recovery,
+    },
+    Claim {
+        name: "replication gate: off is inert, bare pays remote walks, replicas flip them local and win completion back (E15)",
+        experiment: "e15",
+        rows: "every row",
+        holds: replication,
+    },
+    Claim {
+        name: "sharding gate: flat inert, delegates collapse the root queue, cross-socket pages escalate (E16)",
+        experiment: "e16",
+        rows: "flat/per-ccx, delegates/per-ccx, delegates/per-socket",
+        holds: sharding,
+    },
+];
+
+/// Whether the row keyed `key` reports a clean run.
+fn clean(t: &Table, key: &[&str]) -> bool {
+    t.cell(key, "clean") == "true"
+}
+
+/// `"<col> <cell>, ..."`: columns `cols` of row `key`, as published.
+fn cells(t: &Table, key: &[&str], cols: &[&str]) -> String {
+    let cells: Vec<String> = cols
+        .iter()
+        .map(|c| format!("{c} {}", t.cell(key, c)))
+        .collect();
+    cells.join(", ")
+}
+
+/// Back-migration (shadow revival) is cheaper than first-visit migration.
+fn back_migration_cheaper(t: &Table) -> (bool, String) {
+    let (first, back) = ("first_visit_us", "back_migration_us");
+    (
+        t.num(&["idle"], back) < t.num(&["idle"], first) * 0.7,
+        cells(t, &["idle"], &[first, back]),
     )
 }
 
-/// Claim: SMP stops scaling on multi-process address-space storms while
-/// popcorn keeps improving (abstract claim 1, E5).
-pub fn check_smp_contention_collapse() -> ShapeResult {
-    let rig = Rig::paper();
-    let total_iters = 1440u32;
-    let time = |kind: OsKind, total: usize| {
-        let per_proc = total / 4;
-        let iters = total_iters / total as u32;
-        let mut os = rig.build(kind);
-        for _ in 0..4 {
-            let mut cfg = popcorn_workloads::team::TeamConfig::new(per_proc, 0);
-            cfg.placement = Placement::Local;
-            os.load(popcorn_workloads::team::Team::boxed(
-                cfg,
-                Box::new(move |_, _| Box::new(micro::MmapWorker::new(iters, 16384))),
-            ));
-        }
-        let r = os.run_with(rig.horizon, rig.event_budget);
-        assert!(r.is_clean());
-        r.finished_at.as_millis_f64()
-    };
-    // The claim is about *floors*: with more threads both systems bottom
-    // out on their serialized structures, but SMP's floor (global zone
-    // lock + machine-wide shootdowns) sits well above popcorn's
-    // (per-kernel structures).
-    let smp_mid = time(OsKind::Smp, 32);
-    let smp_big = time(OsKind::Smp, 60);
-    let pop_big = time(OsKind::Popcorn, 60);
-    let smp_flattened = smp_big > smp_mid * 0.85; // no real gain 32→60
-    let floor_gap = smp_big / pop_big;
-    result(
-        "SMP flattens on shared structures well above popcorn's floor (E5)",
-        smp_flattened && floor_gap > 1.5,
+/// SMP stops scaling on multi-process address-space storms while popcorn
+/// keeps improving (abstract claim 1). The claim is about *floors*: with
+/// more threads both systems bottom out on their serialized structures,
+/// but SMP's floor (global zone lock + machine-wide shootdowns) sits well
+/// above popcorn's (per-kernel structures).
+fn smp_contention_collapse(t: &Table) -> (bool, String) {
+    // No real gain from 32 to 60 threads.
+    let flattened = t.num(&["60"], "smp_ms") > t.num(&["32"], "smp_ms") * 0.85;
+    (
+        flattened && t.num(&["60"], "smp_over_popcorn") > 1.5,
         format!(
-            "smp 32→60 threads: {smp_mid:.2}ms → {smp_big:.2}ms (flattened); \
-             smp floor / popcorn floor = {floor_gap:.2}x"
+            "smp 32→60 threads: {}ms; smp floor / popcorn floor = {}",
+            arrow(t, &["32"], &["60"], "smp_ms"),
+            t.cell(&["60"], "smp_over_popcorn")
         ),
     )
 }
 
-/// Claim: popcorn is faster than SMP on the allocation-heavy IS class at
-/// high core counts (abstract claim 3, E8) — by a meaningful margin.
-pub fn check_is_class_win() -> ShapeResult {
-    let rig = Rig::paper();
-    let time = |kind: OsKind| {
-        let mut os = rig.build(kind);
-        for _ in 0..4 {
-            let cfg = NpbConfig {
-                threads: 16,
-                iterations: 8,
-                pages_per_thread: 12,
-                compute_cycles: 84_000_000 / 64,
-                barrier_groups: 0,
-            };
-            os.load(npb::is_benchmark_placed(cfg, Placement::Local));
-        }
-        let r = os.run_with(rig.horizon, rig.event_budget);
-        assert!(r.is_clean());
-        r.finished_at.as_millis_f64()
-    };
-    let pop = time(OsKind::Popcorn);
-    let smp = time(OsKind::Smp);
-    let factor = smp / pop;
-    result(
-        "popcorn beats SMP on IS-class at 64 threads (E8, paper: up to 40%)",
+/// Popcorn is faster than SMP on the allocation-heavy IS class at high
+/// core counts (abstract claim 3) — by a meaningful margin.
+fn is_class_win(t: &Table) -> (bool, String) {
+    let (pop, smp) = (t.cell(&["64"], "popcorn_ms"), t.cell(&["64"], "smp_ms"));
+    let factor = t.num(&["64"], "smp_ms") / t.num(&["64"], "popcorn_ms");
+    (
         factor > 1.2,
-        format!("smp/popcorn = {factor:.2}x (popcorn {pop:.2}ms, smp {smp:.2}ms)"),
+        format!("smp/popcorn = {factor:.2}x (popcorn {pop}ms, smp {smp}ms)"),
     )
 }
 
-/// Claim: popcorn tracks the multikernel on the same IS-class run
-/// (abstract claim 1).
-pub fn check_tracks_multikernel() -> ShapeResult {
-    let rig = Rig::paper();
-    let time = |kind: OsKind| {
-        let mut os = rig.build(kind);
-        for _ in 0..4 {
-            let cfg = NpbConfig {
-                threads: 16,
-                iterations: 8,
-                pages_per_thread: 12,
-                compute_cycles: 84_000_000 / 64,
-                barrier_groups: 0,
-            };
-            os.load(npb::is_benchmark_placed(cfg, Placement::Local));
-        }
-        let r = os.run_with(rig.horizon, rig.event_budget);
-        assert!(r.is_clean());
-        r.finished_at.as_millis_f64()
-    };
-    let pop = time(OsKind::Popcorn);
-    let mk = time(OsKind::Multikernel);
-    let gap = (pop - mk).abs() / mk;
-    result(
-        "popcorn scales like the multikernel (E5/E8)",
-        gap < 0.10,
+/// Whether columns `a` and `b` of row `key` lie within 10% of `b`.
+fn within_10pct(t: &Table, key: &[&str], a: &str, b: &str) -> (bool, String) {
+    let gap = (t.num(key, a) - t.num(key, b)).abs() / t.num(key, b);
+    let detail = format!("{} ({:.1}% apart)", cells(t, key, &[a, b]), gap * 100.0);
+    (gap < 0.10, detail)
+}
+
+/// Popcorn tracks the multikernel on the same IS-class run (abstract
+/// claim 1).
+fn tracks_multikernel(t: &Table) -> (bool, String) {
+    within_10pct(t, &["64"], "popcorn_ms", "multikernel_ms")
+}
+
+/// Kernel-local popcorn synchronization is competitive with SMP
+/// (abstract claim 2).
+fn local_futex_competitive(t: &Table) -> (bool, String) {
+    within_10pct(t, &["8"], "popcorn_local_ms", "smp_ms")
+}
+
+/// Remote page faults, read or write, cost several times a local one.
+fn page_protocol_costs(t: &Table) -> (bool, String) {
+    let key = ["read-share-then-write", "2"];
+    let cols = ["local_us", "remote_read_us", "remote_write_us"];
+    let [local, read, write] = cols.map(|c| t.num(&key, c));
+    (
+        local > 0.0 && read.min(write) > 3.0 * local,
+        cells(t, &key, &cols),
+    )
+}
+
+/// Extension: first-touch homing + hierarchical barriers beat the
+/// flat/origin configuration on barrier-bound runs.
+fn hier_extension_wins(t: &Table) -> (bool, String) {
+    let (flat, hier) = (["flat", "origin"], ["hier", "first-touch"]);
+    (
+        t.num(&hier, "total_ms") < t.num(&flat, "total_ms"),
         format!(
-            "popcorn {pop:.2}ms vs multikernel {mk:.2}ms ({:.1}% apart)",
-            gap * 100.0
+            "flat/origin -> hier/first-touch {}ms",
+            arrow(t, &flat, &hier, "total_ms")
         ),
     )
 }
 
-/// Claim: kernel-local popcorn synchronization is competitive with SMP
-/// (abstract claim 2, E6).
-pub fn check_local_futex_competitive() -> ShapeResult {
-    let rig = Rig::paper();
-    let make = || {
-        let mut cfg = popcorn_workloads::team::TeamConfig::new(8, 0);
-        cfg.placement = Placement::Local;
-        popcorn_workloads::team::Team::boxed(
-            cfg,
-            Box::new(|_, shared| {
-                Box::new(micro::MutexWorker::new(shared.sync_slot(1), 100, 4_000))
-            }),
-        )
-    };
-    let pop = rig.run(OsKind::Popcorn, make()).finished_at.as_millis_f64();
-    let smp = rig.run(OsKind::Smp, make()).finished_at.as_millis_f64();
-    let gap = (pop - smp).abs() / smp;
-    result(
-        "kernel-local futexes competitive with SMP (E6)",
-        gap < 0.10,
-        format!(
-            "popcorn {pop:.3}ms vs smp {smp:.3}ms ({:.1}% apart)",
-            gap * 100.0
-        ),
-    )
+/// `"<a> -> <b>"`: column `col` of rows `a` and `b`, as published.
+fn arrow(t: &Table, a: &[&str], b: &[&str], col: &str) -> String {
+    format!("{} -> {}", t.cell(a, col), t.cell(b, col))
 }
 
-/// Claim: remote page faults cost an order of magnitude more than local
-/// ones, and remote writes exceed remote reads with a big copyset (E4).
-pub fn check_page_protocol_costs() -> ShapeResult {
-    let mut os = PopcornOs::builder()
-        .topology(Topology::paper_default())
-        .kernels(4)
-        .build();
-    os.load(micro::page_bounce(8, 4, 24));
-    let r = os.run();
-    let local = os.stats().fault_local_lat.mean();
-    let remote_w = os.stats().fault_remote_write_lat.mean();
-    result(
-        "remote faults ≫ local faults (E4)",
-        r.is_clean() && remote_w > 3.0 * local && local > 0.0,
-        format!(
-            "local {:.2}us vs remote write {:.2}us",
-            local / 1_000.0,
-            remote_w / 1_000.0
-        ),
-    )
-}
-
-/// Claim (extension): first-touch homing + hierarchical barriers beat the
-/// flat/origin configuration on barrier-bound runs (A4).
-pub fn check_hier_extension_wins() -> ShapeResult {
-    let time = |first_touch: bool, groups: u64| {
-        let params = PopcornParams {
-            sync_first_touch_homing: first_touch,
-            ..PopcornParams::default()
-        };
-        let rig = Rig {
-            popcorn: params,
-            ..Rig::paper()
-        };
-        let cfg = NpbConfig {
-            threads: 32,
-            iterations: 40,
-            pages_per_thread: 1,
-            compute_cycles: 30_000,
-            barrier_groups: groups,
-        };
-        rig.run(OsKind::Popcorn, npb::cg_benchmark(cfg))
-            .finished_at
-            .as_millis_f64()
-    };
-    let baseline = time(false, 0);
-    let extended = time(true, 4);
-    result(
-        "hier barriers + first-touch homing beat flat/origin (A4)",
-        extended < baseline,
-        format!("flat/origin {baseline:.3}ms vs hier/first-touch {extended:.3}ms"),
-    )
-}
-
-/// Claim: the migration-policy framework earns its keep on the E13
-/// adversarial suite — the best-known policy per scenario must keep
-/// winning (regression gate for `results/e13.json`).
-pub fn check_policy_shootout() -> ShapeResult {
-    use crate::experiments::{e13_cell, E13Scenario};
-    use popcorn_kernel::policy::PolicyKind;
-    let cells = vec![
-        (E13Scenario::Straggler, PolicyKind::ScriptedOnly),
-        (E13Scenario::Straggler, PolicyKind::FaultAware),
-        (E13Scenario::Herd, PolicyKind::ScriptedOnly),
-        (E13Scenario::Herd, PolicyKind::FutexWakeLocality),
-        (E13Scenario::Storm, PolicyKind::ScriptedOnly),
-        (E13Scenario::Storm, PolicyKind::LoadThreshold),
-    ];
-    // Cell tuple: (clean, completion_ms, migrations, policy_acts, aborted,
-    // runq_tw).
-    let r = parallel_map(cells, |(sc, pk)| e13_cell(sc, pk));
-    let all_clean = r.iter().all(|c| c.0);
-    let (strag_base, strag_fa) = (&r[0], &r[1]);
-    let (herd_base, herd_fwl) = (&r[2], &r[3]);
-    let (storm_base, storm_lt) = (&r[4], &r[5]);
+/// The migration-policy framework earns its keep on the adversarial
+/// suite: the best-known policy per scenario must keep winning.
+fn policy_shootout(t: &Table) -> (bool, String) {
+    let strag = ["straggler kernel", "scripted"];
+    let strag_fa = ["straggler kernel", "fault-aware"];
+    let herd = ["thundering herd", "scripted"];
+    let herd_fwl = ["thundering herd", "futex-locality"];
+    let storm = ["ping-pong storm", "scripted"];
+    let storm_lt = ["ping-pong storm", "load-threshold"];
+    let all_clean = [strag, strag_fa, herd, herd_fwl, storm, storm_lt]
+        .iter()
+        .all(|k| clean(t, k));
+    let ms = |k: &[&str]| t.num(k, "completion_ms");
+    let acts = |k: &[&str]| t.num(k, "policy_acts");
+    let aborted = |k: &[&str]| t.num(k, "aborted");
     // Fault-aware must dodge the blacked-out kernel: faster than scripted,
     // no more aborted hops, and actually redirecting.
-    let fa_wins = strag_fa.1 < strag_base.1 && strag_fa.4 <= strag_base.4 && strag_fa.3 > 0.0;
+    let fa_wins = ms(&strag_fa) < ms(&strag)
+        && aborted(&strag_fa) <= aborted(&strag)
+        && acts(&strag_fa) > 0.0;
     // Wake-locality must chase the herd without tanking completion.
-    let fwl_acts = herd_fwl.3 > 0.0 && herd_fwl.1 < herd_base.1 * 1.25;
+    let fwl_acts = acts(&herd_fwl) > 0.0 && ms(&herd_fwl) < ms(&herd) * 1.25;
     // Load-threshold's hysteresis must not amplify the ping-pong storm.
-    let lt_tame = storm_lt.1 < storm_base.1 * 1.10;
-    result(
-        "policy gate: fault-aware dodges straggler, wake-locality chases, threshold stays tame (E13)",
+    let lt_tame = ms(&storm_lt) < ms(&storm) * 1.10;
+    (
         all_clean && fa_wins && fwl_acts && lt_tame,
         format!(
-            "straggler {:.2}ms -> {:.2}ms ({:.0} acts, aborted {:.0} -> {:.0}); herd {:.0} acts at {:.2}x; storm {:.2}x",
-            strag_base.1,
-            strag_fa.1,
-            strag_fa.3,
-            strag_base.4,
-            strag_fa.4,
-            herd_fwl.3,
-            herd_fwl.1 / herd_base.1,
-            storm_lt.1 / storm_base.1,
+            "straggler {}ms ({} acts, aborted {}); herd {} acts at {:.2}x; storm {:.2}x",
+            arrow(t, &strag, &strag_fa, "completion_ms"),
+            t.cell(&strag_fa, "policy_acts"),
+            arrow(t, &strag, &strag_fa, "aborted"),
+            t.cell(&herd_fwl, "policy_acts"),
+            ms(&herd_fwl) / ms(&herd),
+            ms(&storm_lt) / ms(&storm),
         ),
     )
 }
 
-/// Claim (tentpole): kernel-crash failover recovers every protocol
-/// window — survivors declare the victim at the ack-silence deadline,
-/// orphans are killed, the directory is rebuilt under a dead home,
-/// parked sleepers are swept with `EOWNERDEAD`, and goodput degrades
-/// without ever wedging (regression gate for `results/e14.json`).
-pub fn check_recovery() -> ShapeResult {
-    use crate::e14::{run_cell, CellResult, Scenario};
-    let cells: Vec<(Scenario, bool)> = Scenario::ALL
-        .iter()
-        .flat_map(|&s| [(s, false), (s, true)])
-        .collect();
-    let r = parallel_map(cells, |(s, crash)| run_cell(s, crash));
-    // Every cell drained its queue and passed the global invariant audit
-    // (run_cell would have panicked otherwise).
-    let all_clean = r.iter().all(|c| c.clean);
-    // Fault-free baselines must not engage recovery at all.
-    let inert = r
-        .iter()
-        .step_by(2)
-        .all(|c| c.declared == 0.0 && c.killed == 0.0);
-    // Every crash cell: all three survivors declare the victim, and
-    // recovery completes at the detection window (12 ms of ack silence)
-    // plus the modeled cost of the recovery work itself.
-    let detected = r
-        .iter()
-        .skip(1)
-        .step_by(2)
-        .all(|c| c.declared == 3.0 && (12.0..13.0).contains(&c.recovery_ms));
-    // recovery_ms spans detection *through recovery completion*, so the
-    // four scenarios (different work: aborts, directory rebuild, futex
-    // sweeps) must not all report one constant — that was the old bug of
-    // measuring only the detection window.
-    let crash_ms: Vec<f64> = r.iter().skip(1).step_by(2).map(|c| c.recovery_ms).collect();
-    let work_varies = crash_ms.iter().any(|&ms| (ms - crash_ms[0]).abs() > 1e-9)
-        && crash_ms.iter().all(|&ms| ms > 12.0);
-    // Each window's recovery mechanism must actually fire, and goodput
-    // must degrade without collapsing to zero.
-    let partial = |b: &CellResult, c: &CellResult| c.units > 0 && c.units < b.units;
-    let pair = |i: usize| (&r[2 * i], &r[2 * i + 1]);
-    let (hand_b, hand_c) = pair(0);
-    let (page_b, page_c) = pair(1);
-    let (futx_b, futx_c) = pair(2);
-    let (barr_b, barr_c) = pair(3);
-    let hand_ok = hand_c.aborted >= 1.0 && hand_c.killed >= 1.0 && partial(hand_b, hand_c);
-    let page_ok =
-        page_c.promoted + page_c.lost >= 1.0 && page_c.killed >= 2.0 && partial(page_b, page_c);
-    let futx_ok = futx_c.futex_recovered >= 1.0 && partial(futx_b, futx_c);
-    let barr_ok = barr_c.futex_recovered >= 1.0 && partial(barr_b, barr_c);
-    result(
-        "crash gate: detection on time, orphans killed, directory rebuilt, sleepers swept (E14)",
-        all_clean && inert && detected && work_varies && hand_ok && page_ok && futx_ok && barr_ok,
-        format!(
-            "handoff {} -> {} units ({:.0} aborted); pages {} -> {} ({:.0} promoted, {:.0} lost); \
-             futex {} -> {} ({:.0} swept); barrier {} -> {} ({:.0} swept); recovery {:.1}ms",
-            hand_b.units,
-            hand_c.units,
-            hand_c.aborted,
-            page_b.units,
-            page_c.units,
-            page_c.promoted,
-            page_c.lost,
-            futx_b.units,
-            futx_c.units,
-            futx_c.futex_recovered,
-            barr_b.units,
-            barr_c.units,
-            barr_c.futex_recovered,
-            hand_c.recovery_ms,
-        ),
-    )
-}
+/// E14's crash rows, keyed `[scenario, fault]`, in table order. The
+/// fault-free baseline of each is `[scenario, "none"]`.
+const E14_CRASHES: [[&str; 2]; 4] = [
+    ["migration handoff", "kernel 3 crash @1ms"],
+    ["page transfer (home dies)", "kernel 0 crash @1ms"],
+    ["futex sleep", "kernel 3 crash @2ms"],
+    ["group barrier", "kernel 3 crash @2ms"],
+];
 
-/// Claim (tentpole): page-table replication changes what a fault pays.
-/// With the gate on but no replicas, most walks go remote and completion
-/// suffers; seeding replicas converts the walk stream to local and wins
-/// the time back despite the per-update push traffic; the replica-aware
-/// policy gets there selectively. With the gate off, no replica counter
-/// may ever tick (regression gate for `results/e15.json`).
-pub fn check_replication() -> ShapeResult {
-    use crate::e15::{run_cell, Config, Scenario};
-    let mut cells: Vec<(Scenario, Config)> = Vec::new();
-    for sc in Scenario::ALL {
-        for cfg in Config::ALL {
-            cells.push((sc, cfg));
-        }
+/// Kernel-crash failover recovers every protocol window: recovery
+/// completes at the ack-silence deadline plus the modeled recovery work,
+/// orphans are killed, and goodput degrades without ever wedging. The
+/// mechanism counters that have no column (declarations, aborts, page
+/// promotions, futex sweeps) are asserted by `e14_crash_recovery` itself.
+fn recovery(t: &Table) -> (bool, String) {
+    let mut holds = true;
+    let (mut units, mut recovery_ms) = (Vec::new(), Vec::new());
+    for crash in E14_CRASHES {
+        let base = [crash[0], "none"];
+        // Fault-free baselines must not engage recovery at all.
+        holds &= clean(t, &base)
+            && clean(t, &crash)
+            && t.num(&base, "killed") == 0.0
+            && t.cell(&base, "recovery_ms") == "-";
+        // recovery_ms spans the detection window (12 ms of ack silence)
+        // through recovery completion.
+        let ms = t.num(&crash, "recovery_ms");
+        holds &= ms > 12.0 && ms < 13.0;
+        // Goodput must degrade without collapsing to zero.
+        let done = t.num(&crash, "units");
+        holds &= done > 0.0 && done < t.num(&base, "units");
+        units.push(arrow(t, &base, &crash, "units"));
+        recovery_ms.push(t.cell(&crash, "recovery_ms"));
     }
-    let r = parallel_map(cells, |(sc, cfg)| run_cell(sc, cfg));
-    let all_clean = r.iter().all(|c| c.clean);
-    // Gate off: the replication machinery must be perfectly inert.
-    let inert = r
-        .iter()
-        .step_by(4)
-        .all(|c| c.local_walks + c.remote_walks + c.installs + c.updates == 0.0);
-    let cell = |sc: usize, cfg: usize| &r[4 * sc + cfg];
-    let mut shaped = true;
-    for sc in 0..Scenario::ALL.len() {
-        let (off, bare, eager, aware) = (cell(sc, 0), cell(sc, 1), cell(sc, 2), cell(sc, 3));
+    // The four windows do different recovery work (aborts, directory
+    // rebuild, futex sweeps), so they must not all report one constant —
+    // that was the old bug of measuring only the detection window.
+    holds &= recovery_ms.iter().any(|ms| *ms != recovery_ms[0]);
+    // Orphans on the dead kernel die; the home-death window also kills
+    // survivors that fault on a page whose only copy died.
+    let killed = |i: usize| t.num(&E14_CRASHES[i], "killed");
+    holds &= killed(0) >= 1.0 && killed(1) >= 2.0;
+    (
+        holds,
+        format!(
+            "units {} (handoff, pages, futex, barrier); killed {}, {}; recovery {}ms",
+            units.join(", "),
+            t.cell(&E14_CRASHES[0], "killed"),
+            t.cell(&E14_CRASHES[1], "killed"),
+            recovery_ms.join("/"),
+        ),
+    )
+}
+
+/// Page-table replication changes what a fault pays. With the gate on but
+/// no replicas, most walks go remote and completion suffers; seeding
+/// replicas converts the walk stream to local and wins the time back
+/// despite the per-update push traffic; the replica-aware policy gets
+/// there selectively. With the gate off, no replica counter may tick.
+fn replication(t: &Table) -> (bool, String) {
+    let mut holds = true;
+    let mut detail = Vec::new();
+    for sc in ["ping-pong storm", "hot-page skew"] {
+        let (off, bare) = ([sc, "off"], [sc, "on, no replicas"]);
+        let (eager, aware) = ([sc, "on, eager"], [sc, "on, replica-aware"]);
+        holds &= [off, bare, eager, aware].iter().all(|k| clean(t, k));
+        let [ms, local, remote, installs, updates] = [
+            "completion_ms",
+            "local_walks",
+            "remote_walks",
+            "installs",
+            "updates",
+        ]
+        .map(|col| move |k: [&str; 2]| t.num(&k, col));
+        // Gate off: the replication machinery must be perfectly inert.
+        holds &= local(off) + remote(off) + installs(off) + updates(off) == 0.0;
         // No replicas: remote walks dominate, and nothing ever installs.
-        shaped &= bare.remote_walks > bare.local_walks
-            && bare.remote_walks >= 100.0
-            && bare.installs == 0.0
-            && bare.updates == 0.0;
+        holds &= remote(bare) > local(bare)
+            && remote(bare) >= 100.0
+            && installs(bare) == 0.0
+            && updates(bare) == 0.0;
         // Eager: replicas exist, the walk stream flips local, and the
         // remote residue collapses (only pre-install faults remain).
-        shaped &= eager.installs >= 1.0
-            && eager.updates >= 1.0
-            && eager.local_walks > eager.remote_walks
-            && eager.remote_walks * 4.0 < bare.remote_walks;
+        holds &= installs(eager) >= 1.0
+            && updates(eager) >= 1.0
+            && local(eager) > remote(eager)
+            && remote(eager) * 4.0 < remote(bare);
         // The measurable on/off gap: paying remote walks everywhere must
         // cost completion time, and replicas must win it back — off
         // (which charges nothing) stays fastest.
-        shaped &= eager.ms < bare.ms && aware.ms < bare.ms && off.ms <= eager.ms;
+        holds &= ms(eager) < ms(bare) && ms(aware) < ms(bare) && ms(off) <= ms(eager);
         // The policy actually replicates and flips the walk stream too.
-        shaped &= aware.installs >= 1.0 && aware.local_walks > aware.remote_walks;
+        holds &= installs(aware) >= 1.0 && local(aware) > remote(aware);
+        detail.push(format!(
+            "{sc} {}ms (remote {}, {} updates)",
+            arrow(t, &bare, &eager, "completion_ms"),
+            arrow(t, &bare, &eager, "remote_walks"),
+            t.cell(&eager, "updates"),
+        ));
     }
-    let (pp_bare, pp_eager) = (cell(0, 1), cell(0, 2));
-    let (hp_bare, hp_eager) = (cell(1, 1), cell(1, 2));
-    result(
-        "replication gate: off is inert, bare pays remote walks, replicas flip them local and win completion back (E15)",
-        all_clean && inert && shaped,
-        format!(
-            "ping-pong {:.3} -> {:.3}ms (remote {:.0} -> {:.0}); hot-page {:.3} -> {:.3}ms (remote {:.0} -> {:.0}, {:.0} updates)",
-            pp_bare.ms,
-            pp_eager.ms,
-            pp_bare.remote_walks,
-            pp_eager.remote_walks,
-            hp_bare.ms,
-            hp_eager.ms,
-            hp_bare.remote_walks,
-            hp_eager.remote_walks,
-            hp_eager.updates,
-        ),
-    )
+    (holds, detail.join("; "))
 }
 
-/// Claim (tentpole): hierarchical home sharding splits a group's page
-/// directory over per-socket delegates. Flat must be provably inert (one
-/// server, no shard counters); delegates must spread the same traffic
-/// over one server per socket and collapse the queue; cross-socket
-/// traffic must escalate its pages back to the root (regression gate for
-/// `results/e16.json`).
-pub fn check_sharding() -> ShapeResult {
-    use crate::e16::run_cell;
-    use popcorn_kernel::osmodel::KernelClustering;
-    // Per-CCX cells carry the headline claim; the per-socket delegate
-    // cell exercises the escalation degeneracy. (Per-core tells the same
-    // story as per-CCX on a 8x bigger machine — left to `repro e16`.)
-    let cells = vec![
-        (false, KernelClustering::PerCcx),
-        (true, KernelClustering::PerCcx),
-        (true, KernelClustering::PerSocket),
-    ];
-    let r = parallel_map(cells, |(sharded, c)| run_cell(sharded, c));
-    let (flat, shard, degen) = (&r[0], &r[1], &r[2]);
-    let all_clean = flat.clean && shard.clean && degen.clean;
+/// Hierarchical home sharding splits a group's page directory over
+/// per-socket delegates. Flat must be provably inert (one server, no shard
+/// counters); delegates must spread the same traffic over one server per
+/// socket and collapse the queue; cross-socket traffic must escalate its
+/// pages back to the root. Per-CCX carries the headline claim (per-core
+/// tells the same story on a bigger machine); per-socket delegates are the
+/// escalation degeneracy.
+fn sharding(t: &Table) -> (bool, String) {
+    let flat = ["flat", "per-ccx"];
+    let shard = ["delegates", "per-ccx"];
+    let degen = ["delegates", "per-socket"];
+    let all_clean = [flat, shard, degen].iter().all(|k| clean(t, k));
+    let num = |k: [&str; 2], col: &str| t.num(&k, col);
     // Flat: the sharding machinery must be perfectly inert — one root
     // server, not a single delegation, escalation, or forward.
-    let inert = flat.servers == 1.0 && flat.delegated + flat.escalated + flat.forwards == 0.0;
+    let inert = num(flat, "servers") == 1.0
+        && num(flat, "delegated") + num(flat, "escalated") + num(flat, "forwards") == 0.0;
     // Delegates: one server per socket, pages actually delegated, nothing
     // escalated (same-socket pairs never cross sockets), and the queue
     // collapse the hierarchy exists for — at least halving the peak and
     // the worst time-weighted depth, with completion and remote-write
     // latency following.
-    let spread = shard.servers == 4.0
-        && shard.delegated >= 1.0
-        && shard.escalated == 0.0
-        && shard.peak_depth * 2.0 <= flat.peak_depth
-        && shard.depth_tw * 2.0 <= flat.depth_tw
-        && shard.ms < flat.ms
-        && shard.remote_write_us < flat.remote_write_us;
+    let spread = num(shard, "servers") == 4.0
+        && num(shard, "delegated") >= 1.0
+        && num(shard, "escalated") == 0.0
+        && num(shard, "peak_depth") * 2.0 <= num(flat, "peak_depth")
+        && num(shard, "depth_tw_mean") * 2.0 <= num(flat, "depth_tw_mean")
+        && num(shard, "completion_ms") < num(flat, "completion_ms")
+        && num(shard, "remote_write_us") < num(flat, "remote_write_us");
     // Per-socket clustering: no pair can stay socket-local, so every
     // delegated page must escalate back to the root.
-    let escalates = degen.delegated >= 1.0 && degen.escalated == degen.delegated;
-    result(
-        "sharding gate: flat inert, delegates collapse the root queue, cross-socket pages escalate (E16)",
+    let escalates =
+        num(degen, "delegated") >= 1.0 && num(degen, "escalated") == num(degen, "delegated");
+    let per_ccx = |col: &str| arrow(t, &flat, &shard, col);
+    (
         all_clean && inert && spread && escalates,
         format!(
-            "per-ccx peak depth {:.0} -> {:.0} (tw {:.2} -> {:.2}), servers {:.0} -> {:.0}, \
-             {:.3}ms -> {:.3}ms, remote write {:.2}us -> {:.2}us, {:.0} delegated; \
-             per-socket degeneracy: {:.0}/{:.0} escalated",
-            flat.peak_depth,
-            shard.peak_depth,
-            flat.depth_tw,
-            shard.depth_tw,
-            flat.servers,
-            shard.servers,
-            flat.ms,
-            shard.ms,
-            flat.remote_write_us,
-            shard.remote_write_us,
-            shard.delegated,
-            degen.escalated,
-            degen.delegated,
+            "per-ccx peak depth {}, servers {}, {}ms; per-socket {}/{} escalated",
+            per_ccx("peak_depth"),
+            per_ccx("servers"),
+            per_ccx("completion_ms"),
+            t.cell(&degen, "escalated"),
+            t.cell(&degen, "delegated"),
         ),
     )
 }
 
-/// Runs every shape check (on parallel host threads up to the configured
-/// job count); returns the results in fixed order (all must pass).
+/// The experiments the claims read, each once.
+fn claimed_experiments() -> Vec<&'static str> {
+    let mut ids: Vec<&'static str> = CLAIMS.iter().map(|c| c.experiment).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Regenerates the experiments `ids` through the same functions `repro all`
+/// runs, on parallel host threads up to the configured job count.
+fn regenerate(ids: &[&str]) -> Vec<(&'static str, Table)> {
+    let work: Vec<Experiment> = all_experiments()
+        .into_iter()
+        .filter(|(id, _)| ids.contains(id))
+        .collect();
+    parallel_map(work, |(id, f)| (id, f()))
+}
+
+/// Evaluates every claim on its experiment's table in `tables`.
+///
+/// # Panics
+///
+/// Panics if `tables` lacks a claimed experiment, or a claim reads a row
+/// or column its table does not have.
+fn evaluate(tables: &[(&str, Table)]) -> Vec<ShapeResult> {
+    let table = |id: &str| match tables.iter().find(|(t, _)| *t == id) {
+        Some((_, table)) => table,
+        None => panic!("no table for experiment {id}"),
+    };
+    let eval = |claim: &'static Claim| {
+        let (passed, detail) = (claim.holds)(table(claim.experiment));
+        ShapeResult {
+            claim,
+            passed,
+            detail,
+        }
+    };
+    CLAIMS.iter().map(eval).collect()
+}
+
+/// Regenerates each claimed experiment once and evaluates every claim on
+/// it; returns the results in claim order (all must pass).
 pub fn run_all_checks() -> Vec<ShapeResult> {
-    let checks: Vec<fn() -> ShapeResult> = vec![
-        check_back_migration_cheaper,
-        check_smp_contention_collapse,
-        check_is_class_win,
-        check_tracks_multikernel,
-        check_local_futex_competitive,
-        check_page_protocol_costs,
-        check_hier_extension_wins,
-        check_policy_shootout,
-        check_recovery,
-        check_replication,
-        check_sharding,
-    ];
-    parallel_map(checks, |check| check())
+    evaluate(&regenerate(&claimed_experiments()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The full shape suite is itself a test: the paper's claims must hold
-    /// on every commit.
+    /// Experiments that take seconds each in debug; CI's full `repro all`
+    /// diff covers them.
+    const SLOW_IN_DEBUG: [&str; 4] = ["e5b", "e7", "e10", "e11"];
+
+    /// The published tables are what the code produces, and the paper's
+    /// claims hold on them: every claimed experiment (and every other one
+    /// cheap in debug) is regenerated once, compared byte for byte with
+    /// `results/`, and the claims are evaluated on those same tables.
     #[test]
     fn all_shapes_hold() {
-        let results = run_all_checks();
-        let failures: Vec<_> = results.iter().filter(|r| !r.passed).collect();
+        let ids: Vec<&str> = all_experiments()
+            .into_iter()
+            .map(|(id, _)| id)
+            .filter(|id| !SLOW_IN_DEBUG.contains(id))
+            .collect();
+        let tables = regenerate(&ids);
+        for (id, table) in &tables {
+            let path = format!("{}/../../results/{id}.json", env!("CARGO_MANIFEST_DIR"));
+            let published =
+                std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+            let regenerated = table.to_json_pretty();
+            let first_diff = regenerated
+                .lines()
+                .zip(published.lines())
+                .find(|(new, old)| new != old);
+            assert!(
+                regenerated == published,
+                "results/{id}.json differs from the regenerated table: {first_diff:?}"
+            );
+        }
+        let failures: Vec<String> = evaluate(&tables)
+            .iter()
+            .filter(|r| !r.passed)
+            .map(|r| format!("{} ({}): {}", r.claim.name, r.claim.experiment, r.detail))
+            .collect();
         assert!(failures.is_empty(), "shape regressions: {failures:#?}");
+    }
+
+    /// The cells of the 64-thread row of `results/e8.json` that the
+    /// IS-class claim reads.
+    fn e8_top_row(smp_ms: &str) -> Table {
+        let mut t = Table::new("E8", "IS-class", ["total_threads", "popcorn_ms", "smp_ms"]);
+        t.row(["64", "6.98", smp_ms]);
+        t
+    }
+
+    #[test]
+    fn a_published_cell_moved_past_its_claim_fails_the_claim() {
+        let (passed, detail) = is_class_win(&e8_top_row("10.03"));
+        assert!(passed, "{detail}");
+        assert_eq!(detail, "smp/popcorn = 1.44x (popcorn 6.98ms, smp 10.03ms)");
+        // SMP at 8.00 ms is only 1.15x slower: below the 1.2x bar.
+        let (passed, detail) = is_class_win(&e8_top_row("8.00"));
+        assert!(!passed, "{detail}");
+        assert!(detail.starts_with("smp/popcorn = 1.15x"), "{detail}");
     }
 }

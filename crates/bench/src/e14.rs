@@ -493,7 +493,7 @@ impl Program for BarrierWorker {
 
 /// The four crash windows E14 sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
+enum Scenario {
     /// Crash while threads are mid-migration around the kernel ring.
     Handoff,
     /// Crash the **home** kernel under page traffic: the successor must
@@ -508,7 +508,7 @@ pub enum Scenario {
 
 impl Scenario {
     /// All four, in table order.
-    pub const ALL: [Scenario; 4] = [
+    const ALL: [Scenario; 4] = [
         Scenario::Handoff,
         Scenario::Pages,
         Scenario::Futex,
@@ -516,7 +516,7 @@ impl Scenario {
     ];
 
     /// Row label.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Scenario::Handoff => "migration handoff",
             Scenario::Pages => "page transfer (home dies)",
@@ -526,7 +526,7 @@ impl Scenario {
     }
 
     /// The kernel the crash cell kills.
-    pub fn victim(self) -> KernelId {
+    fn victim(self) -> KernelId {
         match self {
             // The pages scenario kills the group's HOME kernel, forcing
             // successor adoption and directory rebuild; the others kill a
@@ -537,7 +537,7 @@ impl Scenario {
     }
 
     /// When the crash cell kills it.
-    pub fn crash_at(self) -> SimTime {
+    fn crash_at(self) -> SimTime {
         match self {
             Scenario::Handoff | Scenario::Pages => SimTime::from_millis(1),
             Scenario::Futex | Scenario::Barrier => SimTime::from_millis(2),
@@ -581,41 +581,39 @@ impl Scenario {
     }
 }
 
-/// One E14 cell reduced to its table columns (also consumed by the
-/// `check_recovery` shape gate).
+/// One E14 cell reduced to its table columns plus the recovery-mechanism
+/// counters the table build asserts.
 #[derive(Debug, Clone)]
-pub struct CellResult {
+struct CellResult {
     /// Run completed with no stuck tasks (the invariant audit panics on
     /// violation, so a returned result also passed the audit).
-    pub clean: bool,
+    clean: bool,
     /// Workload completion, virtual ms.
-    pub ms: f64,
+    ms: f64,
     /// Mean crash-to-recovery-complete latency at the successor, ms (0
     /// with no crash): the detection window plus the modeled cost of the
     /// recovery work actually performed (orphan kills, directory scans,
     /// futex sweeps, RPC failovers).
-    pub recovery_ms: f64,
+    recovery_ms: f64,
     /// Progress units the workload completed.
-    pub units: u64,
+    units: u64,
     /// Tasks recovery killed: orphans on the dead kernel plus survivors
     /// hitting unrecoverable state (lost pages, dead-home VMA fetches).
-    pub killed: f64,
+    killed: f64,
     /// Crash declarations recorded (survivors × victims).
-    pub declared: f64,
+    declared: f64,
     /// Migrations aborted back to their origin.
-    pub aborted: f64,
+    aborted: f64,
     /// Directory entries re-owned from a surviving copy.
-    pub promoted: f64,
+    promoted: f64,
     /// Directory entries whose only copy died.
-    pub lost: f64,
+    lost: f64,
     /// Futex waiters swept with `EOWNERDEAD`.
-    pub futex_recovered: f64,
-    /// Outstanding RPCs re-driven or failed over at detection.
-    pub rpcs_failed_over: f64,
+    futex_recovered: f64,
 }
 
 /// Runs one scenario, with or without its planned crash.
-pub fn run_cell(scenario: Scenario, crash: bool) -> CellResult {
+fn run_cell(scenario: Scenario, crash: bool) -> CellResult {
     let plan = if crash {
         FaultPlan::none().with_crash(scenario.victim(), scenario.crash_at())
     } else {
@@ -643,7 +641,6 @@ pub fn run_cell(scenario: Scenario, crash: bool) -> CellResult {
         promoted: r.metric("pages_promoted"),
         lost: r.metric("pages_lost"),
         futex_recovered: r.metric("futex_recovered"),
-        rpcs_failed_over: r.metric("rpcs_failed_over"),
     }
 }
 
@@ -672,6 +669,18 @@ pub fn e14_crash_recovery() -> Table {
     for (i, &s) in Scenario::ALL.iter().enumerate() {
         let base = &results[2 * i];
         let crashed = &results[2 * i + 1];
+        // The recovery mechanisms have no column of their own, so every
+        // regeneration asserts them: the fault-free baseline never
+        // declares a death, all three survivors declare the victim, and
+        // each window's own mechanism fires.
+        assert_eq!(base.declared, 0.0, "E14 {}: baseline declared", s.name());
+        assert_eq!(crashed.declared, 3.0, "E14 {}: declarations", s.name());
+        let fired = match s {
+            Scenario::Handoff => crashed.aborted >= 1.0,
+            Scenario::Pages => crashed.promoted + crashed.lost >= 1.0,
+            Scenario::Futex | Scenario::Barrier => crashed.futex_recovered >= 1.0,
+        };
+        assert!(fired, "E14 {}: recovery never fired: {crashed:?}", s.name());
         t.row([
             s.name().to_string(),
             "none".to_string(),

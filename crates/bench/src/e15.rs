@@ -26,8 +26,8 @@
 //! group's tables (walk latency dominates; replication should pay),
 //! while the hot-page skew rewrites the same few pages from every kernel
 //! (version churn dominates; replication's per-update maintenance bill
-//! shows up). `check_replication` gates the shape; `results/e15.json`
-//! records the numbers.
+//! shows up). The E15 claim in [`crate::check`] gates the shape on
+//! `results/e15.json`.
 
 use popcorn_core::PopcornParams;
 use popcorn_hw::Topology;
@@ -40,7 +40,7 @@ use crate::table::Table;
 
 /// The two adversarial memory scenarios E15 sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
+enum Scenario {
     /// Ring hoppers dragging private working sets: every hop rewrites
     /// the worker's own pages at a kernel that has never walked the
     /// group's tables.
@@ -52,10 +52,10 @@ pub enum Scenario {
 
 impl Scenario {
     /// Both, in table order.
-    pub const ALL: [Scenario; 2] = [Scenario::PingPong, Scenario::HotPages];
+    const ALL: [Scenario; 2] = [Scenario::PingPong, Scenario::HotPages];
 
     /// Row label.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Scenario::PingPong => "ping-pong storm",
             Scenario::HotPages => "hot-page skew",
@@ -65,7 +65,7 @@ impl Scenario {
 
 /// The four replication configurations, off → increasingly managed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Config {
+enum Config {
     /// `page_table_replication` off: the byte-identity baseline.
     Off,
     /// Gate on, but no acquisition path: remote walks everywhere but home.
@@ -78,7 +78,7 @@ pub enum Config {
 
 impl Config {
     /// All four, in table order.
-    pub const ALL: [Config; 4] = [
+    const ALL: [Config; 4] = [
         Config::Off,
         Config::NoReplicas,
         Config::Eager,
@@ -86,7 +86,7 @@ impl Config {
     ];
 
     /// Row label.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Config::Off => "off",
             Config::NoReplicas => "on, no replicas",
@@ -116,30 +116,10 @@ impl Config {
     }
 }
 
-/// One E15 cell reduced to its table columns (also consumed by the
-/// `check_replication` shape gate).
-#[derive(Debug, Clone)]
-pub struct CellResult {
-    /// Run completed with no stuck tasks and passed the invariant audit
-    /// (which now cross-checks every holder's shadow against the
-    /// directory).
-    pub clean: bool,
-    /// Workload completion, virtual ms.
-    pub ms: f64,
-    /// Faults whose walk hit a local replica (home or holder).
-    pub local_walks: f64,
-    /// Faults that walked the home's tables remotely.
-    pub remote_walks: f64,
-    /// Replica seedings (eager first-fault or policy-requested).
-    pub installs: f64,
-    /// Per-PTE update pushes applied at holders.
-    pub updates: f64,
-    /// Migrations: scripted hops plus policy-driven moves.
-    pub migrations: f64,
-}
-
-/// Runs one scenario under one replication configuration.
-pub fn run_cell(sc: Scenario, cfg: Config) -> CellResult {
+/// Runs one scenario under one replication configuration; returns its
+/// table row. The run must drain cleanly and pass the invariant audit,
+/// which cross-checks every holder's shadow against the directory.
+fn run_cell(sc: Scenario, cfg: Config) -> [String; 9] {
     let mut os = popcorn_core::PopcornOs::builder()
         .topology(Topology::paper_default())
         .kernels(4)
@@ -154,17 +134,28 @@ pub fn run_cell(sc: Scenario, cfg: Config) -> CellResult {
         }
     }
     let r = os.run();
-    CellResult {
-        clean: r.is_clean(),
-        ms: r.finished_at.as_millis_f64(),
-        local_walks: r.metric("replica_local_walks"),
-        remote_walks: r.metric("replica_remote_walks"),
-        installs: r.metric("replica_installs"),
-        updates: r.metric("replica_updates"),
-        migrations: r.metric("migrations_first")
-            + r.metric("migrations_back")
-            + r.metric("policy_migrations"),
-    }
+    let count = |metric: &str| format!("{:.0}", r.metric(metric));
+    [
+        sc.name().to_string(),
+        cfg.name().to_string(),
+        r.is_clean().to_string(),
+        format!("{:.3}", r.finished_at.as_millis_f64()),
+        // Faults whose walk hit a local replica (home or holder), and
+        // faults that walked the home's tables remotely.
+        count("replica_local_walks"),
+        count("replica_remote_walks"),
+        // Replica seedings (eager first-fault or policy-requested), and
+        // per-PTE update pushes applied at holders.
+        count("replica_installs"),
+        count("replica_updates"),
+        // Migrations: scripted hops plus policy-driven moves.
+        format!(
+            "{:.0}",
+            r.metric("migrations_first")
+                + r.metric("migrations_back")
+                + r.metric("policy_migrations")
+        ),
+    ]
 }
 
 /// E15 — the replication ablation table.
@@ -184,25 +175,12 @@ pub fn e15_replication() -> Table {
             "migrations",
         ],
     );
-    let mut cells: Vec<(Scenario, Config)> = Vec::new();
-    for sc in Scenario::ALL {
-        for cfg in Config::ALL {
-            cells.push((sc, cfg));
-        }
-    }
-    let results = parallel_map(cells.clone(), |(sc, cfg)| run_cell(sc, cfg));
-    for ((sc, cfg), c) in cells.iter().zip(&results) {
-        t.row([
-            sc.name().to_string(),
-            cfg.name().to_string(),
-            c.clean.to_string(),
-            format!("{:.3}", c.ms),
-            format!("{:.0}", c.local_walks),
-            format!("{:.0}", c.remote_walks),
-            format!("{:.0}", c.installs),
-            format!("{:.0}", c.updates),
-            format!("{:.0}", c.migrations),
-        ]);
+    let cells: Vec<(Scenario, Config)> = Scenario::ALL
+        .iter()
+        .flat_map(|&sc| Config::ALL.map(|cfg| (sc, cfg)))
+        .collect();
+    for row in parallel_map(cells, |(sc, cfg)| run_cell(sc, cfg)) {
+        t.row(row);
     }
     t.note("expected: the off rows charge no walks at all (byte-identity baseline); with the gate on but no replicas, most faults walk remotely and completion pays for it; eager seeding converts the walk stream to local and wins back most of that time, though its per-update pushes (the updates column) erode the margin where version churn is heavy (hot pages); the replica-aware policy lands between the two, replicating toward persistent faulters instead of unconditionally");
     t

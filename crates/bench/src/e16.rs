@@ -28,10 +28,10 @@
 //! (`escalated == delegated`) — steady state is root-served, exactly the
 //! flat protocol.
 //!
-//! `check_sharding` gates the shape; `results/e16.json` records the
-//! numbers. Queue depths come from the serialization points themselves
-//! (`home_servers`/`home_peak_depth`/`home_depth_tw_mean_max` in the run
-//! report), not from message counts.
+//! The E16 claim in [`crate::check`] gates the shape on
+//! `results/e16.json`. Queue depths come from the serialization points
+//! themselves (`home_servers`/`home_peak_depth`/`home_depth_tw_mean_max`
+//! in the run report), not from message counts.
 
 use popcorn_core::PopcornParams;
 use popcorn_hw::Topology;
@@ -81,36 +81,11 @@ fn bounce_pairs(clustering: KernelClustering) -> Vec<(KernelId, KernelId)> {
     pairs
 }
 
-/// One E16 cell reduced to its table columns (also consumed by the
-/// `check_sharding` shape gate).
-#[derive(Debug, Clone)]
-pub struct CellResult {
-    /// Run completed with no stuck tasks and passed the invariant audit
-    /// (including the shard-map/delegate agreement check).
-    pub clean: bool,
-    /// Workload completion, virtual ms.
-    pub ms: f64,
-    /// Directory servers that did any work (root + active delegates).
-    pub servers: f64,
-    /// Deepest backlog any single directory server reached.
-    pub peak_depth: f64,
-    /// Worst per-server time-weighted mean queue depth.
-    pub depth_tw: f64,
-    /// Mean remote write-fault latency, µs.
-    pub remote_write_us: f64,
-    /// Pages delegated to a socket lead on first touch.
-    pub delegated: f64,
-    /// Delegated pages escalated back to the root after cross-socket
-    /// traffic.
-    pub escalated: f64,
-    /// Requests forwarded because the entry moved while they were in
-    /// flight.
-    pub forwards: f64,
-}
-
 /// Runs one clustering with the flat home (`sharded = false`) or
-/// per-socket delegates (`sharded = true`).
-pub fn run_cell(sharded: bool, clustering: KernelClustering) -> CellResult {
+/// per-socket delegates (`sharded = true`); returns its table row. The run
+/// must drain cleanly and pass the invariant audit, including the
+/// shard-map/delegate agreement check.
+fn run_cell(sharded: bool, clustering: KernelClustering) -> [String; 12] {
     let mut os = popcorn_core::PopcornOs::builder()
         .topology(e16_topology())
         .clustering(clustering)
@@ -126,17 +101,26 @@ pub fn run_cell(sharded: bool, clustering: KernelClustering) -> CellResult {
         COMPUTE_NS,
     ));
     let r = os.run();
-    CellResult {
-        clean: r.is_clean(),
-        ms: r.finished_at.as_millis_f64(),
-        servers: r.metric("home_servers"),
-        peak_depth: r.metric("home_peak_depth"),
-        depth_tw: r.metric("home_depth_tw_mean_max"),
-        remote_write_us: r.metric("fault_remote_write_us_mean"),
-        delegated: r.metric("shard_delegated_pages"),
-        escalated: r.metric("shard_escalations"),
-        forwards: r.metric("shard_forwards"),
-    }
+    [
+        if sharded { "delegates" } else { "flat" }.to_string(),
+        clustering.name().to_string(),
+        clustering.kernel_count(e16_topology()).to_string(),
+        r.is_clean().to_string(),
+        format!("{:.3}", r.finished_at.as_millis_f64()),
+        // Directory servers that did any work (root + active delegates),
+        // the deepest backlog any one reached, and the worst per-server
+        // time-weighted mean depth.
+        format!("{:.0}", r.metric("home_servers")),
+        format!("{:.0}", r.metric("home_peak_depth")),
+        format!("{:.2}", r.metric("home_depth_tw_mean_max")),
+        format!("{:.2}", r.metric("fault_remote_write_us_mean")),
+        // Pages delegated to a socket lead on first touch, delegated pages
+        // escalated back to the root after cross-socket traffic, and
+        // requests forwarded because their entry moved in flight.
+        format!("{:.0}", r.metric("shard_delegated_pages")),
+        format!("{:.0}", r.metric("shard_escalations")),
+        format!("{:.0}", r.metric("shard_forwards")),
+    ]
 }
 
 /// E16 — the cluster-scale home-sharding sweep.
@@ -159,28 +143,12 @@ pub fn e16_hierarchical_homes() -> Table {
             "forwards",
         ],
     );
-    let mut cells: Vec<(bool, KernelClustering)> = Vec::new();
-    for sharded in [false, true] {
-        for c in KernelClustering::ALL {
-            cells.push((sharded, c));
-        }
-    }
-    let results = parallel_map(cells.clone(), |(sharded, c)| run_cell(sharded, c));
-    for ((sharded, c), r) in cells.iter().zip(&results) {
-        t.row([
-            if *sharded { "delegates" } else { "flat" }.to_string(),
-            c.name().to_string(),
-            c.kernel_count(e16_topology()).to_string(),
-            r.clean.to_string(),
-            format!("{:.3}", r.ms),
-            format!("{:.0}", r.servers),
-            format!("{:.0}", r.peak_depth),
-            format!("{:.2}", r.depth_tw),
-            format!("{:.2}", r.remote_write_us),
-            format!("{:.0}", r.delegated),
-            format!("{:.0}", r.escalated),
-            format!("{:.0}", r.forwards),
-        ]);
+    let cells: Vec<(bool, KernelClustering)> = [false, true]
+        .iter()
+        .flat_map(|&sharded| KernelClustering::ALL.map(|c| (sharded, c)))
+        .collect();
+    for row in parallel_map(cells, |(sharded, c)| run_cell(sharded, c)) {
+        t.row(row);
     }
     t.note("expected: with the flat home every bounce in the group serializes at one root server, so peak queue depth grows with the machine-wide pair count; per-socket delegates split the same traffic over one server per socket (servers 1 -> 4, peak depth and worst time-weighted depth collapse, completion and remote-write latency follow) wherever same-socket pairs exist (per-ccx, per-core). Per-socket clustering has no same-socket pairs, so it exercises the escalation path instead: every delegated page sees cross-socket traffic and moves back to the root (escalated == delegated), leaving steady state root-served like the flat rows");
     t

@@ -25,6 +25,25 @@ use crate::table::{ratio, us, Table};
 /// Thread counts swept by the scaling experiments on the 64-core machine.
 pub const THREAD_SWEEP: [usize; 7] = [1, 2, 4, 8, 16, 32, 63];
 
+/// Runs `cell` for every sweep point on each of the three OS models (on
+/// parallel host threads); returns, per point in sweep order, the results
+/// in [`OsKind::ALL`] order.
+fn per_os<T, R>(sweep: &[T], cell: impl Fn(T, OsKind) -> R + Sync) -> Vec<[R; 3]>
+where
+    T: Copy + Send,
+    R: Send,
+{
+    let cells: Vec<(T, OsKind)> = sweep
+        .iter()
+        .flat_map(|&n| OsKind::ALL.map(|k| (n, k)))
+        .collect();
+    let mut results = parallel_map(cells, |(n, k)| cell(n, k)).into_iter();
+    sweep
+        .iter()
+        .map(|_| OsKind::ALL.map(|_| results.next().expect("one result per cell")))
+        .collect()
+}
+
 struct Blob(usize);
 impl Wire for Blob {
     fn wire_size(&self) -> usize {
@@ -148,34 +167,16 @@ pub fn e3_thread_group() -> Table {
         ],
     );
     let rig = Rig::paper();
-    // One parallel cell per (thread count, OS): the whole sweep fans out.
-    let cells: Vec<(usize, OsKind)> = THREAD_SWEEP
-        .iter()
-        .flat_map(|&n| OsKind::ALL.iter().map(move |&k| (n, k)))
-        .collect();
-    let reports = parallel_map(cells, |(n, k)| {
+    let reports = per_os(&THREAD_SWEEP, |n, k| {
         rig.run(k, micro::spawn_join_storm(n, Placement::Auto))
     });
-    for (i, &n) in THREAD_SWEEP.iter().enumerate() {
-        let find = |k: OsKind| {
-            let j = OsKind::ALL
-                .iter()
-                .position(|&x| x == k)
-                .expect("known kind");
-            &reports[i * OsKind::ALL.len() + j]
-        };
+    for (n, [p, s, m]) in THREAD_SWEEP.iter().zip(reports) {
         t.row([
             n.to_string(),
-            format!("{:.3}", find(OsKind::Popcorn).finished_at.as_millis_f64()),
-            format!("{:.3}", find(OsKind::Smp).finished_at.as_millis_f64()),
-            format!(
-                "{:.3}",
-                find(OsKind::Multikernel).finished_at.as_millis_f64()
-            ),
-            format!(
-                "{:.1}",
-                find(OsKind::Popcorn).metric("clone_remote_us_mean")
-            ),
+            format!("{:.3}", p.finished_at.as_millis_f64()),
+            format!("{:.3}", s.finished_at.as_millis_f64()),
+            format!("{:.3}", m.finished_at.as_millis_f64()),
+            format!("{:.1}", p.metric("clone_remote_us_mean")),
         ]);
     }
     t.note("expected: remote creation costs a message round-trip per thread; all three grow roughly linearly with N");
@@ -404,30 +405,14 @@ pub fn e5_mmap_storm() -> Table {
     let rig = Rig::paper();
     let procs = 4usize;
     let totals = [4usize, 8, 16, 32, 60];
-    let cells: Vec<(usize, OsKind)> = totals
-        .iter()
-        .flat_map(|&total| OsKind::ALL.iter().map(move |&k| (total, k)))
-        .collect();
-    let ms = parallel_map(cells, |(total, k)| {
+    let ms = per_os(&totals, |total, k| {
         let per_proc = total / procs;
         let iters = total_iters / total as u32;
         multiproc_ms(&rig, k, procs, |_| {
             mmap_storm_placed(per_proc, iters, 4 * 4096, Placement::Local)
         })
     });
-    for (i, &total) in totals.iter().enumerate() {
-        let get = |k: OsKind| {
-            let j = OsKind::ALL
-                .iter()
-                .position(|&x| x == k)
-                .expect("known kind");
-            ms[i * OsKind::ALL.len() + j]
-        };
-        let (p, s, m) = (
-            get(OsKind::Popcorn),
-            get(OsKind::Smp),
-            get(OsKind::Multikernel),
-        );
+    for (total, [p, s, m]) in totals.iter().zip(ms) {
         t.row([
             total.to_string(),
             format!("{p:.3}"),
@@ -559,11 +544,7 @@ pub fn e7_syscall_scaling() -> Table {
     let rig = Rig::paper();
     let (short, long) = (2_000u32, 4_000u32);
     let sweep = [1usize, 8, 32, 63];
-    let cells: Vec<(usize, OsKind)> = sweep
-        .iter()
-        .flat_map(|&n| OsKind::ALL.iter().map(move |&k| (n, k)))
-        .collect();
-    let ns = parallel_map(cells, |(n, k)| {
+    let ns = per_os(&sweep, |n, k| {
         let t_short = rig
             .run(k, micro::null_syscall_storm(n, short))
             .finished_at
@@ -574,13 +555,12 @@ pub fn e7_syscall_scaling() -> Table {
             .as_nanos() as f64;
         (t_long - t_short) / (long - short) as f64
     });
-    for (i, &n) in sweep.iter().enumerate() {
-        let v = &ns[i * OsKind::ALL.len()..(i + 1) * OsKind::ALL.len()];
+    for (n, [p, s, m]) in sweep.iter().zip(ns) {
         t.row([
             n.to_string(),
-            format!("{:.0}", v[0]),
-            format!("{:.0}", v[1]),
-            format!("{:.0}", v[2]),
+            format!("{p:.0}"),
+            format!("{s:.0}"),
+            format!("{m:.0}"),
         ]);
     }
     t.note("expected: flat and identical across OSes — local syscalls touch no shared state in any of the three designs");
@@ -627,20 +607,13 @@ fn npb_experiment(
         ],
     );
     let rig = Rig::paper();
-    let cells: Vec<(usize, OsKind)> = THREAD_SWEEP
-        .iter()
-        .flat_map(|&n| OsKind::ALL.iter().map(move |&k| (n, k)))
-        .collect();
-    let ms = parallel_map(cells, |(n, k)| {
+    let ms = per_os(&THREAD_SWEEP, |n, k| {
         let cfg = strong_scaling(n, total_cycles_per_iter, iterations, pages);
         rig.run(k, make(cfg)).finished_at.as_millis_f64()
     });
-    // Speedups are relative to the first sweep point (popcorn@1, smp@1);
-    // with all cells collected, the base is simply the first row's cells.
-    let (p1, s1) = (ms[0], ms[1]);
-    for (i, &n) in THREAD_SWEEP.iter().enumerate() {
-        let v = &ms[i * OsKind::ALL.len()..(i + 1) * OsKind::ALL.len()];
-        let (p, s, m) = (v[0], v[1], v[2]);
+    // Speedups are relative to the first sweep point (popcorn@1, smp@1).
+    let [p1, s1, _] = ms[0];
+    for (n, [p, s, m]) in THREAD_SWEEP.iter().zip(ms) {
         t.row([
             n.to_string(),
             format!("{p:.2}"),
@@ -673,37 +646,21 @@ pub fn e8_npb_is() -> Table {
     let rig = Rig::paper();
     let totals = [4usize, 8, 16, 32, 64];
     let total_cycles_per_iter = 84_000_000u64; // ~35ms single-thread per iteration
-    let cells: Vec<(usize, OsKind)> = totals
-        .iter()
-        .flat_map(|&total| OsKind::ALL.iter().map(move |&k| (total, k)))
-        .collect();
-    let ms = parallel_map(cells, |(total, kind)| {
-        let per_proc = total / 4;
-        let mut os = rig.build(kind);
-        for _ in 0..4 {
-            let cfg = NpbConfig {
-                threads: per_proc,
-                iterations: 10,
-                pages_per_thread: 12,
-                compute_cycles: total_cycles_per_iter / total as u64,
-                barrier_groups: 0,
-            };
-            // Keep each process on its home kernel (the pinning the
-            // paper's runs use); SMP spreads over its one kernel.
-            os.load(npb::is_benchmark_placed(cfg, Placement::Local));
-        }
-        let r = os.run_with(rig.horizon, rig.event_budget);
-        assert!(
-            r.is_clean(),
-            "E8 {} unclean: {:?}",
-            kind.name(),
-            r.stuck_tasks
-        );
-        r.finished_at.as_millis_f64()
+    let ms = per_os(&totals, |total, kind| {
+        let cfg = NpbConfig {
+            threads: total / 4,
+            iterations: 10,
+            pages_per_thread: 12,
+            compute_cycles: total_cycles_per_iter / total as u64,
+            barrier_groups: 0,
+        };
+        // Keep each process on its home kernel (the pinning the paper's
+        // runs use); SMP spreads over its one kernel.
+        multiproc_ms(&rig, kind, 4, |_| {
+            npb::is_benchmark_placed(cfg, Placement::Local)
+        })
     });
-    for (i, &total) in totals.iter().enumerate() {
-        let v = &ms[i * OsKind::ALL.len()..(i + 1) * OsKind::ALL.len()];
-        let (p, s, m) = (v[0], v[1], v[2]);
+    for (total, [p, s, m]) in totals.iter().zip(ms) {
         t.row([
             total.to_string(),
             format!("{p:.2}"),
@@ -954,7 +911,7 @@ pub fn e12_fault_tolerance() -> Table {
 /// E13 adversarial scenarios, each built to trap a naive policy (see
 /// `popcorn_workloads::adversarial`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum E13Scenario {
+enum E13Scenario {
     /// Thundering-herd futex: waiters parked machine-wide, one waker.
     Herd,
     /// Scripted ping-pong bouncers plus compute ballast piled on kernel 0.
@@ -966,7 +923,7 @@ pub(crate) enum E13Scenario {
 }
 
 impl E13Scenario {
-    pub(crate) const ALL: [E13Scenario; 4] = [
+    const ALL: [E13Scenario; 4] = [
         E13Scenario::Herd,
         E13Scenario::Storm,
         E13Scenario::HotPages,
@@ -1012,7 +969,7 @@ fn e13_straggler_plan() -> FaultPlan {
 /// Runs one E13 cell and reduces it to the table's numeric columns
 /// (clean, completion ms, scripted migrations, policy actions, aborted
 /// ops, time-weighted runqueue depth).
-pub(crate) fn e13_cell(sc: E13Scenario, policy: PolicyKind) -> (bool, f64, f64, f64, f64, f64) {
+fn e13_cell(sc: E13Scenario, policy: PolicyKind) -> (bool, f64, f64, f64, f64, f64) {
     let mut builder = popcorn_core::PopcornOs::builder()
         .topology(Topology::paper_default())
         .kernels(4)

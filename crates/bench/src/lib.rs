@@ -4,8 +4,12 @@
 //! - [`table`] — result tables (text + JSON rendering);
 //! - [`rig`] — uniform construction/execution of the three OS models,
 //!   plus the deterministic parallel-sweep machinery ([`rig::parallel_map`]);
-//! - [`experiments`] — E1–E11 and the ablations, one function per
-//!   reconstructed table/figure of the paper's evaluation;
+//! - [`experiments`] — E1–E13 and the ablations, one function per
+//!   reconstructed table/figure of the paper's evaluation, plus
+//!   [`experiments::all_experiments`], the id → function list `repro` runs;
+//! - [`e14`], [`e15`], [`e16`] — the crash-failover, page-table
+//!   replication and hierarchical-home experiments, one module each;
+//! - [`check`] — the claims, as predicates over those experiments' tables;
 //! - [`cli`] — argument parsing for the `repro` binary.
 //!
 //! The `repro` binary drives everything:
@@ -21,8 +25,9 @@
 //! only spreads *independent* simulations over host threads, so results
 //! are byte-identical to `--serial` runs.
 //!
-//! `repro check` ([`check`]) asserts the claimed result *shapes*
-//! programmatically — a regression suite for the reproduction itself.
+//! `repro check` ([`check`]) regenerates each experiment a claim reads and
+//! asserts the claimed result *shapes* on its table — a regression suite
+//! for the reproduction itself, evaluated on the published numbers.
 
 pub mod check;
 pub mod cli;

@@ -274,13 +274,6 @@ impl Rig {
         report
     }
 
-    /// Like [`Rig::run`] but returns the (possibly unclean) report.
-    pub fn run_lenient(&self, kind: OsKind, program: Box<dyn Program>) -> RunReport {
-        let mut os = self.build(kind);
-        os.load(program);
-        os.run_with(self.horizon, self.event_budget)
-    }
-
     /// Runs one workload per OS kind, on parallel host threads when
     /// [`jobs`] allows (each simulation itself is single-threaded and
     /// deterministic, so the reports are identical to a serial run).

@@ -87,6 +87,46 @@ impl Table {
         self.notes.push(text.into());
     }
 
+    /// The cell in column `column` of the first row whose leading cells
+    /// are `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the table, if the column or the row is missing.
+    pub(crate) fn cell(&self, key: &[&str], column: &str) -> &str {
+        let col = self
+            .columns
+            .iter()
+            .position(|c| c == column)
+            .unwrap_or_else(|| panic!("table {} has no column {column:?}", self.id));
+        let row = self
+            .rows
+            .iter()
+            .find(|row| row.len() >= key.len() && row.iter().zip(key).all(|(c, k)| c == k))
+            .unwrap_or_else(|| panic!("table {} has no row {key:?}", self.id));
+        &row[col]
+    }
+
+    /// [`Table::cell`] parsed as a number; a trailing `x` (a [`ratio`]
+    /// cell) is accepted.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the table, if the column or the row is missing or
+    /// the cell is not a number.
+    pub(crate) fn num(&self, key: &[&str], column: &str) -> f64 {
+        let cell = self.cell(key, column);
+        cell.strip_suffix('x')
+            .unwrap_or(cell)
+            .parse()
+            .unwrap_or_else(|_| {
+                panic!(
+                    "table {}: {column} of row {key:?} is {cell:?}, not a number",
+                    self.id
+                )
+            })
+    }
+
     /// Renders as pretty-printed JSON (2-space indent), byte-compatible
     /// with `serde_json::to_string_pretty` on the former derive layout so
     /// checked-in `results/*.json` files stay diffable.
@@ -180,6 +220,40 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("E0", "demo", ["a", "b"]);
         t.row(["only one"]);
+    }
+
+    fn sweep() -> Table {
+        let mut t = Table::new("E0", "demo", ["home", "clustering", "ms", "ratio"]);
+        t.row(["flat", "per-ccx", "13.436", "-"]);
+        t.row(["delegates", "per-ccx", "3.724", "3.61x"]);
+        t
+    }
+
+    #[test]
+    fn lookup_by_row_key_and_column() {
+        let t = sweep();
+        assert_eq!(t.cell(&["delegates"], "ms"), "3.724");
+        assert_eq!(t.num(&["flat", "per-ccx"], "ms"), 13.436);
+        assert_eq!(t.num(&["delegates", "per-ccx"], "ratio"), 3.61);
+        assert_eq!(t.cell(&["flat", "per-ccx"], "ratio"), "-");
+    }
+
+    #[test]
+    #[should_panic(expected = "table E0 has no column \"completion_ms\"")]
+    fn lookup_of_a_missing_column_panics() {
+        sweep().num(&["flat"], "completion_ms");
+    }
+
+    #[test]
+    #[should_panic(expected = "table E0 has no row [\"flat\", \"per-core\"]")]
+    fn lookup_of_a_missing_row_panics() {
+        sweep().num(&["flat", "per-core"], "ms");
+    }
+
+    #[test]
+    #[should_panic(expected = "table E0: ratio of row [\"flat\"] is \"-\", not a number")]
+    fn lookup_of_a_non_number_panics() {
+        sweep().num(&["flat"], "ratio");
     }
 
     #[test]
