@@ -22,7 +22,7 @@
 //! another core's kernel), shipping the current VMA layout so the new
 //! thread has the same address-space shape with private contents.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use popcorn_hw::{CoreId, HwParams, Machine, Topology};
 use popcorn_kernel::futex::{FutexTable, Waiter};
@@ -36,10 +36,10 @@ use popcorn_kernel::program::{
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::{
-    Delivery, Endpoint, Fabric, KernelId, MsgParams, ReliableFabric, RetxPolicy, RpcId, SendPlan,
-    SeqEnvelope, Wire,
+    Delivery, Fabric, KernelId, MsgParams, ReliableFabric, RpcId, RpcTable, SendPlan, SeqEnvelope,
+    Wire,
 };
-use popcorn_sim::{Counter, Handler, Scheduler, SimTime, Simulator};
+use popcorn_sim::{metric_table, Counter, Handler, Scheduler, SimTime, Simulator};
 
 use crate::params::MultikernelParams;
 
@@ -146,8 +146,8 @@ pub enum MkMsg {
     },
     /// Reliable-delivery envelope required by the shared endpoint
     /// substrate ([`SeqEnvelope`]). The baseline runs on a fault-free
-    /// fabric, so the endpoint takes its plain path and never actually
-    /// wraps a message in this.
+    /// fabric with no retransmit policy, so the endpoint takes its plain
+    /// path and never actually wraps a message in this.
     Seq {
         /// Per-channel sequence number.
         seq: u64,
@@ -191,15 +191,16 @@ struct MkGroup {
     hosts: Vec<KernelId>,
 }
 
-/// Aggregate multikernel statistics.
-#[derive(Debug, Default)]
-pub struct MkStats {
-    /// Threads spawned on a remote kernel.
-    pub remote_spawns: Counter,
-    /// Sync/futex requests served over messages.
-    pub remote_service: Counter,
-    /// Sync/futex requests served locally at the home.
-    pub local_service: Counter,
+metric_table! {
+    /// Aggregate multikernel statistics.
+    pub struct MkStats {
+        /// Threads spawned on a remote kernel.
+        remote_spawns: Counter,
+        /// Sync/futex requests served over messages.
+        remote_service: Counter,
+        /// Sync/futex requests served locally at the home.
+        local_service: Counter,
+    }
 }
 
 /// The multikernel machine.
@@ -213,9 +214,9 @@ pub struct MultikernelMachine {
     params: MultikernelParams,
     futex: FutexTable,
     groups: HashMap<GroupId, MkGroup>,
-    /// Per-kernel RPC endpoints. Every pending continuation is just the
+    /// Per-kernel RPC tables. Every pending continuation is just the
     /// blocked thread, so the continuation type is [`Tid`] directly.
-    rpcs: Vec<Endpoint<Tid>>,
+    rpcs: Vec<RpcTable<Tid>>,
     /// Per-kernel page-allocator locks.
     zone_locks: Vec<popcorn_hw::LockSite>,
     /// Rotating tie-breaker for Auto placement.
@@ -991,18 +992,11 @@ impl MultikernelOsBuilder {
             })
             .collect();
         let n = kernels.len();
-        // The policy is inert: with a fault-free fabric the endpoint takes
-        // its plain path and never arms a retransmit timer.
-        let policy = RetxPolicy {
-            base_ns: 50_000,
-            cap_ns: 2_000_000,
-            max_attempts: 10,
-        };
         MultikernelOs {
             sim: Simulator::new(),
             machine: MultikernelMachine {
                 kernels,
-                net: ReliableFabric::new(fabric, policy, false),
+                net: ReliableFabric::new(fabric, None),
                 zone_locks: (0..n)
                     .map(|_| popcorn_hw::LockSite::new("zone_lock", machine.params()))
                     .collect(),
@@ -1010,7 +1004,7 @@ impl MultikernelOsBuilder {
                 params: self.mk,
                 futex: FutexTable::new(),
                 groups: HashMap::new(),
-                rpcs: (0..n).map(|_| Endpoint::new()).collect(),
+                rpcs: (0..n).map(|_| RpcTable::new()).collect(),
                 auto_cursor: 0,
                 stats: MkStats::default(),
             },
@@ -1095,38 +1089,20 @@ impl OsModel for MultikernelOs {
 
     fn run_with(&mut self, horizon: SimTime, event_budget: u64) -> RunReport {
         let stop = self.sim.run_until(&mut self.machine, horizon, event_budget);
-        let mut metrics = osmodel::base_metrics(&self.machine.kernels);
-        metrics.insert(
-            "remote_spawns".into(),
-            self.machine.stats.remote_spawns.get() as f64,
-        );
-        metrics.insert(
-            "remote_service".into(),
-            self.machine.stats.remote_service.get() as f64,
-        );
-        metrics.insert(
-            "local_service".into(),
-            self.machine.stats.local_service.get() as f64,
-        );
+        let mut metrics = BTreeMap::new();
+        self.machine.stats.export("", &mut metrics);
         metrics.insert(
             "messages".into(),
             self.machine.net.fabric().total_sends() as f64,
         );
-        let exited: u64 = self
-            .machine
-            .kernels
-            .iter()
-            .map(|k| k.stats.exited.get())
-            .sum();
-        RunReport {
-            os: self.name(),
-            finished_at: self.sim.now(),
-            exited_tasks: exited,
-            stuck_tasks: osmodel::stuck_tasks(&self.machine.kernels),
-            events: self.sim.events_processed(),
+        RunReport::new(
+            self.name(),
+            &self.machine.kernels,
             stop,
+            self.sim.now(),
+            self.sim.events_processed(),
             metrics,
-        }
+        )
     }
 }
 

@@ -546,8 +546,10 @@ impl SmpOs {
         SmpOsBuilder::default()
     }
 
-    /// Total wait time observed on a named lock site ("tasklist_lock",
-    /// "futex_bucket", "rq_lock", "syncword") — for the contention tables.
+    /// Acquisition, mean-wait and contention metrics of the lock sites:
+    /// the task lock (`task_lock_*`), the page-allocator zone lock
+    /// (`zone_lock_*`), the futex hash buckets (`futex_bucket_*`) and every
+    /// group's `mmap_sem` (`mmap_sem_*`) — for the contention tables.
     pub fn lock_contention_metrics(&self) -> BTreeMap<String, f64> {
         let mut m = BTreeMap::new();
         m.insert(
@@ -642,23 +644,14 @@ impl OsModel for SmpOs {
 
     fn run_with(&mut self, horizon: SimTime, event_budget: u64) -> RunReport {
         let stop = self.sim.run_until(&mut self.machine, horizon, event_budget);
-        let mut metrics = osmodel::base_metrics(&self.machine.kernels);
-        metrics.extend(self.lock_contention_metrics());
-        let exited: u64 = self
-            .machine
-            .kernels
-            .iter()
-            .map(|k| k.stats.exited.get())
-            .sum();
-        RunReport {
-            os: self.name(),
-            finished_at: self.sim.now(),
-            exited_tasks: exited,
-            stuck_tasks: osmodel::stuck_tasks(&self.machine.kernels),
-            events: self.sim.events_processed(),
+        RunReport::new(
+            self.name(),
+            &self.machine.kernels,
             stop,
-            metrics,
-        }
+            self.sim.now(),
+            self.sim.events_processed(),
+            self.lock_contention_metrics(),
+        )
     }
 }
 

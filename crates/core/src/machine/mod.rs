@@ -10,7 +10,7 @@
 //! Each protocol family lives in its own module, owning its [`Pending`]
 //! continuation payload and its slice of the dispatch:
 //!
-//! - [`transport`] — glue to the shared [`ReliableFabric`] / [`Endpoint`]
+//! - [`transport`] — glue to the shared [`ReliableFabric`] / [`RpcTable`]
 //!   substrate in `popcorn-msg`: send plans, retransmit timers, RPC
 //!   deadlines, and unwinding undeliverable traffic;
 //! - [`migrate`] — thread migration (out, in, aborted);
@@ -48,7 +48,7 @@
 //!
 //! A structural invariant keeps the distributed semantics honest even
 //! though the simulation is one process: state that logically lives on a
-//! kernel (its `Kernel`, its RPC endpoint, its share of `groups`/`futex`)
+//! kernel (its `Kernel`, its RPC table, its share of `groups`/`futex`)
 //! is only touched while handling an event addressed to that kernel; all
 //! other interaction goes through fabric messages. Because every
 //! group-wide decision is serialized at the group's home kernel and all
@@ -79,7 +79,7 @@ use popcorn_kernel::policy::MigrationPolicy;
 use popcorn_kernel::program::{Program, Resume, SysResult, SyscallReq};
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
-use popcorn_msg::{Delivery, Endpoint, Fabric, KernelId, ReliableFabric};
+use popcorn_msg::{Delivery, Fabric, KernelId, ReliableFabric, RpcTable};
 use popcorn_sim::{Histogram, Scheduler, SimTime, TimeSeries};
 
 use crate::directory::PageRequest;
@@ -96,7 +96,7 @@ pub type PopEvent = OsEvent<PopMsg>;
 /// Continuations parked at a kernel while a remote operation completes.
 ///
 /// Each protocol module owns its payload type; this enum only exists so
-/// one [`Endpoint`] per kernel can park them all — a single RPC id space
+/// one [`RpcTable`] per kernel can park them all — a single RPC id space
 /// per kernel keeps id allocation order (and therefore results) identical
 /// to the pre-decomposition machine.
 #[derive(Debug)]
@@ -234,7 +234,7 @@ pub struct PopcornMachine {
     groups: BTreeMap<GroupId, GroupHome>,
     futex: FutexTable,
     sync_sites: BTreeMap<(GroupId, u64), LockSite>,
-    rpcs: Vec<Endpoint<Pending>>,
+    rpcs: Vec<RpcTable<Pending>>,
     inflight: Vec<BTreeMap<(GroupId, PageNo), page::InFlight>>,
     /// Per-group protocol service points (the per-mm protocol lock at the
     /// group's home, plus the replica-side update path).
@@ -285,7 +285,10 @@ impl PopcornMachine {
         let zone_locks = (0..n)
             .map(|_| LockSite::new("zone_lock", machine.params()))
             .collect();
-        let net = ReliableFabric::new(fabric, params.retx_policy(), params.reliable_delivery);
+        let net = ReliableFabric::new(
+            fabric,
+            params.reliable_delivery.then(|| params.retx_policy()),
+        );
         let policy = params.policy.build();
         let telemetry = policy::Telemetry::new(n);
         let sharding = sharding::ShardCtl::new(&kernels, &machine, params.home_sharding);
@@ -297,7 +300,7 @@ impl PopcornMachine {
             groups: BTreeMap::new(),
             futex: FutexTable::new(),
             sync_sites: BTreeMap::new(),
-            rpcs: (0..n).map(|_| Endpoint::new()).collect(),
+            rpcs: (0..n).map(|_| RpcTable::new()).collect(),
             inflight: (0..n).map(|_| BTreeMap::new()).collect(),
             servers: BTreeMap::new(),
             delegate_servers: BTreeMap::new(),
@@ -396,9 +399,9 @@ impl PopcornMachine {
         &self.futex
     }
 
-    /// The per-kernel RPC endpoints (read access for the invariant
+    /// The per-kernel RPC tables (read access for the invariant
     /// checker).
-    pub fn rpcs(&self) -> &[Endpoint<Pending>] {
+    pub fn rpcs(&self) -> &[RpcTable<Pending>] {
         &self.rpcs
     }
 
@@ -451,8 +454,8 @@ pub struct KernelCtx<'m, 'e> {
     pub futex: &'m mut FutexTable,
     /// Contention sites of sync words served on the local fast path.
     pub sync_sites: &'m mut BTreeMap<(GroupId, u64), LockSite>,
-    /// Per-kernel RPC endpoints (request/response correlation).
-    pub rpcs: &'m mut Vec<Endpoint<Pending>>,
+    /// Per-kernel RPC tables (request/response correlation).
+    pub rpcs: &'m mut Vec<RpcTable<Pending>>,
     /// Per-kernel in-flight page requests (fault coalescing).
     pub inflight: &'m mut Vec<BTreeMap<(GroupId, PageNo), page::InFlight>>,
     /// Per-group protocol service points.

@@ -31,7 +31,7 @@
 //!
 //! The victim itself is **frozen**, not deleted: events addressed to a
 //! crashed kernel are dropped at the dispatch front door
-//! ([`PopcornMachine::intercept_crashed`]), and messages caught mid-flight
+//! (`PopcornMachine::intercept_crashed`), and messages caught mid-flight
 //! are bounced back to their (live) sender's unwind path so one-shot
 //! payloads — a migrating thread's context, a page grant — are never
 //! silently destroyed.

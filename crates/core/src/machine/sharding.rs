@@ -2,7 +2,7 @@
 //! cluster-level root home.
 //!
 //! With `home_sharding` on, the flat home layer becomes a two-level
-//! hierarchy. A group's **root home** (the [`KernelCtx::home_of`] kernel —
+//! hierarchy. A group's **root home** (the `KernelCtx::home_of` kernel —
 //! still the membership/VMA/futex serialization point and the crash
 //! failover anchor) additionally owns the **shard map** deciding which
 //! kernel serves each page. Every NUMA socket has a **home delegate** (its

@@ -1,5 +1,5 @@
 //! Transport glue: the OS-model side of the shared reliable-delivery
-//! substrate ([`popcorn_msg::ReliableFabric`] / [`popcorn_msg::Endpoint`]).
+//! substrate ([`popcorn_msg::ReliableFabric`] / [`popcorn_msg::RpcTable`]).
 //!
 //! The substrate decides *what* happens to a send (deliver, raw loss,
 //! retransmit backoff, abandonment) and returns a [`SendPlan`]; this module
@@ -121,10 +121,10 @@ impl KernelCtx<'_, '_> {
         );
     }
 
-    /// Registers a pending RPC at kernel `ki`'s endpoint, charging the
+    /// Registers a pending RPC at kernel `ki`'s RPC table, charging the
     /// issue to its protocol family. Under active fault injection a
-    /// response deadline is attached and a timeout event scheduled, so a
-    /// lost conversation fails its caller cleanly instead of wedging it.
+    /// response-deadline timer is scheduled, so a lost conversation fails
+    /// its caller cleanly instead of wedging it.
     pub(super) fn register_rpc(
         &mut self,
         ki: usize,
@@ -133,11 +133,11 @@ impl KernelCtx<'_, '_> {
         dest: KernelId,
     ) -> RpcId {
         self.stats.proto.of(pending.protocol()).rpcs_issued.incr();
+        let rpc = self.rpcs[ki].register(pending);
         if !self.net.is_reliable() {
-            return self.rpcs[ki].register(pending);
+            return rpc;
         }
         let deadline = at + SimTime::from_nanos(self.params.rpc_deadline_ns);
-        let rpc = self.rpcs[ki].register_with_deadline(pending, deadline);
         self.schedule_self(ki, deadline, ProtoMsg::RpcDeadline { rpc });
         // Under planned crashes, remember who each conversation is with so
         // detection can fail over exactly the ones aimed at the victim.

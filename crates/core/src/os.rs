@@ -240,9 +240,7 @@ impl OsModel for PopcornOs {
                 );
             }
         }
-        let kernels = self.machine.kernels();
-        let mut metrics = osmodel::base_metrics(kernels);
-        metrics.extend(self.machine.stats.metrics());
+        let mut metrics = self.machine.stats.metrics();
         metrics.insert(
             "messages".into(),
             self.machine.fabric().total_sends() as f64,
@@ -268,7 +266,6 @@ impl OsModel for PopcornOs {
                 0.0
             },
         );
-        let exited: u64 = kernels.iter().map(|k| k.stats.exited.get()).sum();
         // Under fault injection, moot RPC-deadline timers can trail the real
         // work by up to `rpc_deadline_ns`; report when the workload actually
         // finished. The same applies to an active policy's trailing final
@@ -312,14 +309,13 @@ impl OsModel for PopcornOs {
                 0.0
             },
         );
-        RunReport {
-            os: self.name(),
-            finished_at,
-            exited_tasks: exited,
-            stuck_tasks: osmodel::stuck_tasks(kernels),
-            events: self.sim.events_processed(),
+        RunReport::new(
+            self.name(),
+            self.machine.kernels(),
             stop,
+            finished_at,
+            self.sim.events_processed(),
             metrics,
-        }
+        )
     }
 }

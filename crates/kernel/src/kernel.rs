@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 
 use popcorn_hw::{CoreId, Machine};
 use popcorn_msg::KernelId;
-use popcorn_sim::{Counter, Histogram, SimTime};
+use popcorn_sim::{metric_table, Counter, Histogram, SimTime};
 
 use crate::mm::{AccessCheck, Mm};
 use crate::params::OsParams;
@@ -132,23 +132,26 @@ pub enum RunOutcome {
     },
 }
 
-/// Aggregated kernel-side statistics.
-#[derive(Debug, Default)]
-pub struct KernelStats {
-    /// Syscalls trapped.
-    pub syscalls: Counter,
-    /// Page faults raised to the OS model.
-    pub faults: Counter,
-    /// Context switches performed.
-    pub ctx_switches: Counter,
-    /// Tasks spawned on this kernel.
-    pub spawned: Counter,
-    /// Tasks exited on this kernel.
-    pub exited: Counter,
-    /// Segmentation faults (accesses outside any VMA).
-    pub segv: Counter,
-    /// Scheduling latency: wake-to-run (recorded at dispatch).
-    pub sched_latency: Histogram,
+metric_table! {
+    /// Aggregated kernel-side statistics.
+    pub struct KernelStats {
+        /// Syscalls trapped.
+        syscalls: Counter,
+        /// Page faults raised to the OS model.
+        faults: Counter,
+        /// Context switches performed.
+        ctx_switches: Counter,
+        /// Tasks spawned on this kernel.
+        spawned: Counter,
+        /// Tasks exited on this kernel.
+        exited: Counter,
+        /// Segmentation faults (accesses outside any VMA).
+        segv: Counter,
+    }
+    extra {
+        /// Scheduling latency: wake-to-run (recorded at dispatch).
+        sched_latency: Histogram,
+    }
 }
 
 /// One kernel instance owning a set of cores.

@@ -201,6 +201,30 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Assembles a model's report: `metrics` (the model's own) layered
+    /// over [`base_metrics`], with the exited and stuck threads read from
+    /// `kernels`.
+    pub fn new(
+        os: &'static str,
+        kernels: &[Kernel],
+        stop: StopCondition,
+        finished_at: SimTime,
+        events: u64,
+        metrics: BTreeMap<String, f64>,
+    ) -> Self {
+        let mut all = base_metrics(kernels);
+        all.extend(metrics);
+        RunReport {
+            os,
+            finished_at,
+            exited_tasks: kernels.iter().map(|k| k.stats.exited.get()).sum(),
+            stuck_tasks: stuck_tasks(kernels),
+            events,
+            stop,
+            metrics: all,
+        }
+    }
+
     /// True when every loaded thread ran to completion.
     pub fn is_clean(&self) -> bool {
         self.stop == StopCondition::QueueEmpty && self.stuck_tasks.is_empty()
@@ -295,26 +319,9 @@ pub trait OsModel {
 /// map (model-specific metrics are layered on top by each model).
 pub fn base_metrics(kernels: &[Kernel]) -> BTreeMap<String, f64> {
     let mut m = BTreeMap::new();
-    let mut syscalls = 0u64;
-    let mut faults = 0u64;
-    let mut ctx = 0u64;
-    let mut spawned = 0u64;
-    let mut exited = 0u64;
-    let mut segv = 0u64;
     for k in kernels {
-        syscalls += k.stats.syscalls.get();
-        faults += k.stats.faults.get();
-        ctx += k.stats.ctx_switches.get();
-        spawned += k.stats.spawned.get();
-        exited += k.stats.exited.get();
-        segv += k.stats.segv.get();
+        k.stats.export("", &mut m);
     }
-    m.insert("syscalls".into(), syscalls as f64);
-    m.insert("faults".into(), faults as f64);
-    m.insert("ctx_switches".into(), ctx as f64);
-    m.insert("spawned".into(), spawned as f64);
-    m.insert("exited".into(), exited as f64);
-    m.insert("segv".into(), segv as f64);
     m
 }
 

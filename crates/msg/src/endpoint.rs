@@ -1,28 +1,21 @@
-//! Reliable delivery and RPC bookkeeping as a reusable substrate.
+//! Reliable delivery as a reusable substrate.
 //!
-//! Every OS model that talks across kernels needs the same three pieces of
-//! plumbing on top of the raw [`Fabric`]:
-//!
-//! 1. turning a [`SendOutcome`] into scheduled receive events;
-//! 2. (under fault injection) sequence numbers, duplicate suppression and
-//!    retransmission with exponential backoff;
-//! 3. request/response correlation with optional deadlines.
-//!
-//! Historically the Popcorn core and the multikernel baseline each owned a
-//! private copy of this plumbing. This module hosts the shared
-//! implementation:
+//! Every OS model that talks across kernels needs the same plumbing on top
+//! of the raw [`Fabric`]: turning a [`SendOutcome`] into scheduled receive
+//! events and, under fault injection, sequence numbers, duplicate
+//! suppression and retransmission with exponential backoff.
+//! Request/response correlation is the separate
+//! [`RpcTable`](crate::RpcTable).
 //!
 //! - [`ReliableFabric`] wraps a [`Fabric`] and owns the sequence-number /
 //!   retransmit state. Its [`ReliableFabric::send`] returns a [`SendPlan`]
 //!   describing what the *caller* must schedule — the crate stays free of
 //!   any event-type dependency, so models with different event alphabets
 //!   can all use it.
-//! - [`Endpoint`] wraps an [`RpcTable`] and counts registrations and
-//!   completions, so per-protocol observability comes for free.
 //! - [`RetxPolicy`] owns the backoff arithmetic.
 //!
 //! The reliability state is allocated only when the fabric's fault plan is
-//! active *and* the model asked for reliable delivery; zero-fault runs
+//! active *and* the model supplied a retransmit policy; zero-fault runs
 //! carry no state and take the plain send path, which keeps their results
 //! byte-identical to a model using the fabric directly.
 
@@ -31,7 +24,6 @@ use std::collections::BTreeMap;
 use popcorn_sim::SimTime;
 
 use crate::fabric::{Delivery, Fabric, KernelId, SendOutcome, Wire};
-use crate::rpc::{RpcId, RpcTable};
 
 /// A payload type that can carry a sequence-number envelope.
 ///
@@ -114,6 +106,8 @@ struct Stashed<P> {
 /// hazard for any future code that does.
 #[derive(Debug)]
 struct SeqState<P> {
+    /// How lost messages are retried.
+    policy: RetxPolicy,
     /// Next sequence number per directed channel `(sender, receiver)`.
     next_seq: BTreeMap<(u16, u16), u64>,
     /// Highest sequence seen per directed channel `(receiver, sender)`.
@@ -127,18 +121,17 @@ struct SeqState<P> {
     next_token: u64,
 }
 
-impl<P> Default for SeqState<P> {
-    fn default() -> Self {
+impl<P> SeqState<P> {
+    fn new(policy: RetxPolicy) -> Self {
         SeqState {
+            policy,
             next_seq: BTreeMap::new(),
             last_seen: BTreeMap::new(),
             retx: BTreeMap::new(),
             next_token: 0,
         }
     }
-}
 
-impl<P> SeqState<P> {
     fn alloc_seq(&mut self, from: KernelId, to: KernelId) -> u64 {
         let c = self.next_seq.entry((from.0, to.0)).or_insert(0);
         *c += 1;
@@ -197,21 +190,17 @@ pub enum SendPlan<P> {
 #[derive(Debug)]
 pub struct ReliableFabric<P: SeqEnvelope> {
     fabric: Fabric,
-    policy: RetxPolicy,
     /// `None` on the plain path (no faults or reliability disabled).
     seq: Option<SeqState<P>>,
 }
 
 impl<P: SeqEnvelope> ReliableFabric<P> {
     /// Wraps `fabric`. Reliability state is allocated only when the
-    /// fabric's fault plan is active and `reliable` is set.
-    pub fn new(fabric: Fabric, policy: RetxPolicy, reliable: bool) -> Self {
-        let seq = (fabric.faults_active() && reliable).then(SeqState::default);
-        ReliableFabric {
-            fabric,
-            policy,
-            seq,
-        }
+    /// fabric's fault plan is active and a retransmit `policy` is given
+    /// (`None` disables the reliability layer).
+    pub fn new(fabric: Fabric, policy: Option<RetxPolicy>) -> Self {
+        let seq = policy.filter(|_| fabric.faults_active()).map(SeqState::new);
+        ReliableFabric { fabric, seq }
     }
 
     /// The wrapped fabric (read access for reports).
@@ -228,11 +217,6 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
     /// True when the reliability layer is active.
     pub fn is_reliable(&self) -> bool {
         self.seq.is_some()
-    }
-
-    /// The retransmission policy.
-    pub fn policy(&self) -> RetxPolicy {
-        self.policy
     }
 
     /// Sends `payload`, sequenced when the reliability layer is active.
@@ -254,7 +238,9 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
 
     /// Retransmits the stashed message under `token`; `None` if the token
     /// is unknown (the stash was already drained). The retransmission
-    /// takes a *fresh* sequence number — see [`SeqState::last_seen`].
+    /// takes a *fresh* sequence number, which is what lets the receiver
+    /// treat anything at or below its high-water mark as a duplicate (see
+    /// [`ReliableFabric::accept_seq`]).
     pub fn retransmit(&mut self, now: SimTime, token: u64) -> Option<SendPlan<P>> {
         let s = self.seq.as_mut()?.retx.remove(&token)?;
         Some(self.transmit(now, s.from, s.to, s.payload, s.attempts + 1))
@@ -269,12 +255,11 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
         payload: P,
         attempt: u32,
     ) -> SendPlan<P> {
-        let seq = self
+        let state = self
             .seq
             .as_mut()
-            .expect("sequenced transmit without reliability state")
-            .alloc_seq(from, to);
-        let wrapped = P::wrap_seq(seq, payload);
+            .expect("sequenced transmit without reliability state");
+        let wrapped = P::wrap_seq(state.alloc_seq(from, to), payload);
         match self.fabric.send(now, from, to, wrapped) {
             SendOutcome::Delivered {
                 delivery,
@@ -287,15 +272,15 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
                 let Ok((_, inner)) = payload.unwrap_seq() else {
                     unreachable!("the fabric returns the payload it was given");
                 };
-                if attempt >= self.policy.max_attempts {
+                if attempt >= state.policy.max_attempts {
                     return SendPlan::Abandoned {
                         from,
                         to,
                         payload: inner,
                     };
                 }
-                let backoff = SimTime::from_nanos(self.policy.backoff_ns(attempt));
-                let token = self.seq.as_mut().expect("present above").stash(Stashed {
+                let backoff = SimTime::from_nanos(state.policy.backoff_ns(attempt));
+                let token = state.stash(Stashed {
                     from,
                     to,
                     attempts: attempt,
@@ -349,79 +334,6 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
         }
         *last = seq;
         true
-    }
-}
-
-/// An [`RpcTable`] with issue/completion accounting: the request/response
-/// half of the shared endpoint substrate.
-#[derive(Debug, Clone)]
-pub struct Endpoint<C> {
-    rpcs: RpcTable<C>,
-    issued: u64,
-    completed: u64,
-}
-
-impl<C> Default for Endpoint<C> {
-    fn default() -> Self {
-        Endpoint::new()
-    }
-}
-
-impl<C> Endpoint<C> {
-    /// Creates an empty endpoint.
-    pub fn new() -> Self {
-        Endpoint {
-            rpcs: RpcTable::new(),
-            issued: 0,
-            completed: 0,
-        }
-    }
-
-    /// Allocates a fresh id and parks `continuation` under it.
-    pub fn register(&mut self, continuation: C) -> RpcId {
-        self.issued += 1;
-        self.rpcs.register(continuation)
-    }
-
-    /// Like [`Endpoint::register`], but records a response deadline (see
-    /// [`RpcTable::register_with_deadline`]).
-    pub fn register_with_deadline(&mut self, continuation: C, deadline: SimTime) -> RpcId {
-        self.issued += 1;
-        self.rpcs.register_with_deadline(continuation, deadline)
-    }
-
-    /// Completes a request (idempotent; see [`RpcTable::complete`]).
-    pub fn complete(&mut self, id: RpcId) -> Option<C> {
-        let c = self.rpcs.complete(id);
-        if c.is_some() {
-            self.completed += 1;
-        }
-        c
-    }
-
-    /// Peeks at a pending continuation without completing it.
-    pub fn get(&self, id: RpcId) -> Option<&C> {
-        self.rpcs.get(id)
-    }
-
-    /// Mutable peek (for multi-response protocols).
-    pub fn get_mut(&mut self, id: RpcId) -> Option<&mut C> {
-        self.rpcs.get_mut(id)
-    }
-
-    /// Number of in-flight requests.
-    pub fn outstanding(&self) -> usize {
-        self.rpcs.outstanding()
-    }
-
-    /// Requests registered over the endpoint's lifetime.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Requests completed (first completion only).
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 }
 
@@ -492,7 +404,7 @@ mod tests {
 
     #[test]
     fn plain_path_without_faults() {
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(None), policy(), true);
+        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(None), Some(policy()));
         assert!(!net.is_reliable());
         match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Msg::Ping) {
             SendPlan::Deliver { delivery, .. } => {
@@ -506,7 +418,7 @@ mod tests {
     #[test]
     fn sequenced_sends_wrap_with_monotone_seq() {
         let plan = FaultPlan::uniform_drop(1, 0.0); // active but lossless
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), policy(), true);
+        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
         assert!(net.is_reliable());
         for expect in 1..=3u64 {
             match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Msg::Ping) {
@@ -525,7 +437,7 @@ mod tests {
     #[test]
     fn lost_send_backs_off_then_retransmits_with_fresh_seq() {
         let plan = FaultPlan::uniform_drop(7, 1.0); // lose everything
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), policy(), true);
+        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
         let now = SimTime::from_nanos(1_000);
         let SendPlan::Backoff {
             token,
@@ -558,11 +470,10 @@ mod tests {
         let plan = FaultPlan::uniform_drop(7, 1.0);
         let mut net: ReliableFabric<Msg> = ReliableFabric::new(
             fabric(Some(plan)),
-            RetxPolicy {
+            Some(RetxPolicy {
                 max_attempts: 2,
                 ..policy()
-            },
-            true,
+            }),
         );
         let SendPlan::Backoff { token, fire_at, .. } =
             net.send(SimTime::ZERO, KernelId(0), KernelId(1), Msg::Ping)
@@ -610,7 +521,7 @@ mod tests {
     #[test]
     fn abandon_to_drains_only_the_dead_channel() {
         let plan = FaultPlan::uniform_drop(7, 1.0); // lose everything
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), policy(), true);
+        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
         let (a, b) = (KernelId(0), KernelId(1));
         // Two stashed a→b losses and one b→a loss.
         let SendPlan::Backoff { token, .. } = net.send(SimTime::ZERO, a, b, Msg::Ping) else {
@@ -635,7 +546,7 @@ mod tests {
     #[test]
     fn accept_seq_suppresses_duplicates_per_channel() {
         let plan = FaultPlan::uniform_drop(1, 0.0);
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), policy(), true);
+        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
         let (a, b) = (KernelId(0), KernelId(1));
         assert!(net.accept_seq(b, a, 1));
         assert!(!net.accept_seq(b, a, 1)); // duplicate
@@ -643,18 +554,5 @@ mod tests {
         assert!(!net.accept_seq(b, a, 1)); // stale duplicate
                                            // Directions are independent channels.
         assert!(net.accept_seq(a, b, 1));
-    }
-
-    #[test]
-    fn endpoint_counts_issues_and_completions() {
-        let mut ep: Endpoint<&'static str> = Endpoint::new();
-        let a = ep.register("a");
-        let b = ep.register_with_deadline("b", SimTime::from_nanos(10));
-        assert_eq!(ep.issued(), 2);
-        assert_eq!(ep.outstanding(), 2);
-        assert_eq!(ep.complete(a), Some("a"));
-        assert_eq!(ep.complete(a), None); // idempotent, not double-counted
-        assert_eq!(ep.complete(b), Some("b"));
-        assert_eq!(ep.completed(), 2);
     }
 }

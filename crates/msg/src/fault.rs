@@ -8,7 +8,7 @@
 //! after time `t`), and scripted **drop-the-nth-send** entries for
 //! regression tests that need to lose exactly one specific message.
 //!
-//! All randomness comes from one [`SimRng`](popcorn_sim::SimRng) seeded by
+//! All randomness comes from one [`SimRng`] seeded by
 //! the plan, and the fabric draws a *fixed* number of values per faulty-mode
 //! send regardless of the outcome, so the same seed + plan always produces
 //! the same fault pattern no matter which faults actually fire. With the

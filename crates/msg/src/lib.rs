@@ -16,8 +16,8 @@
 //!   (a channel is busy while a message is being written), and delivery
 //!   timestamps the OS model turns into simulation events;
 //! - [`RpcTable`] — request/response correlation for the protocol layers;
-//! - [`ReliableFabric`] / [`Endpoint`] — the shared reliable-delivery and
-//!   RPC-bookkeeping substrate every OS model builds its protocols on;
+//! - [`ReliableFabric`] — the shared reliable-delivery substrate every OS
+//!   model builds its protocols on;
 //! - [`MsgParams`] — the calibrated cost constants;
 //! - [`FaultPlan`] — deterministic fault injection (drop / delay /
 //!   duplicate / blackout / kernel crash); inactive by default.
@@ -47,7 +47,7 @@ pub mod fault;
 pub mod params;
 pub mod rpc;
 
-pub use endpoint::{Endpoint, ReliableFabric, RetxPolicy, SendPlan, SeqEnvelope};
+pub use endpoint::{ReliableFabric, RetxPolicy, SendPlan, SeqEnvelope};
 pub use fabric::{Delivery, Fabric, KernelId, SendOutcome, Wire};
 pub use fault::{Blackout, ChannelFaults, Crash, FaultCounters, FaultPlan};
 pub use params::MsgParams;

@@ -10,8 +10,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use popcorn_sim::SimTime;
-
 /// Correlation identifier carried inside request/response payloads. Unique
 /// per [`RpcTable`] (i.e. per kernel), never reused within a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -41,9 +39,6 @@ impl fmt::Display for RpcId {
 pub struct RpcTable<C> {
     next: u64,
     pending: HashMap<RpcId, C>,
-    /// Response deadlines for requests registered with one; entries are
-    /// removed when the request completes (or is drained).
-    deadlines: HashMap<RpcId, SimTime>,
 }
 
 impl<C> Default for RpcTable<C> {
@@ -58,7 +53,6 @@ impl<C> RpcTable<C> {
         RpcTable {
             next: 1,
             pending: HashMap::new(),
-            deadlines: HashMap::new(),
         }
     }
 
@@ -70,33 +64,13 @@ impl<C> RpcTable<C> {
         id
     }
 
-    /// Like [`RpcTable::register`], but records a response deadline. The
-    /// caller is responsible for scheduling a timeout event at `deadline`
-    /// and, when it fires, checking [`RpcTable::deadline`] / completing the
-    /// request with a failure if it is still pending.
-    pub fn register_with_deadline(&mut self, continuation: C, deadline: SimTime) -> RpcId {
-        let id = self.register(continuation);
-        self.deadlines.insert(id, deadline);
-        id
-    }
-
-    /// The deadline recorded for a still-pending request, if any.
-    pub fn deadline(&self, id: RpcId) -> Option<SimTime> {
-        self.deadlines.get(&id).copied()
-    }
-
     /// Completes a request, yielding its continuation; `None` if the id is
     /// unknown or already completed (duplicate response). Duplicate
     /// responses are therefore inherently idempotent: the first wins, the
-    /// rest see `None` and must do nothing.
+    /// rest see `None` and must do nothing — which also makes a response
+    /// deadline timer that fires after completion a no-op.
     pub fn complete(&mut self, id: RpcId) -> Option<C> {
-        self.deadlines.remove(&id);
         self.pending.remove(&id)
-    }
-
-    /// Peeks at a pending continuation without completing it.
-    pub fn get(&self, id: RpcId) -> Option<&C> {
-        self.pending.get(&id)
     }
 
     /// Mutable peek at a pending continuation (for multi-response protocols
@@ -108,15 +82,6 @@ impl<C> RpcTable<C> {
     /// Number of in-flight requests.
     pub fn outstanding(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Drops all pending requests, returning their continuations in id
-    /// order (used on kernel teardown so blocked tasks can be failed).
-    pub fn drain(&mut self) -> Vec<(RpcId, C)> {
-        self.deadlines.clear();
-        let mut all: Vec<_> = self.pending.drain().collect();
-        all.sort_unstable_by_key(|&(id, _)| id);
-        all
     }
 }
 
@@ -162,51 +127,5 @@ mod tests {
         t.complete(a);
         let b = t.register(());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn deadline_is_stored_and_cleared_on_complete() {
-        let mut t = RpcTable::new();
-        let plain = t.register("no-deadline");
-        let dl = SimTime::from_nanos(5_000);
-        let timed = t.register_with_deadline("timed", dl);
-        assert_eq!(t.deadline(plain), None);
-        assert_eq!(t.deadline(timed), Some(dl));
-        assert_eq!(t.complete(timed), Some("timed"));
-        assert_eq!(t.deadline(timed), None);
-        // A duplicate (late) response after the deadline bookkeeping is
-        // still idempotent.
-        assert_eq!(t.complete(timed), None);
-    }
-
-    #[test]
-    fn duplicate_responses_are_idempotent_with_deadlines() {
-        // The reliability layer relies on this: a retransmitted response
-        // completing twice must be a no-op the second time.
-        let mut t = RpcTable::new();
-        let id = t.register_with_deadline(7u32, SimTime::from_nanos(100));
-        assert_eq!(t.complete(id), Some(7));
-        for _ in 0..3 {
-            assert_eq!(t.complete(id), None);
-        }
-    }
-
-    #[test]
-    fn drain_clears_deadlines() {
-        let mut t = RpcTable::new();
-        let id = t.register_with_deadline((), SimTime::from_nanos(9));
-        let _ = t.drain();
-        assert_eq!(t.deadline(id), None);
-    }
-
-    #[test]
-    fn drain_returns_in_id_order() {
-        let mut t = RpcTable::new();
-        let ids: Vec<_> = (0..5).map(|i| t.register(i)).collect();
-        t.complete(ids[2]);
-        let drained = t.drain();
-        assert_eq!(drained.len(), 4);
-        assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(t.outstanding(), 0);
     }
 }

@@ -285,6 +285,130 @@ impl fmt::Display for Summary {
     }
 }
 
+/// A statistic a [`metric_table!`](crate::metric_table) exports as one
+/// scalar: a [`Counter`] exports its count, a [`Histogram`] its mean.
+pub trait Metric {
+    /// The exported value, before the table entry's divisor.
+    fn value(&self) -> f64;
+
+    /// Samples beyond the bucketed range (always 0 for a counter).
+    fn saturations(&self) -> u64 {
+        0
+    }
+}
+
+impl Metric for Counter {
+    fn value(&self) -> f64 {
+        self.get() as f64
+    }
+}
+
+impl Metric for Histogram {
+    fn value(&self) -> f64 {
+        self.mean()
+    }
+
+    fn saturations(&self) -> u64 {
+        self.saturated
+    }
+}
+
+/// Declares a statistics struct whose metric names are written once.
+///
+/// Each entry is `field: Counter` or `field: Histogram`, optionally
+/// followed by `=> "exported_name"` (the field name is the default) and
+/// `/ divisor` (applied to the exported value). Fields that are not
+/// exported go in a trailing `extra { … }` block. The macro generates the
+/// struct (`pub` fields, `Debug` + `Default`) and two methods:
+///
+/// - `export(prefix, &mut map)` *adds* each entry's value under
+///   `prefix` + its name, so exporting several instances into one map
+///   sums them;
+/// - `saturations()` totals every entry's histogram saturations.
+///
+/// # Example
+///
+/// ```
+/// use std::collections::BTreeMap;
+/// use popcorn_sim::{metric_table, Counter, Histogram};
+///
+/// metric_table! {
+///     /// Per-kernel statistics.
+///     pub struct Stats {
+///         /// Requests served.
+///         served: Counter,
+///         /// Service latency, in ns.
+///         latency: Histogram => "latency_us_mean" / 1e3,
+///     }
+///     extra {
+///         /// Not exported.
+///         peak: u64,
+///     }
+/// }
+///
+/// let mut a = Stats::default();
+/// a.served.incr();
+/// a.latency.record(4_000);
+/// let mut b = Stats::default();
+/// b.served.add(2);
+/// let mut m = BTreeMap::new();
+/// a.export("k_", &mut m);
+/// b.export("k_", &mut m);
+/// assert_eq!(m["k_served"], 3.0);
+/// assert_eq!(m["k_latency_us_mean"], 4.0);
+/// assert_eq!(a.saturations(), 0);
+/// ```
+#[macro_export]
+macro_rules! metric_table {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident: $kind:ident $(=> $export:literal)? $(/ $div:expr)?
+            ),* $(,)?
+        }
+        $(extra {
+            $(
+                $(#[$xmeta:meta])*
+                $xfield:ident: $xty:ty
+            ),* $(,)?
+        })?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $($(#[$fmeta])* pub $field: $kind,)*
+            $($($(#[$xmeta])* pub $xfield: $xty,)*)?
+        }
+
+        impl $name {
+            /// Adds every exported metric into `m` under `prefix` + its
+            /// name (summing with any value already there).
+            pub fn export(&self, prefix: &str, m: &mut ::std::collections::BTreeMap<String, f64>) {
+                let entries: &[(&str, f64)] = &[$((
+                    $crate::metric_table!(@name $field $($export)?),
+                    $crate::stats::Metric::value(&self.$field) $(/ $div)?,
+                )),*];
+                for &(name, v) in entries {
+                    *m.entry(format!("{prefix}{name}")).or_insert(0.0) += v;
+                }
+            }
+
+            /// Total histogram saturations across the exported entries.
+            pub fn saturations(&self) -> u64 {
+                0 $(+ $crate::stats::Metric::saturations(&self.$field))*
+            }
+        }
+    };
+    (@name $field:ident) => {
+        stringify!($field)
+    };
+    (@name $field:ident $export:literal) => {
+        $export
+    };
+}
+
 /// A `(time, value)` series sampled during a run, e.g. runqueue depth over
 /// time. Stores raw points; the harness downsamples at print time.
 ///

@@ -17,7 +17,7 @@
 //!   RPCs. Blocked threads don't count as runnable load — telemetry that
 //!   only reads runqueue depth sees idle kernels and migrates into the
 //!   fire.
-//! - [`straggler_ring`] — error-tolerant hoppers ride the kernel ring
+//! - [`straggler_hopper`] — error-tolerant hoppers ride the kernel ring
 //!   while a fault plan makes one kernel slow or unreachable. A
 //!   fault-aware policy reroutes the scripted hops; everyone else keeps
 //!   dutifully migrating into the straggler.
