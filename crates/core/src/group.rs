@@ -2,17 +2,22 @@
 //!
 //! The home kernel is the serialization point for everything group-wide:
 //! membership (who is where), the set of kernels holding address-space
-//! replicas, the page [`Directory`], VMA-operation ordering (including the
-//! acked unmap protocol), the futex server's words/queues (held in the
-//! machine's [`FutexTable`](popcorn_kernel::futex::FutexTable)), and group
-//! exit.
+//! replicas, the page [`Directory`] and its per-socket shards, VMA-operation
+//! ordering (including the acked unmap protocol), the group's protocol
+//! service points, the futex server's words/queues (held in the machine's
+//! [`FutexTable`](popcorn_kernel::futex::FutexTable)), and group exit.
+//! [`GroupHome`] is the only record of all of it: crash adoption rewrites
+//! its home, and reaping the group drops the whole board at once.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use popcorn_hw::LockSite;
 use popcorn_kernel::types::{GroupId, PageNo, Tid};
 use popcorn_msg::{KernelId, RpcId};
 
 use crate::directory::Directory;
+use crate::machine::{KernelServers, Server};
+use crate::stats::HomeServiceAgg;
 
 /// An unmap waiting for replica acknowledgements before completing.
 #[derive(Debug)]
@@ -37,10 +42,10 @@ pub enum ExitPhase {
 #[derive(Debug)]
 pub struct GroupHome {
     group: GroupId,
-    /// The kernel this state board is served from at creation time. Crash
-    /// recovery may re-home the board (see `machine::recovery`'s
-    /// `home_override`), which the `home_of` resolver layers on top; this
-    /// field replaces every direct `GroupId::home()` derivation.
+    /// The kernel serving this board: the kernel the group was created on
+    /// until crash recovery adopts the group onto a successor
+    /// (`GroupHome::rehome`). Every home lookup reads this field, never
+    /// `GroupId::home()`.
     home: KernelId,
     members: BTreeMap<Tid, KernelId>,
     /// Members that already exited. Tids are never reused, so this is a
@@ -68,6 +73,27 @@ pub struct GroupHome {
     /// sharding; a page lives in exactly one shard (root `dir` or one entry
     /// here), which the invariant audit enforces.
     shard_dirs: BTreeMap<KernelId, Directory>,
+    /// Pages delegated away from the root directory, and the delegate
+    /// serving each. A page is listed only while a non-root delegate
+    /// serves it; root-served pages never are.
+    pub(crate) shard_map: BTreeMap<PageNo, KernelId>,
+    /// Delegated pages marked for escalation after cross-socket traffic;
+    /// drained (entry moved root-ward) when the page quiesces.
+    pub(crate) escalate: BTreeSet<PageNo>,
+    /// Pages whose only copy died with a crashed kernel: faults on these
+    /// fail with an explicit error instead of resurrecting a zero page.
+    pub(crate) lost: BTreeSet<PageNo>,
+    /// The group's protocol service points (the per-mm protocol lock at
+    /// the home, plus the replica-side update path), created on first use.
+    servers: Option<KernelServers>,
+    /// Delegate-side page service points under hierarchical home sharding,
+    /// keyed by delegate kernel.
+    pub(crate) delegate_servers: BTreeMap<KernelId, Server>,
+    /// First-touch homes of synchronization words (only populated when
+    /// `sync_first_touch_homing` is on).
+    pub(crate) sync_home: BTreeMap<u64, KernelId>,
+    /// Contention sites of sync words served on the local fast path.
+    pub(crate) sync_sites: BTreeMap<u64, LockSite>,
     next_token: u64,
     pending_unmaps: BTreeMap<u64, UnmapPending>,
     phase: ExitPhase,
@@ -95,6 +121,13 @@ impl GroupHome {
             pt_shadow: BTreeMap::new(),
             dir: Directory::new(),
             shard_dirs: BTreeMap::new(),
+            shard_map: BTreeMap::new(),
+            escalate: BTreeSet::new(),
+            lost: BTreeSet::new(),
+            servers: None,
+            delegate_servers: BTreeMap::new(),
+            sync_home: BTreeMap::new(),
+            sync_sites: BTreeMap::new(),
             next_token: 1,
             pending_unmaps: BTreeMap::new(),
             phase: ExitPhase::Running,
@@ -108,9 +141,67 @@ impl GroupHome {
         self.group
     }
 
-    /// The kernel this board was created on (pre-failover home).
+    /// The kernel serving this board (the adopting successor once the
+    /// original home crashed).
     pub fn home(&self) -> KernelId {
         self.home
+    }
+
+    /// Moves the board to `successor` (crash adoption of a dead home).
+    pub(crate) fn rehome(&mut self, successor: KernelId) {
+        self.home = successor;
+    }
+
+    /// The kernel serving `page`'s directory entry: its delegate, or the
+    /// home for a root-served page.
+    pub(crate) fn page_home(&self, page: PageNo) -> KernelId {
+        self.shard_map.get(&page).copied().unwrap_or(self.home)
+    }
+
+    /// The directory holding `page`'s entry: its delegate's shard, or the
+    /// root directory.
+    pub(crate) fn page_dir(&mut self, page: PageNo) -> &mut Directory {
+        match self.shard_map.get(&page).copied() {
+            Some(d) => self.shard_dir(d),
+            None => &mut self.dir,
+        }
+    }
+
+    /// Forgets every page in `[start, start + len)` (VMA unmap): its
+    /// entries in the root directory and every shard, its delegation and
+    /// its escalation mark.
+    pub(crate) fn forget_range(&mut self, start: PageNo, len: u64) {
+        let gone = start.0..start.0 + len;
+        self.shard_map.retain(|p, _| !gone.contains(&p.0));
+        self.escalate.retain(|p| !gone.contains(&p.0));
+        self.dir.drop_pages(gone.clone().map(PageNo));
+        for dir in self.shard_dirs.values_mut() {
+            dir.drop_pages(gone.clone().map(PageNo));
+        }
+    }
+
+    /// Records that `page`'s only copy died with a crashed kernel: it is
+    /// no longer delegated, and faults on it fail from now on.
+    pub(crate) fn mark_lost(&mut self, page: PageNo) {
+        self.shard_map.remove(&page);
+        self.escalate.remove(&page);
+        self.lost.insert(page);
+    }
+
+    /// The group's protocol service points, created on first use.
+    pub(crate) fn servers(&mut self) -> &mut KernelServers {
+        self.servers.get_or_insert_with(KernelServers::default)
+    }
+
+    /// Folds the group's page service points — the home's and every
+    /// delegate's — into the run-wide occupancy aggregate.
+    pub(crate) fn fold_servers(&self, agg: &mut HomeServiceAgg) {
+        if let Some(s) = &self.servers {
+            s.page.fold_into(agg);
+        }
+        for s in self.delegate_servers.values() {
+            s.fold_into(agg);
+        }
     }
 
     /// The directory shard served by `delegate`, created on first use.
@@ -129,10 +220,16 @@ impl GroupHome {
         self.shard_dirs.keys().copied().collect()
     }
 
-    /// Drops `delegate`'s shard wholesale (crash recovery: the shard died
-    /// with the kernel), returning it for survivor-driven salvage.
-    pub fn remove_shard(&mut self, delegate: KernelId) -> Option<Directory> {
-        self.shard_dirs.remove(&delegate)
+    /// Drops `delegate`'s shard wholesale and un-delegates its pages
+    /// (crash recovery: the shard died with the kernel), returning those
+    /// pages for survivor-driven salvage.
+    pub fn remove_shard(&mut self, delegate: KernelId) -> Option<Vec<PageNo>> {
+        let pages = self.shard_dirs.remove(&delegate)?.pages();
+        for p in &pages {
+            self.shard_map.remove(p);
+            self.escalate.remove(p);
+        }
+        Some(pages)
     }
 
     /// Current exit phase.
@@ -160,9 +257,7 @@ impl GroupHome {
         self.replicas_except(self.home)
     }
 
-    /// Replica kernels other than `kernel`. Crash recovery re-homes a
-    /// group away from its origin kernel, so the serving kernel passes its
-    /// own id instead of assuming `group.home()`.
+    /// Replica kernels other than `kernel`.
     pub fn replicas_except(&self, kernel: KernelId) -> Vec<KernelId> {
         self.replicas
             .iter()

@@ -22,12 +22,13 @@
 //!    on, every holder's shadow entry matches the directory's version for
 //!    every page both still track (lossless, crash-free runs), and no
 //!    holder is a crashed kernel.
-//! 7. **Shard map and delegates agree** — with home sharding off, no
-//!    shard state exists at all (map, escalation marks, shard
-//!    directories, delegate servers — the inertness guarantee); with it
-//!    on, every mapped page is tracked by exactly the named delegate's
-//!    shard and by no other directory, every escalation mark names a
-//!    mapped page, and no live delegation points at a dead kernel.
+//! 7. **Shard map and delegates agree**, group by group — with home
+//!    sharding off, no group holds shard state at all (map, escalation
+//!    marks, shard directories, delegate servers — the inertness
+//!    guarantee); with it on, every page in a group's shard map is
+//!    tracked by exactly the named delegate's shard and by no other
+//!    directory, every escalation mark names a mapped page, and no live
+//!    delegation points at a dead kernel.
 //!
 //! Checks 2's kernel-liveness clause, 3's dead-kernel clauses and 4 only
 //! apply when crash recovery actually engaged; 5 only when the
@@ -164,48 +165,27 @@ pub fn check(m: &PopcornMachine, now: SimTime) -> Result<(), Vec<String>> {
                 }
             }
         }
-    }
 
-    // 7. Shard map and delegates agree (mirrors check 6's discipline for
-    // the page-table shadows).
-    let sharding = m.sharding();
-    if !m.params().home_sharding {
-        // Inertness: with sharding off no shard state may exist anywhere.
-        if !sharding.map.is_empty() {
-            bad.push(format!(
-                "home sharding is off but the shard map holds {} entr(ies)",
-                sharding.map.len()
-            ));
-        }
-        if !sharding.escalate.is_empty() {
-            bad.push(format!(
-                "home sharding is off but {} escalation mark(s) exist",
-                sharding.escalate.len()
-            ));
-        }
-        for (&group, h) in m.groups() {
-            let ds = h.shard_delegates();
-            if !ds.is_empty() {
-                bad.push(format!(
-                    "home sharding is off but {group:?} holds {} shard director(ies)",
-                    ds.len()
-                ));
+        // 7. Shard map and delegates agree (mirrors check 6's discipline
+        // for the page-table shadows).
+        if !m.params().home_sharding {
+            // Inertness: with sharding off no shard state may exist.
+            let state = [
+                (h.shard_map.len(), "shard-map entr(ies)"),
+                (h.escalate.len(), "escalation mark(s)"),
+                (h.shard_delegates().len(), "shard director(ies)"),
+                (h.delegate_servers.len(), "delegate server(s)"),
+            ];
+            for (n, what) in state {
+                if n != 0 {
+                    bad.push(format!(
+                        "home sharding is off but {group:?} holds {n} {what}"
+                    ));
+                }
             }
+            continue;
         }
-        if !m.delegate_servers().is_empty() {
-            bad.push(format!(
-                "home sharding is off but {} delegate server(s) exist",
-                m.delegate_servers().len()
-            ));
-        }
-    } else {
-        for (&(group, page), &d) in &sharding.map {
-            let Some(h) = m.groups().get(&group) else {
-                bad.push(format!(
-                    "shard map names reaped group {group:?} (page {page})"
-                ));
-                continue;
-            };
+        for (&page, &d) in &h.shard_map {
             if crashed(d) {
                 bad.push(format!("{group:?} {page} delegated to dead kernel {d:?}"));
             }
@@ -232,24 +212,22 @@ pub fn check(m: &PopcornMachine, now: SimTime) -> Result<(), Vec<String>> {
                 }
             }
         }
-        for &(group, page) in &sharding.escalate {
-            if !sharding.map.contains_key(&(group, page)) {
+        for page in &h.escalate {
+            if !h.shard_map.contains_key(page) {
                 bad.push(format!(
                     "{group:?} {page} marked for escalation without a shard-map entry"
                 ));
             }
         }
-        for (&group, h) in m.groups() {
-            for d in h.shard_delegates() {
-                let Some(dir) = h.shard_dir_ref(d) else {
-                    continue;
-                };
-                for page in dir.pages() {
-                    if sharding.map.get(&(group, page)) != Some(&d) {
-                        bad.push(format!(
-                            "{group:?} {page} tracked by shard {d:?} without a matching map entry"
-                        ));
-                    }
+        for d in h.shard_delegates() {
+            let Some(dir) = h.shard_dir_ref(d) else {
+                continue;
+            };
+            for page in dir.pages() {
+                if h.shard_map.get(&page) != Some(&d) {
+                    bad.push(format!(
+                        "{group:?} {page} tracked by shard {d:?} without a matching map entry"
+                    ));
                 }
             }
         }

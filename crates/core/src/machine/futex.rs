@@ -49,7 +49,29 @@ impl KernelCtx<'_, '_> {
         if !self.params.sync_first_touch_homing {
             return self.home_of(group);
         }
-        *self.sync_home.entry((group, addr.0)).or_insert(requester)
+        match self.groups.get_mut(&group) {
+            Some(h) => *h.sync_home.entry(addr.0).or_insert(requester),
+            None => requester,
+        }
+    }
+
+    /// Acquires sync word `addr`'s contention site from `loc`, creating the
+    /// site on first use; returns when the word is released.
+    fn acquire_sync_site(
+        &mut self,
+        group: GroupId,
+        addr: VAddr,
+        loc: CoreId,
+        at: SimTime,
+    ) -> SimTime {
+        let machine = self.machine;
+        let new_site = || LockSite::new("syncword", machine.params());
+        let site = match self.groups.get_mut(&group) {
+            Some(h) => h.sync_sites.entry(addr.0).or_insert_with(new_site),
+            None => &mut new_site(),
+        };
+        site.acquire(at, loc, SimTime::ZERO, machine.interconnect())
+            .released_at
     }
 
     /// Serializes a request behind the group's futex server, recording the
@@ -60,11 +82,7 @@ impl KernelCtx<'_, '_> {
             .of(Protocol::Futex)
             .service
             .record_time(cost);
-        self.servers
-            .entry(group)
-            .or_default()
-            .futex
-            .serialize(now, cost)
+        self.serve(group, now, cost, |h| &mut h.servers().futex)
     }
 
     /// Serves a futex operation at the word's serving kernel `serve_ki`
@@ -233,15 +251,10 @@ impl KernelCtx<'_, '_> {
         let home = self.sync_word_home(group, addr, me);
         if me == home && self.params.futex_local_fastpath {
             self.stats.rmw_local.incr();
-            let machine = self.machine;
-            let site = self
-                .sync_sites
-                .entry((group, addr.0))
-                .or_insert_with(|| LockSite::new("syncword", machine.params()));
-            let acq = site.acquire(at, core, SimTime::ZERO, machine.interconnect());
+            let released = self.acquire_sync_site(group, addr, core, at);
             let old = self.futex.rmw(group, addr, op);
-            self.kernels[ki].finish_sync_op(tid, old, acq.released_at);
-            self.kick(ki, core, acq.released_at);
+            self.kernels[ki].finish_sync_op(tid, old, released);
+            self.kick(ki, core, released);
         } else if me == home {
             // Ablation: fast path disabled — even home-local ops pay the
             // RPC-shaped service cost, serialized at the futex server.
@@ -390,21 +403,11 @@ impl KernelCtx<'_, '_> {
         op: RmwOp,
         now: SimTime,
     ) {
-        let machine = self.machine;
         let loc = self.net.fabric().location(to);
-        let site = self
-            .sync_sites
-            .entry((group, addr.0))
-            .or_insert_with(|| LockSite::new("syncword", machine.params()));
-        let acq = site.acquire(now, loc, SimTime::ZERO, machine.interconnect());
+        let released = self.acquire_sync_site(group, addr, loc, now);
         let extra = SimTime::from_nanos(self.params.futex_remote_service_ns);
         let old = self.futex.rmw(group, addr, op);
-        self.send(
-            acq.released_at + extra,
-            ki,
-            origin,
-            ProtoMsg::RmwResp { rpc, old },
-        );
+        self.send(released + extra, ki, origin, ProtoMsg::RmwResp { rpc, old });
     }
 
     /// `RmwResp` at the caller: resume with the old value.

@@ -160,37 +160,20 @@ impl KernelCtx<'_, '_> {
     /// Tears the group down everywhere (run at the group's effective home
     /// kernel).
     pub(super) fn reap_group(&mut self, group: GroupId, at: SimTime) {
-        let home = self.home_of(group);
         let Some(mut h) = self.groups.remove(&group) else {
             return;
         };
         h.mark_reaped();
-        let home_ki = self.ki(home);
-        for r in h.replicas_except(home) {
+        let home_ki = self.ki(h.home());
+        for r in h.remote_replicas() {
             self.send(at, home_ki, r, ProtoMsg::GroupReap { group });
-        }
-        if self.recovery.scheduled {
-            self.recovery.home_override.remove(&group);
-            self.recovery.lost_pages.retain(|&(g, _)| g != group);
         }
         self.kernels[home_ki].reap_group(group);
         self.kernels[home_ki].drop_mm(group);
         self.futex.drop_group(group);
-        self.sync_sites.retain(|&(g, _), _| g != group);
-        self.sync_home.retain(|&(g, _), _| g != group);
         // Retire the group's page service points into the run-wide
-        // occupancy aggregate before dropping them.
-        if let Some(s) = self.servers.get(&group) {
-            s.page.fold_into(&mut self.stats.home_service);
-        }
-        for (&(g, _), s) in self.delegate_servers.iter() {
-            if g == group {
-                s.fold_into(&mut self.stats.home_service);
-            }
-        }
-        self.servers.remove(&group);
-        self.delegate_servers.retain(|&(g, _), _| g != group);
-        self.sharding.forget_group(group);
+        // occupancy aggregate; the rest of the board drops with it.
+        h.fold_servers(&mut self.stats.home_service);
     }
 
     /// Kills every local member of a group; returns the killed tids.

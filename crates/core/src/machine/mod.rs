@@ -233,24 +233,14 @@ pub struct PopcornMachine {
     params: PopcornParams,
     groups: BTreeMap<GroupId, GroupHome>,
     futex: FutexTable,
-    sync_sites: BTreeMap<(GroupId, u64), LockSite>,
     rpcs: Vec<RpcTable<Pending>>,
     inflight: Vec<BTreeMap<(GroupId, PageNo), page::InFlight>>,
-    /// Per-group protocol service points (the per-mm protocol lock at the
-    /// group's home, plus the replica-side update path).
-    servers: BTreeMap<GroupId, KernelServers>,
-    /// Delegate-side page service points under hierarchical home sharding,
-    /// keyed by (group, delegate kernel). Empty whenever sharding is off.
-    delegate_servers: BTreeMap<(GroupId, KernelId), Server>,
-    /// Hierarchical home-sharding control: socket layout, the root-owned
-    /// shard map, and pending escalations (see [`sharding`]).
+    /// Hierarchical home-sharding control: the gate and the socket layout
+    /// (see [`sharding`]).
     sharding: sharding::ShardCtl,
     /// Per-kernel page-allocator locks (the partitioned counterpart of
     /// SMP's global zone lock).
     zone_locks: Vec<LockSite>,
-    /// First-touch homes of synchronization words (extension; only
-    /// populated when `sync_first_touch_homing` is on).
-    sync_home: BTreeMap<(GroupId, u64), KernelId>,
     /// Rotating tie-breaker for Auto placement across kernels.
     auto_cursor: usize,
     /// The migration policy (built from [`PopcornParams::policy`]). The
@@ -299,14 +289,10 @@ impl PopcornMachine {
             params,
             groups: BTreeMap::new(),
             futex: FutexTable::new(),
-            sync_sites: BTreeMap::new(),
             rpcs: (0..n).map(|_| RpcTable::new()).collect(),
             inflight: (0..n).map(|_| BTreeMap::new()).collect(),
-            servers: BTreeMap::new(),
-            delegate_servers: BTreeMap::new(),
             sharding,
             zone_locks,
-            sync_home: BTreeMap::new(),
             auto_cursor: 0,
             policy,
             telemetry,
@@ -371,14 +357,10 @@ impl PopcornMachine {
             params: &self.params,
             groups: &mut self.groups,
             futex: &mut self.futex,
-            sync_sites: &mut self.sync_sites,
             rpcs: &mut self.rpcs,
             inflight: &mut self.inflight,
-            servers: &mut self.servers,
-            delegate_servers: &mut self.delegate_servers,
             sharding: &mut self.sharding,
             zone_locks: &mut self.zone_locks,
-            sync_home: &mut self.sync_home,
             auto_cursor: &mut self.auto_cursor,
             policy: &mut self.policy,
             telemetry: &mut self.telemetry,
@@ -410,21 +392,6 @@ impl PopcornMachine {
         &self.recovery
     }
 
-    /// The home-sharding state (read access for the invariant checker).
-    pub fn sharding(&self) -> &sharding::ShardCtl {
-        &self.sharding
-    }
-
-    /// The per-group home service points (read access for reports).
-    pub fn servers(&self) -> &BTreeMap<GroupId, KernelServers> {
-        &self.servers
-    }
-
-    /// The delegate-side page service points (read access for reports).
-    pub fn delegate_servers(&self) -> &BTreeMap<(GroupId, KernelId), Server> {
-        &self.delegate_servers
-    }
-
     /// The protocol parameters (read access for reports and checks).
     pub fn params(&self) -> &PopcornParams {
         &self.params
@@ -448,26 +415,19 @@ pub struct KernelCtx<'m, 'e> {
     pub machine: &'m Machine,
     /// Protocol cost constants and ablation toggles.
     pub params: &'m PopcornParams,
-    /// Per-group home state (membership, directory, exit barrier).
+    /// Per-group home state (membership, directory and shards, service
+    /// points, sync-word homes, exit barrier).
     pub groups: &'m mut BTreeMap<GroupId, GroupHome>,
     /// The futex wait queues and sync words (all groups).
     pub futex: &'m mut FutexTable,
-    /// Contention sites of sync words served on the local fast path.
-    pub sync_sites: &'m mut BTreeMap<(GroupId, u64), LockSite>,
     /// Per-kernel RPC tables (request/response correlation).
     pub rpcs: &'m mut Vec<RpcTable<Pending>>,
     /// Per-kernel in-flight page requests (fault coalescing).
     pub inflight: &'m mut Vec<BTreeMap<(GroupId, PageNo), page::InFlight>>,
-    /// Per-group protocol service points.
-    pub servers: &'m mut BTreeMap<GroupId, KernelServers>,
-    /// Delegate-side page service points (home sharding only).
-    pub delegate_servers: &'m mut BTreeMap<(GroupId, KernelId), Server>,
     /// Hierarchical home-sharding control (see [`sharding`]).
     pub sharding: &'m mut sharding::ShardCtl,
     /// Per-kernel page-allocator locks.
     pub zone_locks: &'m mut Vec<LockSite>,
-    /// First-touch homes of synchronization words.
-    pub sync_home: &'m mut BTreeMap<(GroupId, u64), KernelId>,
     /// Rotating tie-breaker for Auto placement.
     pub auto_cursor: &'m mut usize,
     /// The migration policy.
@@ -506,6 +466,22 @@ impl KernelCtx<'_, '_> {
             .task(tid)
             .unwrap_or_else(|| panic!("{tid} unknown on kernel {ki}"))
             .group
+    }
+
+    /// Serializes a request of length `cost` behind one of `group`'s
+    /// service points, picked from its board. A reaped group has nothing
+    /// left to queue behind: the request completes after `cost`.
+    pub(super) fn serve(
+        &mut self,
+        group: GroupId,
+        now: SimTime,
+        cost: SimTime,
+        pick: impl FnOnce(&mut GroupHome) -> &mut Server,
+    ) -> SimTime {
+        match self.groups.get_mut(&group) {
+            Some(h) => pick(h).serialize(now, cost),
+            None => now + cost,
+        }
     }
 
     pub(super) fn task_alive(&self, ki: usize, tid: Tid) -> bool {

@@ -61,17 +61,24 @@ impl KernelCtx<'_, '_> {
             .of(Protocol::Page)
             .service
             .record_time(cost);
-        if self.sharding.enabled && serving != self.home_of(group) {
-            self.delegate_servers
-                .entry((group, serving))
-                .or_default()
-                .serialize(now, cost)
-        } else {
-            self.servers
-                .entry(group)
-                .or_default()
-                .page
-                .serialize(now, cost)
+        let delegate = self.sharding.enabled && serving != self.home_of(group);
+        self.serve(group, now, cost, |h| {
+            if delegate {
+                h.delegate_servers.entry(serving).or_default()
+            } else {
+                &mut h.servers().page
+            }
+        })
+    }
+
+    /// Drops kernel `ki`'s in-flight entry for `page` if it still belongs
+    /// to `rpc` (a newer request may have replaced it).
+    pub(super) fn clear_inflight(&mut self, ki: usize, group: GroupId, page: PageNo, rpc: RpcId) {
+        if self.inflight[ki]
+            .get(&(group, page))
+            .is_some_and(|inf| inf.rpc == rpc)
+        {
+            self.inflight[ki].remove(&(group, page));
         }
     }
 
@@ -272,11 +279,7 @@ impl KernelCtx<'_, '_> {
                 ..
             })) = self.complete_rpc(ki, rpc)
             {
-                if let Some(inf) = self.inflight[ki].get(&(group, page)) {
-                    if inf.rpc == rpc {
-                        self.inflight[ki].remove(&(group, page));
-                    }
-                }
+                self.clear_inflight(ki, group, page, rpc);
                 let lat = done.saturating_sub(started);
                 if write {
                     self.stats.faults_remote_write.incr();
@@ -356,7 +359,7 @@ impl KernelCtx<'_, '_> {
         // A page whose only copy died with a crashed kernel: explicit
         // negative reply, never a silent zero-fill resurrection. (Lost
         // pages are always root-served: recovery un-delegates them.)
-        if self.recovery.scheduled && self.recovery.lost_pages.contains(&(group, page)) {
+        if self.recovery.scheduled && self.groups[&group].lost.contains(&page) {
             self.nack_page(group, page, req, at);
             return;
         }
@@ -383,18 +386,20 @@ impl KernelCtx<'_, '_> {
             return;
         }
         let root = self.home_of(group);
-        if self.sharding.enabled && to == root && !self.sharding.map.contains_key(&(group, page)) {
+        let delegated = self.sharding.enabled && self.groups[&group].shard_map.contains_key(&page);
+        if self.sharding.enabled && to == root && !delegated {
             // Root-side first touch: an untracked page faulted from
             // another socket is delegated to that socket's lead, which
             // owns its directory entry from here on. The routing decision
             // itself is served behind the root's directory server.
-            let untracked = self
-                .groups
-                .get(&group)
-                .is_some_and(|h| h.dir.view(page).is_none());
+            let untracked = self.groups[&group].dir.view(page).is_none();
             let d = self.delegate_for(group, req.origin);
             if untracked && d != root {
-                self.sharding.map.insert((group, page), d);
+                self.groups
+                    .get_mut(&group)
+                    .expect("present above")
+                    .shard_map
+                    .insert(page, d);
                 self.stats.shard_delegated_pages.incr();
                 self.stats.shard_forwards.incr();
                 let cost = SimTime::from_nanos(self.params.page_dir_service_ns);
@@ -415,23 +420,17 @@ impl KernelCtx<'_, '_> {
                 return;
             }
         }
-        if self.sharding.enabled && self.sharding.map.contains_key(&(group, page)) {
-            if to != root && self.sharding.socket_of(req.origin) != self.sharding.socket_of(to) {
-                // Cross-socket traffic on a delegated page: serve this
-                // request here, but escalate the entry to the root once it
-                // quiesces so delegates only arbitrate socket-local pages.
-                self.sharding.escalate.insert((group, page));
-            } else if to == root {
-                // The root inherited this delegation by adopting a crashed
-                // home: fold the page back into the root directory once it
-                // quiesces.
-                self.sharding.escalate.insert((group, page));
-            }
+        let h = self.groups.get_mut(&group).expect("present above");
+        // A delegated page escalates to the root once it quiesces when
+        // this request crossed sockets (delegates only arbitrate
+        // socket-local pages), or when the root itself serves it (it
+        // inherited the delegation by adopting a crashed home).
+        if delegated
+            && (to == root || self.sharding.socket_of(req.origin) != self.sharding.socket_of(to))
+        {
+            h.escalate.insert(page);
         }
-        self.groups
-            .get_mut(&group)
-            .expect("present above")
-            .add_replica(req.origin);
+        h.add_replica(req.origin);
         // Mitosis-style eager acquisition: a kernel's first fault into the
         // group also installs a page-table replica there (a no-op once it
         // holds one).
@@ -480,7 +479,12 @@ impl KernelCtx<'_, '_> {
         if me == serving {
             // A locally faulted page whose only copy died with a crashed
             // kernel fails like any other unrecoverable memory error.
-            if self.recovery.scheduled && self.recovery.lost_pages.contains(&(group, page)) {
+            if self.recovery.scheduled
+                && self
+                    .groups
+                    .get(&group)
+                    .is_some_and(|h| h.lost.contains(&page))
+            {
                 self.fail_task(ki, tid, at);
                 return;
             }

@@ -12,7 +12,8 @@
 //! 1. declares the victim dead, advancing its membership **epoch** —
 //!    traffic from a declared-dead kernel is fenced at receive;
 //! 2. if it is the **successor** (lowest surviving kernel id), adopts the
-//!    groups homed at the victim (`home_override`) and rebuilds their page
+//!    groups homed at the victim by rewriting the home on each group's
+//!    board (`GroupHome::rehome`) and rebuilds their page
 //!    directories from the survivors' page tables;
 //! 3. runs per-group recovery for every group it now homes: orphaned
 //!    members die with `137` (128+SIGKILL), the exit/unmap barriers stop
@@ -48,7 +49,7 @@ use popcorn_kernel::types::{Errno, GroupId, PageNo};
 use popcorn_msg::{Delivery, KernelId, RpcId};
 use popcorn_sim::{Scheduler, SimTime};
 
-use crate::directory::{Directory, PageRequest};
+use crate::directory::{DirReclaim, Directory, PageRequest};
 use crate::group::ExitPhase;
 use crate::proto::ProtoMsg;
 
@@ -69,12 +70,6 @@ pub struct RecoveryCtl {
     /// messages from a declared-dead kernel belong to a previous epoch and
     /// are fenced at receive.
     pub epochs: Vec<u64>,
-    /// Groups re-homed away from their (dead) origin kernel, and the
-    /// successor now serving them.
-    pub home_override: BTreeMap<GroupId, KernelId>,
-    /// Pages whose only copy died with a crashed kernel: faults on these
-    /// fail with an explicit error instead of resurrecting a zero page.
-    pub lost_pages: BTreeSet<(GroupId, PageNo)>,
     /// Per-kernel destination of each outstanding RPC, so detection can
     /// fail over exactly the conversations aimed at the victim.
     pub rpc_dest: Vec<BTreeMap<RpcId, KernelId>>,
@@ -107,8 +102,6 @@ impl RecoveryCtl {
             scheduled: false,
             declared: vec![BTreeSet::new(); n],
             epochs: vec![0; n],
-            home_override: BTreeMap::new(),
-            lost_pages: BTreeSet::new(),
             rpc_dest: vec![BTreeMap::new(); n],
         }
     }
@@ -291,8 +284,8 @@ impl KernelCtx<'_, '_> {
             None
         };
         let work_before = crash_at.map(|_| self.recovery_work_snapshot());
-        for &g in &adopted {
-            self.recovery.home_override.insert(g, me);
+        for g in &adopted {
+            self.groups.get_mut(g).expect("listed above").rehome(me);
         }
         // A dead socket lead stops receiving delegations machine-wide:
         // first touches from its socket fall back to the root home.
@@ -447,33 +440,15 @@ impl KernelCtx<'_, '_> {
             // no survivor are lost. Pages delegated to a surviving shard
             // are that shard's to serve — they are excluded from the
             // rebuild so the root never double-tracks them.
-            let old_pages = self
+            let (old_pages, delegated) = self
                 .groups
                 .get(&group)
-                .map(|h| h.dir.pages())
+                .map(|h| (h.dir.pages(), h.shard_map.clone()))
                 .unwrap_or_default();
-            let mut scans = Vec::new();
-            for (i, k) in self.kernels.iter().enumerate() {
-                let kid = KernelId(i as u16);
-                if self.net.fabric().is_crashed(kid, now) || !k.has_mm(group) {
-                    continue;
-                }
-                let scan: Vec<_> = k
-                    .mm(group)
-                    .pages_sorted()
-                    .into_iter()
-                    .filter(|&(p, _)| !self.sharding.map.contains_key(&(group, p)))
-                    .collect();
-                scans.push((kid, scan));
-            }
-            for (_, scan) in &scans {
-                self.stats.recovery_pages_scanned.add(scan.len() as u64);
-            }
-            let dir = Directory::rebuild(&scans);
+            let dir = self.rebuild_from_survivors(group, now, |p| !delegated.contains_key(&p));
             for p in old_pages {
                 if dir.view(p).is_none() {
-                    self.recovery.lost_pages.insert((group, p));
-                    self.stats.pages_lost.incr();
+                    self.lose_page(group, p);
                 }
             }
             if let Some(h) = self.groups.get_mut(&group) {
@@ -517,20 +492,7 @@ impl KernelCtx<'_, '_> {
                 .get_mut(&group)
                 .map(|h| h.dir.reclaim_dead(victim))
                 .unwrap_or_default();
-            self.stats.pages_promoted.add(reclaim.promoted);
-            for &p in &reclaim.lost {
-                self.recovery.lost_pages.insert((group, p));
-                self.stats.pages_lost.incr();
-            }
-            for g in reclaim.grants {
-                self.deliver_grant(group, me, g, now);
-            }
-            for (page, req) in reclaim.redo {
-                self.home_page_request(me, group, page, req, now);
-            }
-            for (page, req) in reclaim.nacks {
-                self.nack_page(group, page, req, now);
-            }
+            self.apply_reclaim(group, me, reclaim, now);
         }
         // Futex sweep: waiters that died with the victim are already
         // counted as orphans; survivors wake with EOWNERDEAD and revalidate
@@ -552,14 +514,10 @@ impl KernelCtx<'_, '_> {
             }
         }
         // Sync words first-touch-homed at the victim move to this kernel.
-        let moved: Vec<(GroupId, u64)> = self
-            .sync_home
-            .iter()
-            .filter(|&(&(g, _), &k)| g == group && k == victim)
-            .map(|(&key, _)| key)
-            .collect();
-        for key in moved {
-            self.sync_home.insert(key, me);
+        if let Some(h) = self.groups.get_mut(&group) {
+            for k in h.sync_home.values_mut().filter(|k| **k == victim) {
+                *k = me;
+            }
         }
         // The crash may have taken the group's last member with it.
         let finished = self
@@ -581,41 +539,21 @@ impl KernelCtx<'_, '_> {
     fn recover_shards(&mut self, ki: usize, group: GroupId, victim: KernelId, now: SimTime) {
         let me = self.kid(ki);
         // (a) The dead delegate's shard: un-delegate and reconstruct.
-        let dead_shard = self
+        let dead_pages = self
             .groups
             .get_mut(&group)
             .and_then(|h| h.remove_shard(victim));
-        if let Some(shard) = dead_shard {
-            let pages = shard.pages();
-            for &p in &pages {
-                self.sharding.map.remove(&(group, p));
-                self.sharding.escalate.remove(&(group, p));
-            }
-            let mut scans = Vec::new();
-            for (i, k) in self.kernels.iter().enumerate() {
-                let kid = KernelId(i as u16);
-                if self.net.fabric().is_crashed(kid, now) || !k.has_mm(group) {
-                    continue;
-                }
-                let scan: Vec<_> = k
-                    .mm(group)
-                    .pages_sorted()
-                    .into_iter()
-                    .filter(|(p, _)| pages.contains(p))
-                    .collect();
-                self.stats.recovery_pages_scanned.add(scan.len() as u64);
-                scans.push((kid, scan));
-            }
-            let mut rebuilt = Directory::rebuild(&scans);
-            if let Some(h) = self.groups.get_mut(&group) {
-                for p in pages {
-                    match rebuilt.extract(p) {
-                        Some(e) => h.dir.adopt(p, e),
-                        None => {
-                            self.recovery.lost_pages.insert((group, p));
-                            self.stats.pages_lost.incr();
-                        }
-                    }
+        if let Some(pages) = dead_pages {
+            let mut rebuilt = self.rebuild_from_survivors(group, now, |p| pages.contains(&p));
+            for p in pages {
+                match rebuilt.extract(p) {
+                    Some(e) => self
+                        .groups
+                        .get_mut(&group)
+                        .expect("present")
+                        .dir
+                        .adopt(p, e),
+                    None => self.lose_page(group, p),
                 }
             }
         }
@@ -632,36 +570,84 @@ impl KernelCtx<'_, '_> {
                 .get_mut(&group)
                 .map(|h| h.shard_dir(d).reclaim_dead(victim))
                 .unwrap_or_default();
-            self.stats.pages_promoted.add(reclaim.promoted);
-            for &p in &reclaim.lost {
-                self.sharding.map.remove(&(group, p));
-                self.sharding.escalate.remove(&(group, p));
-                self.recovery.lost_pages.insert((group, p));
-                self.stats.pages_lost.incr();
-            }
-            for g in reclaim.grants {
-                self.deliver_grant(group, d, g, now);
-            }
-            for (page, req) in reclaim.redo {
-                self.home_page_request(d, group, page, req, now);
-            }
-            for (page, req) in reclaim.nacks {
-                self.nack_page(group, page, req, now);
-            }
+            self.apply_reclaim(group, d, reclaim, now);
         }
         // (c) Delegations now pointing at the root itself (inherited with
         // the victim's home role): fold back as their entries quiesce.
-        let inherited: Vec<PageNo> = self
-            .sharding
-            .map
-            .iter()
-            .filter(|&(&(g, _), &d)| g == group && d == me)
-            .map(|(&(_, p), _)| p)
-            .collect();
+        let inherited = self.groups.get_mut(&group).map_or_else(Vec::new, |h| {
+            let pages: Vec<PageNo> = h
+                .shard_map
+                .iter()
+                .filter(|&(_, &d)| d == me)
+                .map(|(&p, _)| p)
+                .collect();
+            h.escalate.extend(&pages);
+            pages
+        });
         for p in inherited {
-            self.sharding.escalate.insert((group, p));
             self.try_escalate(group, p);
         }
+    }
+
+    /// Reconstructs a directory for `group`'s pages that satisfy `keep`
+    /// from the surviving kernels' page tables, counting every page
+    /// scanned.
+    fn rebuild_from_survivors(
+        &mut self,
+        group: GroupId,
+        now: SimTime,
+        keep: impl Fn(PageNo) -> bool,
+    ) -> Directory {
+        let mut scans = Vec::new();
+        for (i, k) in self.kernels.iter().enumerate() {
+            let kid = KernelId(i as u16);
+            if self.net.fabric().is_crashed(kid, now) || !k.has_mm(group) {
+                continue;
+            }
+            let scan: Vec<_> = k
+                .mm(group)
+                .pages_sorted()
+                .into_iter()
+                .filter(|&(p, _)| keep(p))
+                .collect();
+            self.stats.recovery_pages_scanned.add(scan.len() as u64);
+            scans.push((kid, scan));
+        }
+        Directory::rebuild(&scans)
+    }
+
+    /// Acts on a dead kernel's reclaim from the directory served at
+    /// `serving` (the home's root directory, or a delegate's shard):
+    /// counts the promotions, marks the lost pages, and delivers the
+    /// grants, redone requests and nacks it produced.
+    fn apply_reclaim(
+        &mut self,
+        group: GroupId,
+        serving: KernelId,
+        reclaim: DirReclaim,
+        now: SimTime,
+    ) {
+        self.stats.pages_promoted.add(reclaim.promoted);
+        for p in reclaim.lost {
+            self.lose_page(group, p);
+        }
+        for g in reclaim.grants {
+            self.deliver_grant(group, serving, g, now);
+        }
+        for (page, req) in reclaim.redo {
+            self.home_page_request(serving, group, page, req, now);
+        }
+        for (page, req) in reclaim.nacks {
+            self.nack_page(group, page, req, now);
+        }
+    }
+
+    /// Records that `page`'s only copy died with a crashed kernel.
+    fn lose_page(&mut self, group: GroupId, page: PageNo) {
+        if let Some(h) = self.groups.get_mut(&group) {
+            h.mark_lost(page);
+        }
+        self.stats.pages_lost.incr();
     }
 
     /// Fails over kernel `ki`'s outstanding RPCs whose destination was the
@@ -684,11 +670,7 @@ impl KernelCtx<'_, '_> {
             self.stats.rpcs_failed_over.incr();
             match pending {
                 Pending::Page(w) => {
-                    if let Some(inf) = self.inflight[ki].get(&(w.group, w.page)) {
-                        if inf.rpc == rpc {
-                            self.inflight[ki].remove(&(w.group, w.page));
-                        }
-                    }
+                    self.clear_inflight(ki, w.group, w.page, rpc);
                     let (group, page, write) = (w.group, w.page, w.write);
                     let home = self.page_home(group, page);
                     let new_rpc = self.register_rpc(ki, Pending::Page(w), now, home);
@@ -776,11 +758,7 @@ impl KernelCtx<'_, '_> {
         now: SimTime,
     ) {
         if let Some(Pending::Page(w)) = self.complete_rpc(ki, rpc) {
-            if let Some(inf) = self.inflight[ki].get(&(group, page)) {
-                if inf.rpc == rpc {
-                    self.inflight[ki].remove(&(group, page));
-                }
-            }
+            self.clear_inflight(ki, group, page, rpc);
             for (tid, _) in w.waiters {
                 self.fail_task(ki, tid, now);
             }

@@ -4,30 +4,30 @@
 //! With `home_sharding` on, the flat home layer becomes a two-level
 //! hierarchy. A group's **root home** (the `KernelCtx::home_of` kernel —
 //! still the membership/VMA/futex serialization point and the crash
-//! failover anchor) additionally owns the **shard map** deciding which
-//! kernel serves each page. Every NUMA socket has a **home delegate** (its
-//! lowest-numbered kernel); a page first touched from a non-root socket is
-//! delegated to that socket's delegate, which from then on owns the page's
-//! directory entry in its shard ([`crate::group::GroupHome::shard_dir`])
-//! and serializes its coherence traffic behind its own delegate server.
+//! failover anchor) additionally owns the **shard map**
+//! (`GroupHome::shard_map`) deciding which kernel serves each page. Every
+//! NUMA socket has a **home delegate** (its lowest-numbered kernel); a
+//! page first touched from a non-root socket is delegated to that
+//! socket's delegate, which from then on owns the page's directory entry
+//! in its shard ([`crate::group::GroupHome::shard_dir`]) and serializes
+//! its coherence traffic behind its own delegate server.
 //! Cross-socket traffic on a delegated page marks it for **escalation**:
 //! as soon as the entry quiesces it moves back verbatim into the root
 //! directory (root-owned forever after), so delegates only ever arbitrate
 //! socket-local traffic.
 //!
-//! The shard map is root-owned state that other kernels read directly when
-//! routing a fault — the same omniscient-but-deterministic shortcut the
-//! crash layer's `home_override` relies on. A request that reaches a
-//! kernel no longer serving the page is forwarded as a real fabric message
-//! and counted (`shard_forwards`); entries cannot move while busy, so a
-//! forwarded request finds the page at its destination.
+//! The shard map lives on the group's board next to the shards it routes
+//! to, and other kernels read it directly when routing a fault — the same
+//! deterministic shortcut by which every kernel reads the board's home.
+//! A request that reaches a kernel no longer serving the page is forwarded
+//! as a real fabric message and counted (`shard_forwards`); entries cannot
+//! move while busy, so a forwarded request finds the page at its
+//! destination.
 //!
 //! With sharding off — or with every kernel on one socket — the map stays
 //! empty, every resolver degenerates to `home_of`, and no delegate server
 //! is ever created: the flat home is byte-identical to a build without
 //! this module (the same inertness discipline as `page_table_replication`).
-
-use std::collections::{BTreeMap, BTreeSet};
 
 use popcorn_hw::{Machine, SocketId};
 use popcorn_kernel::kernel::Kernel;
@@ -38,9 +38,10 @@ use crate::directory::Directory;
 
 use super::KernelCtx;
 
-/// Machine-wide sharding state: the socket layout (fixed at construction)
-/// plus the root-owned shard map and escalation marks.
-#[derive(Debug, Default)]
+/// Machine-wide sharding state: the gate and the socket layout (fixed at
+/// construction, apart from crash demotions). Each group's shard map and
+/// escalation marks live on its [`crate::group::GroupHome`].
+#[derive(Debug)]
 pub struct ShardCtl {
     /// Mirror of `PopcornParams::home_sharding`; false keeps every page on
     /// the flat home path.
@@ -49,13 +50,6 @@ pub struct ShardCtl {
     kernel_socket: Vec<SocketId>,
     /// Per-socket home delegate: the lowest kernel anchored on the socket.
     socket_leads: Vec<Option<KernelId>>,
-    /// Pages delegated away from their group's root home, and the delegate
-    /// serving them. An entry exists only while a non-root delegate serves
-    /// the page; root-served pages are never listed.
-    pub map: BTreeMap<(GroupId, PageNo), KernelId>,
-    /// Delegated pages marked for escalation after cross-socket traffic;
-    /// drained (entry moved root-ward) when the page quiesces.
-    pub escalate: BTreeSet<(GroupId, PageNo)>,
 }
 
 impl ShardCtl {
@@ -79,8 +73,6 @@ impl ShardCtl {
             enabled,
             kernel_socket,
             socket_leads,
-            map: BTreeMap::new(),
-            escalate: BTreeSet::new(),
         }
     }
 
@@ -108,34 +100,15 @@ impl ShardCtl {
             }
         }
     }
-
-    /// Drops every map/escalation entry of `group` (group reap).
-    pub fn forget_group(&mut self, group: GroupId) {
-        self.map.retain(|&(g, _), _| g != group);
-        self.escalate.retain(|&(g, _)| g != group);
-    }
-
-    /// Drops map/escalation entries of `group` for pages in
-    /// `[start, start + len)` (VMA unmap).
-    pub fn forget_range(&mut self, group: GroupId, start: PageNo, len: u64) {
-        let gone = |p: PageNo| p.0 >= start.0 && p.0 < start.0 + len;
-        self.map.retain(|&(g, p), _| g != group || !gone(p));
-        self.escalate.retain(|&(g, p)| g != group || !gone(p));
-    }
 }
 
 impl KernelCtx<'_, '_> {
     /// The single authority for "which kernel is `group`'s home": the
-    /// crash layer's re-homing overrides win, then the group's recorded
-    /// home kernel. Every module resolves homes through here — never via
+    /// home recorded on the group's board, which crash adoption rewrites.
+    /// Every module resolves homes through here — never via
     /// `GroupId::home()` directly — so failover re-routing is one code
     /// path, not a convention.
     pub(super) fn home_of(&self, group: GroupId) -> KernelId {
-        if self.recovery.scheduled {
-            if let Some(&k) = self.recovery.home_override.get(&group) {
-                return k;
-            }
-        }
         match self.groups.get(&group) {
             Some(h) => h.home(),
             // Already-reaped groups (late messages) fall back to the
@@ -148,12 +121,9 @@ impl KernelCtx<'_, '_> {
     /// delegate if the root delegated it, otherwise the root home. With
     /// sharding off this is exactly [`Self::home_of`].
     pub(super) fn page_home(&self, group: GroupId, page: PageNo) -> KernelId {
-        if !self.sharding.enabled {
-            return self.home_of(group);
-        }
-        match self.sharding.map.get(&(group, page)) {
-            Some(&d) => d,
-            None => self.home_of(group),
+        match self.groups.get(&group) {
+            Some(h) => h.page_home(page),
+            None => group.home(),
         }
     }
 
@@ -176,16 +146,7 @@ impl KernelCtx<'_, '_> {
     /// its pre-adoption entries in its own shard. `None` if the group is
     /// gone.
     pub(super) fn dir_mut(&mut self, group: GroupId, page: PageNo) -> Option<&mut Directory> {
-        let delegate = if self.sharding.enabled {
-            self.sharding.map.get(&(group, page)).copied()
-        } else {
-            None
-        };
-        let h = self.groups.get_mut(&group)?;
-        Some(match delegate {
-            Some(d) => h.shard_dir(d),
-            None => &mut h.dir,
-        })
+        Some(self.groups.get_mut(&group)?.page_dir(page))
     }
 
     /// Completes a pending escalation: once the delegate's entry for a
@@ -194,22 +155,25 @@ impl KernelCtx<'_, '_> {
     /// after). Called whenever a delegated page may have quiesced; a
     /// still-busy entry stays marked and is retried on its next release.
     pub(super) fn try_escalate(&mut self, group: GroupId, page: PageNo) {
-        if !self.sharding.escalate.contains(&(group, page)) {
-            return;
+        if !self.sharding.enabled {
+            return; // no marks exist: the flat path skips the board lookup
         }
-        let Some(&delegate) = self.sharding.map.get(&(group, page)) else {
-            self.sharding.escalate.remove(&(group, page));
+        let Some(h) = self.groups.get_mut(&group) else {
             return;
         };
-        let Some(h) = self.groups.get_mut(&group) else {
+        if !h.escalate.contains(&page) {
+            return;
+        }
+        let Some(&delegate) = h.shard_map.get(&page) else {
+            h.escalate.remove(&page);
             return;
         };
         let Some(entry) = h.shard_dir(delegate).extract(page) else {
             return; // still busy at the delegate; retried on next release
         };
         h.dir.adopt(page, entry);
-        self.sharding.map.remove(&(group, page));
-        self.sharding.escalate.remove(&(group, page));
+        h.shard_map.remove(&page);
+        h.escalate.remove(&page);
         self.stats.shard_escalations.incr();
     }
 }
@@ -270,14 +234,14 @@ mod tests {
 
     #[test]
     fn forget_range_drops_only_the_unmapped_pages() {
-        let mut ctl = ShardCtl::default();
-        let g = GroupId(popcorn_kernel::types::Tid::new(KernelId(0), 1));
-        ctl.map.insert((g, PageNo(10)), KernelId(1));
-        ctl.map.insert((g, PageNo(20)), KernelId(1));
-        ctl.escalate.insert((g, PageNo(20)));
-        ctl.forget_range(g, PageNo(15), 10);
-        assert!(ctl.map.contains_key(&(g, PageNo(10))));
-        assert!(!ctl.map.contains_key(&(g, PageNo(20))));
-        assert!(ctl.escalate.is_empty());
+        let leader = popcorn_kernel::types::Tid::new(KernelId(0), 1);
+        let mut h = crate::group::GroupHome::new(GroupId(leader), leader, KernelId(0));
+        h.shard_map.insert(PageNo(10), KernelId(1));
+        h.shard_map.insert(PageNo(20), KernelId(1));
+        h.escalate.insert(PageNo(20));
+        h.forget_range(PageNo(15), 10);
+        assert!(h.shard_map.contains_key(&PageNo(10)));
+        assert!(!h.shard_map.contains_key(&PageNo(20)));
+        assert!(h.escalate.is_empty());
     }
 }

@@ -168,11 +168,7 @@ impl KernelCtx<'_, '_> {
     pub(super) fn fail_pending(&mut self, ki: usize, rpc: RpcId, pending: Pending, at: SimTime) {
         match pending {
             Pending::Page(w) => {
-                if let Some(inf) = self.inflight[ki].get(&(w.group, w.page)) {
-                    if inf.rpc == rpc {
-                        self.inflight[ki].remove(&(w.group, w.page));
-                    }
-                }
+                self.clear_inflight(ki, w.group, w.page, rpc);
                 for (tid, _) in w.waiters {
                     self.fail_task(ki, tid, at);
                 }

@@ -41,11 +41,7 @@ impl KernelCtx<'_, '_> {
     /// service time against the VMA protocol.
     fn serve_vma(&mut self, group: GroupId, now: SimTime, cost: SimTime) -> SimTime {
         self.stats.proto.of(Protocol::Vma).service.record_time(cost);
-        self.servers
-            .entry(group)
-            .or_default()
-            .vma
-            .serialize(now, cost)
+        self.serve(group, now, cost, |h| &mut h.servers().vma)
     }
 
     /// Starts a VMA operation from kernel `ki` (routing to the home).
@@ -164,13 +160,8 @@ impl KernelCtx<'_, '_> {
                         // applying the update.
                         let first = addr.0 >> 12;
                         let last = (addr.0 + len - 1) >> 12;
-                        self.sharding
-                            .forget_range(group, PageNo(first), last - first + 1);
                         let h = self.groups.get_mut(&group).expect("checked above");
-                        h.dir.drop_pages((first..=last).map(PageNo));
-                        for d in h.shard_delegates() {
-                            h.shard_dir(d).drop_pages((first..=last).map(PageNo));
-                        }
+                        h.forget_range(PageNo(first), last - first + 1);
                         // Local TLB shootdown across the home's cores —
                         // outside the serialized section (as on SMP, where
                         // the flush happens after mmap_sem is dropped).

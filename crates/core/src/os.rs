@@ -282,11 +282,8 @@ impl OsModel for PopcornOs {
         // Pure read-out of already-recorded serialization — no event,
         // timestamp, or counter is touched.
         let mut home = self.machine.stats.home_service.clone();
-        for s in self.machine.servers().values() {
-            s.page.fold_into(&mut home);
-        }
-        for s in self.machine.delegate_servers().values() {
-            s.fold_into(&mut home);
+        for h in self.machine.groups().values() {
+            h.fold_servers(&mut home);
         }
         let span = finished_at.as_nanos() as f64;
         metrics.insert("home_servers".into(), home.servers as f64);

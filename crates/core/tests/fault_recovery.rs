@@ -626,6 +626,71 @@ fn delegate_crash_rehomes_its_shard_without_losing_pages() {
     assert_eq!(r.metric("orphans_killed"), 0.0, "nobody lived on kernel 2");
 }
 
+/// Exits at once: loaded first so the next group is homed on kernel 1.
+#[derive(Debug)]
+struct ExitAtOnce;
+
+impl Program for ExitAtOnce {
+    fn step(&mut self, _r: Resume, _env: &ProgEnv) -> Op {
+        Op::Exit(0)
+    }
+}
+
+/// Maps and writes a page on its home (kernel 1), migrates to kernel 0
+/// and reads the page back there, so kernel 0 holds a replica. Then it
+/// rides out the home's crash and maps again: kernel 0 is now the
+/// successor serving the group, and must not count itself as a remote
+/// replica to update.
+#[derive(Debug)]
+struct ReplicaAdoptsItsHome {
+    state: u8,
+    addr: VAddr,
+}
+
+impl Program for ReplicaAdoptsItsHome {
+    fn step(&mut self, r: Resume, env: &ProgEnv) -> Op {
+        self.state += 1;
+        match self.state {
+            1 => Op::Syscall(SyscallReq::Mmap { len: 4096 }),
+            2 => {
+                let Resume::Sys(res) = r else { panic!("mmap") };
+                self.addr = VAddr(res.expect_val("mmap"));
+                Op::Store(self.addr, 7)
+            }
+            3 => Op::Syscall(SyscallReq::Migrate(MigrateTarget::Kernel(KernelId(0)))),
+            4 => {
+                assert_eq!(env.kernel, KernelId(0));
+                Op::Load(self.addr)
+            }
+            // Ride out the crash (2 ms) plus the detection window.
+            5 => Op::Compute(40_000_000),
+            6 => Op::Syscall(SyscallReq::Mmap { len: 4096 }),
+            7 => {
+                let Resume::Sys(res) = r else { panic!("mmap") };
+                res.expect_val("mmap at the adopting successor");
+                Op::Exit(0)
+            }
+            _ => unreachable!(),
+        }
+    }
+}
+
+#[test]
+fn successor_holding_a_replica_maps_without_messaging_itself() {
+    let plan = FaultPlan::none().with_crash(KernelId(1), SimTime::from_millis(2));
+    let mut os = faulty_os(3, plan, PopcornParams::default());
+    os.load(Box::new(ExitAtOnce));
+    os.load(Box::new(ReplicaAdoptsItsHome {
+        state: 0,
+        addr: VAddr(0),
+    }));
+    let r = os.run();
+    assert!(r.is_clean(), "stuck: {:?}", r.stuck_tasks);
+    assert!(r.metric("kernels_declared_dead") >= 1.0, "{:?}", r.metrics);
+    assert_eq!(r.metric("orphans_killed"), 0.0, "nobody lived on kernel 1");
+    assert_eq!(r.exited_tasks, 2);
+}
+
 #[test]
 fn zero_fault_plan_matches_fault_free_build_exactly() {
     // FaultPlan::none() with the reliability layer compiled in must be

@@ -66,6 +66,8 @@ fn runs() -> Vec<Run> {
         ..FaultPlan::none()
     };
     let crash = || FaultPlan::none().with_crash(KernelId(1), SimTime::from_micros(300));
+    // Kills the home of every group: kernel 1 adopts it.
+    let home_crash = || FaultPlan::none().with_crash(KernelId(0), SimTime::from_micros(300));
     let stealing = || PopcornParams {
         policy: PolicyKind::WorkStealing,
         ..PopcornParams::default()
@@ -77,6 +79,11 @@ fn runs() -> Vec<Run> {
     };
     let sharding = || PopcornParams {
         home_sharding: true,
+        ..PopcornParams::default()
+    };
+    let sharded_first_touch = || PopcornParams {
+        home_sharding: true,
+        sync_first_touch_homing: true,
         ..PopcornParams::default()
     };
     let dflt = PopcornParams::default;
@@ -112,6 +119,16 @@ fn runs() -> Vec<Run> {
             migrating_writers(),
         ),
         ("crash ping_pong", popcorn(4, crash(), dflt()), ping_pong()),
+        (
+            "home crash page_bounce",
+            popcorn(4, home_crash(), sharded_first_touch()),
+            page_bounce(),
+        ),
+        (
+            "home crash migrating_writers",
+            popcorn(4, home_crash(), sharded_first_touch()),
+            migrating_writers(),
+        ),
         (
             "stealing page_bounce",
             popcorn(4, clean(), stealing()),
