@@ -35,10 +35,7 @@ use popcorn_kernel::program::{
 };
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
-use popcorn_msg::{
-    Delivery, Fabric, KernelId, MsgParams, ReliableFabric, RpcId, RpcTable, SendPlan, SeqEnvelope,
-    Wire,
-};
+use popcorn_msg::{Delivery, Fabric, KernelId, MsgParams, RpcId, RpcTable, Wire};
 use popcorn_sim::{metric_table, Counter, Handler, Scheduler, SimTime, Simulator};
 
 use crate::params::MultikernelParams;
@@ -144,40 +141,13 @@ pub enum MkMsg {
         /// Members the sender already killed.
         killed: u64,
     },
-    /// Reliable-delivery envelope required by the shared endpoint
-    /// substrate ([`SeqEnvelope`]). The baseline runs on a fault-free
-    /// fabric with no retransmit policy, so the endpoint takes its plain
-    /// path and never actually wraps a message in this.
-    Seq {
-        /// Per-channel sequence number.
-        seq: u64,
-        /// The wrapped payload.
-        inner: Box<MkMsg>,
-    },
 }
 
 impl Wire for MkMsg {
     fn wire_size(&self) -> usize {
         match self {
             MkMsg::SpawnReq { layout, .. } => 48 + 208 + layout.len() * 24,
-            MkMsg::Seq { inner, .. } => 8 + inner.wire_size(),
             _ => 48 + 16,
-        }
-    }
-}
-
-impl SeqEnvelope for MkMsg {
-    fn wrap_seq(seq: u64, inner: Self) -> Self {
-        MkMsg::Seq {
-            seq,
-            inner: Box::new(inner),
-        }
-    }
-
-    fn unwrap_seq(self) -> Result<(u64, Self), Self> {
-        match self {
-            MkMsg::Seq { seq, inner } => Ok((seq, *inner)),
-            other => Err(other),
         }
     }
 }
@@ -207,9 +177,9 @@ metric_table! {
 #[derive(Debug)]
 pub struct MultikernelMachine {
     kernels: Vec<Kernel>,
-    /// The shared reliable-endpoint substrate on its plain (fault-free)
-    /// path — the same transport the popcorn model rides.
-    net: ReliableFabric<MkMsg>,
+    /// The message fabric. The baseline models no faults: every send is
+    /// expected to be delivered.
+    fabric: Fabric,
     machine: Machine,
     params: MultikernelParams,
     futex: FutexTable,
@@ -238,14 +208,11 @@ impl MultikernelMachine {
         to: KernelId,
         msg: MkMsg,
     ) {
-        // The multikernel baseline never injects faults, so the endpoint
-        // stays on its plain path and every send delivers.
-        match self.net.send(at.max(sched.now()), self.kid(from), to, msg) {
-            SendPlan::Deliver { delivery, .. } => {
-                sched.at(delivery.deliver_at, OsEvent::Custom(delivery));
-            }
-            _ => unreachable!("the multikernel baseline runs on a fault-free fabric"),
-        }
+        let delivery = self
+            .fabric
+            .send(at.max(sched.now()), self.kid(from), to, msg)
+            .expect_delivered();
+        sched.at(delivery.deliver_at, OsEvent::Custom(delivery));
     }
 
     fn kick(&self, sched: &mut Scheduler<MkEvent>, ki: usize, core: CoreId, at: SimTime) {
@@ -896,9 +863,6 @@ impl OsMachine for MultikernelMachine {
                     self.reap(group);
                 }
             }
-            MkMsg::Seq { .. } => {
-                unreachable!("the fault-free baseline never wraps messages in Seq")
-            }
         }
     }
 }
@@ -977,26 +941,14 @@ impl MultikernelOsBuilder {
     ///
     /// Panics if parameters fail validation or kernels exceed cores.
     pub fn build(self) -> MultikernelOs {
-        self.hw.validate().expect("invalid hardware parameters");
-        self.os.validate().expect("invalid OS parameters");
-        self.msg.validate().expect("invalid message parameters");
-        let machine = Machine::new(self.topology, self.hw);
-        let parts = self.topology.partition(self.kernels);
-        let locations: Vec<_> = parts.iter().map(|p| p[0]).collect();
-        let fabric = Fabric::new(&machine, locations, self.msg);
-        let kernels: Vec<Kernel> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, cores)| {
-                Kernel::new(KernelId(i as u16), cores, self.os.clone(), machine.clone())
-            })
-            .collect();
+        let (machine, kernels, fabric) =
+            osmodel::partition_machine(self.topology, self.kernels, self.hw, self.os, self.msg);
         let n = kernels.len();
         MultikernelOs {
             sim: Simulator::new(),
             machine: MultikernelMachine {
                 kernels,
-                net: ReliableFabric::new(fabric, None),
+                fabric,
                 zone_locks: (0..n)
                     .map(|_| popcorn_hw::LockSite::new("zone_lock", machine.params()))
                     .collect(),
@@ -1091,10 +1043,7 @@ impl OsModel for MultikernelOs {
         let stop = self.sim.run_until(&mut self.machine, horizon, event_budget);
         let mut metrics = BTreeMap::new();
         self.machine.stats.export("", &mut metrics);
-        metrics.insert(
-            "messages".into(),
-            self.machine.net.fabric().total_sends() as f64,
-        );
+        metrics.insert("messages".into(), self.machine.fabric.total_sends() as f64);
         RunReport::new(
             self.name(),
             &self.machine.kernels,

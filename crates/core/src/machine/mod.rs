@@ -38,7 +38,8 @@
 //!  exit ─────► group::note_task_exited
 //!
 //!  custom (fabric delivery) ──► transport::receive
-//!       │ Seq{n}:      dedup (ReliableFabric::accept_seq) + ChanAck
+//!       │ header seq:  dedup (ReliableFabric::accept_seq) + ChanAck
+//!       │ Duplicate:   payload-free ghost, counted and dropped
 //!       │ RetxTimer:   ReliableFabric::retransmit → apply_plan
 //!       │ RpcDeadline: fail the still-pending RPC
 //!       ▼
@@ -561,7 +562,8 @@ impl KernelCtx<'_, '_> {
     }
 
     /// Dispatches one protocol message at its receiving kernel (after the
-    /// transport layer has unwrapped envelopes and filtered duplicates),
+    /// transport layer has checked its sequence number and filtered
+    /// duplicates),
     /// charging it to its protocol family.
     pub fn dispatch(
         &mut self,
@@ -573,7 +575,7 @@ impl KernelCtx<'_, '_> {
     ) {
         self.stats.proto.of(payload.protocol()).msgs_in.incr();
         match payload {
-            ProtoMsg::Seq { .. }
+            ProtoMsg::Duplicate
             | ProtoMsg::ChanAck { .. }
             | ProtoMsg::RetxTimer { .. }
             | ProtoMsg::RpcDeadline { .. }

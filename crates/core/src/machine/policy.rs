@@ -87,15 +87,10 @@ impl PopcornMachine {
                 // Stagger the kernels across one period so their ticks
                 // (and LoadReports) don't synchronize.
                 let at = now + SimTime::from_nanos(period + ki as u64 * period / n as u64);
-                let kid = KernelId(ki as u16);
-                let msg = PopMsg {
-                    from: kid,
-                    to: kid,
-                    deliver_at: at,
-                    send_busy: SimTime::ZERO,
-                    payload: ProtoMsg::PolicyTick,
-                };
-                (at, msg)
+                (
+                    at,
+                    PopMsg::local(KernelId(ki as u16), at, ProtoMsg::PolicyTick),
+                )
             })
             .collect()
     }

@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use popcorn_kernel::osmodel::OsEvent;
 use popcorn_kernel::program::SysResult;
 use popcorn_kernel::types::{Errno, GroupId, PageNo};
-use popcorn_msg::{Delivery, KernelId, RpcId};
+use popcorn_msg::{KernelId, RpcId};
 use popcorn_sim::{Scheduler, SimTime};
 
 use crate::directory::{DirReclaim, Directory, PageRequest};
@@ -134,16 +134,8 @@ impl PopcornMachine {
                 if self.net.fabric().is_crashed(kid, at) {
                     continue; // the dead don't sit on juries
                 }
-                out.push((
-                    at,
-                    Delivery {
-                        from: kid,
-                        to: kid,
-                        deliver_at: at,
-                        send_busy: SimTime::ZERO,
-                        payload: ProtoMsg::CrashDetect { victim: c.kernel },
-                    },
-                ));
+                let detect = ProtoMsg::CrashDetect { victim: c.kernel };
+                out.push((at, PopMsg::local(kid, at, detect)));
             }
         }
         out
@@ -158,7 +150,8 @@ impl PopcornMachine {
     /// that no longer runs. Such deliveries are counted as fenced and, when
     /// their sender is alive, bounced into its undeliverable-unwind path:
     /// one-shot payloads (a migrating thread, a page grant, an unmap ack
-    /// barrier) must be unwound exactly once, not silently destroyed.
+    /// barrier) must be unwound exactly once, not silently destroyed. A
+    /// duplicate's ghost has no payload, so it is only counted.
     pub(crate) fn intercept_crashed(
         &mut self,
         now: SimTime,
@@ -179,12 +172,7 @@ impl PopcornMachine {
             if d.from != d.to {
                 self.stats.fenced_msgs.incr();
                 if !self.net.fabric().is_crashed(d.from, now) {
-                    let payload = match d.payload {
-                        ProtoMsg::Seq { inner, .. } => *inner,
-                        p => p,
-                    };
-                    let (from, to) = (d.from, d.to);
-                    self.ctx(sched).bounce_frozen(from, to, payload, now);
+                    self.ctx(sched).bounce_frozen(d.from, d.to, d.payload, now);
                 }
             }
         }
@@ -230,12 +218,23 @@ impl KernelCtx<'_, '_> {
             // died: the state transition it carries must still reach
             // whoever serves the group now (or re-chain until detection
             // moves the home).
-            payload => {
-                if let Some(g) = home_notification_group(&payload) {
-                    let home = self.home_of(g);
-                    self.send(now, from_ki, home, payload);
-                }
-            }
+            payload => self.resend_to_home(from_ki, payload, now),
+        }
+    }
+
+    /// Re-sends a home-addressed notification (see
+    /// `home_notification_group`) from kernel `from_ki` to its group's
+    /// current home; anything else is dropped. A reaped group has no home
+    /// left to notify: `home_of` would fall back to the id-derived kernel,
+    /// which can be the dead destination itself, and the chain of
+    /// abandoning and re-sending would never end.
+    pub(super) fn resend_to_home(&mut self, from_ki: usize, msg: ProtoMsg, at: SimTime) {
+        let Some(g) = home_notification_group(&msg) else {
+            return;
+        };
+        if self.groups.contains_key(&g) {
+            let home = self.home_of(g);
+            self.send(at, from_ki, home, msg);
         }
     }
 
@@ -773,7 +772,7 @@ impl KernelCtx<'_, '_> {
 /// must eventually observe or its bookkeeping lies forever. Requests and
 /// responses (rpc-correlated) are deliberately excluded: failover and the
 /// requester's deadline own those.
-pub(super) fn home_notification_group(msg: &ProtoMsg) -> Option<GroupId> {
+fn home_notification_group(msg: &ProtoMsg) -> Option<GroupId> {
     match msg {
         ProtoMsg::TaskExited { group, .. }
         | ProtoMsg::MemberAt { group, .. }

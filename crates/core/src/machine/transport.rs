@@ -79,27 +79,28 @@ impl KernelCtx<'_, '_> {
     }
 
     /// Schedules a fabric delivery — and, when the fault injector produced
-    /// one, its duplicate — as receive events. Program-bearing messages
-    /// cannot be cloned, so their duplicates are silently not materialized
-    /// (see [`ProtoMsg::try_clone`]).
+    /// one, its duplicate — as receive events. The duplicate is a
+    /// [`ProtoMsg::Duplicate`] arrival carrying only the header; messages
+    /// carrying a live program get none (a duplicated thread would be a
+    /// correctness bug, not an overhead model).
     pub(super) fn schedule_delivery(
         &mut self,
         delivery: Delivery<ProtoMsg>,
         duplicate_at: Option<SimTime>,
     ) {
-        if let Some(dup_at) = duplicate_at {
-            if let Some(copy) = delivery.payload.try_clone() {
-                self.sched.at(
-                    dup_at,
-                    OsEvent::Custom(Delivery {
-                        from: delivery.from,
-                        to: delivery.to,
-                        deliver_at: dup_at,
-                        send_busy: delivery.send_busy,
-                        payload: copy,
-                    }),
-                );
-            }
+        let carries_program = matches!(
+            delivery.payload,
+            ProtoMsg::TaskMigrate(_) | ProtoMsg::CloneReq { .. }
+        );
+        if let Some(dup_at) = duplicate_at.filter(|_| !carries_program) {
+            self.sched.at(
+                dup_at,
+                OsEvent::Custom(Delivery {
+                    deliver_at: dup_at,
+                    payload: ProtoMsg::Duplicate,
+                    ..delivery
+                }),
+            );
         }
         self.sched
             .at(delivery.deliver_at, OsEvent::Custom(delivery));
@@ -108,17 +109,8 @@ impl KernelCtx<'_, '_> {
     /// Schedules a kernel-local timer as a self-addressed event; it never
     /// touches the fabric (no cost, no fault exposure).
     pub(super) fn schedule_self(&mut self, ki: usize, at: SimTime, payload: ProtoMsg) {
-        let kid = self.kid(ki);
-        self.sched.at(
-            at,
-            OsEvent::Custom(Delivery {
-                from: kid,
-                to: kid,
-                deliver_at: at,
-                send_busy: SimTime::ZERO,
-                payload,
-            }),
-        );
+        let local = Delivery::local(self.kid(ki), at, payload);
+        self.sched.at(at, OsEvent::Custom(local));
     }
 
     /// Registers a pending RPC at kernel `ki`'s RPC table, charging the
@@ -257,20 +249,15 @@ impl KernelCtx<'_, '_> {
             // kernel awaiting detection the new chain abandons again after
             // the home has moved, and the resend converges on the
             // successor.
-            msg => {
-                if let Some(g) = super::recovery::home_notification_group(&msg) {
-                    let home = self.home_of(g);
-                    self.send(at, from, home, msg);
-                }
-                // Responses: nothing to unwind at the sender; the blocked
-                // requester is covered by its own deadline.
-            }
+            // Responses: nothing to unwind at the sender; the blocked
+            // requester is covered by its own deadline.
+            msg => self.resend_to_home(from, msg, at),
         }
     }
 
     /// The receive side of the event loop: consumes reliability-layer
-    /// traffic (timers, acks, sequence envelopes) and hands everything
-    /// else to [`KernelCtx::dispatch`].
+    /// traffic (timers, acks, duplicates, header sequence numbers) and
+    /// hands everything else to [`KernelCtx::dispatch`].
     pub fn receive(&mut self, msg: PopMsg, now: SimTime) {
         let from = msg.from;
         let to = msg.to;
@@ -280,6 +267,36 @@ impl KernelCtx<'_, '_> {
         // not touch recovered state.
         if self.recovery.scheduled && from != to && self.recovery.declared[ki].contains(&from) {
             self.stats.fenced_msgs.incr();
+            return;
+        }
+        if msg.seq != 0 {
+            if !self.net.accept_seq(to, from, msg.seq) {
+                // An injected duplicate (always a payload-free ghost: its
+                // original arrived first on this FIFO channel).
+                self.stats.dup_suppressed.incr();
+                self.stats.proto.of(Protocol::Transport).msgs_in.incr();
+                return;
+            }
+            self.note_activity(now);
+            // Ack the sequence (unsequenced itself; a lost ack is
+            // harmless — see the ChanAck arm below).
+            self.stats.acks_sent.incr();
+            self.stats.proto.of(Protocol::Transport).msgs_out.incr();
+            let before = self.net.fabric().fault_counters().crash_drops;
+            let ack = ProtoMsg::ChanAck { seq: msg.seq };
+            if let SendOutcome::Delivered {
+                delivery,
+                duplicate_at,
+            } = self.net.fabric_mut().send(now, to, from, ack)
+            {
+                self.schedule_delivery(delivery, duplicate_at);
+            }
+            self.stats
+                .proto
+                .of(Protocol::Transport)
+                .crash_drops
+                .add(self.net.fabric().fault_counters().crash_drops - before);
+            self.dispatch(from, to, ki, msg.payload, now);
             return;
         }
         match msg.payload {
@@ -312,8 +329,10 @@ impl KernelCtx<'_, '_> {
             }
             // Channel acks model the reliability layer's wire overhead;
             // the simulated sender observes delivery directly, so nothing
-            // to do on receipt beyond counting it.
-            ProtoMsg::ChanAck { .. } => {
+            // to do on receipt beyond counting it. The same goes for a
+            // duplicate of unsequenced traffic (an ack, or anything sent
+            // with the reliability layer off).
+            ProtoMsg::ChanAck { .. } | ProtoMsg::Duplicate => {
                 self.stats.proto.of(Protocol::Transport).msgs_in.incr();
             }
             // The policy tick is a self-addressed timer: it must not count
@@ -327,36 +346,6 @@ impl KernelCtx<'_, '_> {
             // activity itself).
             payload @ (ProtoMsg::LoadReport { .. } | ProtoMsg::StealReq { .. }) => {
                 self.dispatch(from, to, ki, payload, now);
-            }
-            ProtoMsg::Seq { seq, inner } => {
-                if !self.net.accept_seq(to, from, seq) {
-                    self.stats.dup_suppressed.incr();
-                    self.stats.proto.of(Protocol::Transport).msgs_in.incr();
-                    return;
-                }
-                self.note_activity(now);
-                // Ack the sequence (unsequenced itself; a lost ack is
-                // harmless — see the ChanAck arm above).
-                self.stats.acks_sent.incr();
-                self.stats.proto.of(Protocol::Transport).msgs_out.incr();
-                let before = self.net.fabric().fault_counters().crash_drops;
-                match self
-                    .net
-                    .fabric_mut()
-                    .send(now, to, from, ProtoMsg::ChanAck { seq })
-                {
-                    SendOutcome::Delivered {
-                        delivery,
-                        duplicate_at,
-                    } => self.schedule_delivery(delivery, duplicate_at),
-                    SendOutcome::Dropped { .. } => {}
-                }
-                self.stats
-                    .proto
-                    .of(Protocol::Transport)
-                    .crash_drops
-                    .add(self.net.fabric().fault_counters().crash_drops - before);
-                self.dispatch(from, to, ki, *inner, now);
             }
             payload => {
                 self.note_activity(now);

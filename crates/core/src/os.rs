@@ -1,12 +1,12 @@
 //! The harness-facing Popcorn OS model: builder, event loop, reporting.
 
-use popcorn_hw::{HwParams, Machine, Topology};
+use popcorn_hw::{HwParams, Topology};
 use popcorn_kernel::kernel::Kernel;
 use popcorn_kernel::osmodel::{self, KernelClustering, OsEvent, OsModel, RunReport};
 use popcorn_kernel::params::OsParams;
 use popcorn_kernel::program::Program;
 use popcorn_kernel::types::GroupId;
-use popcorn_msg::{Fabric, KernelId, MsgParams};
+use popcorn_msg::{Fabric, MsgParams};
 use popcorn_sim::{Handler, Scheduler, SimTime, Simulator, StopCondition};
 
 use crate::machine::{PopEvent, PopcornMachine};
@@ -116,9 +116,6 @@ impl PopcornOsBuilder {
     /// Panics if any parameter set fails validation or there are more
     /// kernels than cores.
     pub fn build(self) -> PopcornOs {
-        self.hw.validate().expect("invalid hardware parameters");
-        self.os.validate().expect("invalid OS parameters");
-        self.msg.validate().expect("invalid message parameters");
         self.pop.validate().expect("invalid Popcorn parameters");
         // Crash detection infers death from ack silence: the window must
         // outlast the worst-case retransmit chain or survivors would
@@ -132,20 +129,11 @@ impl PopcornOsBuilder {
                 self.pop.worst_retx_chain_ns()
             );
         }
-        let machine = Machine::new(self.topology, self.hw);
         let kernel_count = self
             .clustering
             .map_or(self.kernels, |c| c.kernel_count(self.topology));
-        let parts = self.topology.partition(kernel_count);
-        let locations: Vec<_> = parts.iter().map(|p| p[0]).collect();
-        let fabric = Fabric::new(&machine, locations, self.msg);
-        let kernels: Vec<Kernel> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, cores)| {
-                Kernel::new(KernelId(i as u16), cores, self.os.clone(), machine.clone())
-            })
-            .collect();
+        let (machine, kernels, fabric) =
+            osmodel::partition_machine(self.topology, kernel_count, self.hw, self.os, self.msg);
         PopcornOs {
             sim: Simulator::new(),
             machine: PopcornMachine::new(kernels, fabric, machine, self.pop),

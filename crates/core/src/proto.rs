@@ -12,7 +12,7 @@ use popcorn_kernel::policy::KernelLoad;
 use popcorn_kernel::program::{FutexOp, Op, Program, Resume, RmwOp};
 use popcorn_kernel::task::TaskStats;
 use popcorn_kernel::types::{CpuContext, Errno, GroupId, PageNo, Tid, VAddr};
-use popcorn_msg::{KernelId, RpcId, SeqEnvelope, Wire};
+use popcorn_msg::{KernelId, RpcId, Wire};
 use popcorn_sim::SimTime;
 
 /// The protocol family a message (or parked RPC) belongs to, mirroring the
@@ -444,25 +444,19 @@ pub enum ProtoMsg {
         thief: KernelId,
     },
 
-    /// Reliable-delivery envelope: `seq` orders messages on one directed
-    /// channel so the receiver can suppress injected duplicates. Only used
-    /// when fault injection and [`crate::PopcornParams::reliable_delivery`]
-    /// are both on; retransmissions are re-enveloped with a *fresh*
-    /// sequence number (the original was never seen by the receiver), so
-    /// per-channel arrivals stay monotone in `seq`.
-    Seq {
-        /// Per-directed-channel sequence number (1-based, never reused).
-        seq: u64,
-        /// The enveloped protocol message.
-        inner: Box<ProtoMsg>,
-    },
+    /// An injected duplicate's arrival: the fabric header of a delivered
+    /// message (its sequence number included) with no payload. The
+    /// original always arrives first on the same FIFO channel, so the
+    /// receiver only counts and discards it; messages carrying a live
+    /// program (`TaskMigrate`, `CloneReq`) get no duplicate at all.
+    Duplicate,
     /// Receiver acknowledgement of one sequenced message. Functionally
     /// inert (the simulated sender observes delivery directly) but sent —
     /// and itself subject to fault injection — so the reliability layer's
     /// bandwidth/latency overhead is modelled honestly.
     ChanAck {
         /// The acknowledged sequence number.
-        seq: u64,
+        seq: u32,
     },
     /// Self-addressed timer: retransmit the buffered message under
     /// `token`. Never crosses the fabric.
@@ -510,223 +504,7 @@ pub enum ProtoMsg {
 }
 
 impl ProtoMsg {
-    /// A deep copy, where possible. `TaskMigrate` and `CloneReq` carry a
-    /// live `Box<dyn Program>` and cannot be cloned — the fault injector
-    /// skips duplicating those (a duplicated thread would be a correctness
-    /// bug, not an overhead model).
-    pub fn try_clone(&self) -> Option<ProtoMsg> {
-        use ProtoMsg::*;
-        Some(match self {
-            TaskMigrate(_) | CloneReq { .. } => return None,
-            Seq { seq, inner } => Seq {
-                seq: *seq,
-                inner: Box::new(inner.try_clone()?),
-            },
-            MemberAt { group, tid, joined } => MemberAt {
-                group: *group,
-                tid: *tid,
-                joined: *joined,
-            },
-            CloneResp { rpc, tid } => CloneResp {
-                rpc: *rpc,
-                tid: *tid,
-            },
-            VmaOpReq {
-                rpc,
-                origin,
-                group,
-                op,
-            } => VmaOpReq {
-                rpc: *rpc,
-                origin: *origin,
-                group: *group,
-                op: *op,
-            },
-            VmaOpDone { rpc, result } => VmaOpDone {
-                rpc: *rpc,
-                result: *result,
-            },
-            VmaUpdate { group, change, ack } => VmaUpdate {
-                group: *group,
-                change: *change,
-                ack: *ack,
-            },
-            VmaUpdateAck { group, token } => VmaUpdateAck {
-                group: *group,
-                token: *token,
-            },
-            VmaFetchReq {
-                rpc,
-                origin,
-                group,
-                addr,
-            } => VmaFetchReq {
-                rpc: *rpc,
-                origin: *origin,
-                group: *group,
-                addr: *addr,
-            },
-            VmaFetchResp { rpc, vma } => VmaFetchResp {
-                rpc: *rpc,
-                vma: *vma,
-            },
-            PageReq {
-                rpc,
-                origin,
-                group,
-                page,
-                write,
-            } => PageReq {
-                rpc: *rpc,
-                origin: *origin,
-                group: *group,
-                page: *page,
-                write: *write,
-            },
-            PageFetch { group, page } => PageFetch {
-                group: *group,
-                page: *page,
-            },
-            PageFetched {
-                group,
-                page,
-                contents,
-            } => PageFetched {
-                group: *group,
-                page: *page,
-                contents: contents.clone(),
-            },
-            PageInval { group, page } => PageInval {
-                group: *group,
-                page: *page,
-            },
-            PageInvalAck {
-                group,
-                page,
-                contents,
-            } => PageInvalAck {
-                group: *group,
-                page: *page,
-                contents: contents.clone(),
-            },
-            PageGrant {
-                rpc,
-                group,
-                page,
-                state,
-                version,
-                contents,
-            } => PageGrant {
-                rpc: *rpc,
-                group: *group,
-                page: *page,
-                state: *state,
-                version: *version,
-                contents: contents.clone(),
-            },
-            PageDone { group, page } => PageDone {
-                group: *group,
-                page: *page,
-            },
-            PtReplicaUpdate {
-                group,
-                page,
-                version,
-            } => PtReplicaUpdate {
-                group: *group,
-                page: *page,
-                version: *version,
-            },
-            PtReplicaReq { origin, group } => PtReplicaReq {
-                origin: *origin,
-                group: *group,
-            },
-            PtReplicaGrant { group, pages } => PtReplicaGrant {
-                group: *group,
-                pages: pages.clone(),
-            },
-            FutexReq {
-                rpc,
-                origin,
-                group,
-                tid,
-                op,
-            } => FutexReq {
-                rpc: *rpc,
-                origin: *origin,
-                group: *group,
-                tid: *tid,
-                op: *op,
-            },
-            FutexResp { rpc, outcome, hint } => FutexResp {
-                rpc: *rpc,
-                outcome: *outcome,
-                hint: *hint,
-            },
-            FutexWakeTask { group, tid } => FutexWakeTask {
-                group: *group,
-                tid: *tid,
-            },
-            RmwReq {
-                rpc,
-                origin,
-                group,
-                addr,
-                op,
-            } => RmwReq {
-                rpc: *rpc,
-                origin: *origin,
-                group: *group,
-                addr: *addr,
-                op: *op,
-            },
-            RmwResp { rpc, old } => RmwResp {
-                rpc: *rpc,
-                old: *old,
-            },
-            TaskExited { group, tid } => TaskExited {
-                group: *group,
-                tid: *tid,
-            },
-            GroupExitReq {
-                group,
-                code,
-                killed,
-            } => GroupExitReq {
-                group: *group,
-                code: *code,
-                killed: killed.clone(),
-            },
-            GroupKill { group, code } => GroupKill {
-                group: *group,
-                code: *code,
-            },
-            GroupKillAck { group, killed } => GroupKillAck {
-                group: *group,
-                killed: killed.clone(),
-            },
-            GroupReap { group } => GroupReap { group: *group },
-            PolicyTick => PolicyTick,
-            LoadReport { load } => LoadReport { load: *load },
-            StealReq { thief } => StealReq { thief: *thief },
-            ChanAck { seq } => ChanAck { seq: *seq },
-            RetxTimer { token } => RetxTimer { token: *token },
-            RpcDeadline { rpc } => RpcDeadline { rpc: *rpc },
-            CrashDetect { victim } => CrashDetect { victim: *victim },
-            PageNack { rpc, group, page } => PageNack {
-                rpc: *rpc,
-                group: *group,
-                page: *page,
-            },
-            FutexWakeErr { group, tid } => FutexWakeErr {
-                group: *group,
-                tid: *tid,
-            },
-        })
-    }
-
-    /// The protocol family handling this message (a [`ProtoMsg::Seq`]
-    /// envelope is classified by its payload).
+    /// The protocol family handling this message.
     pub fn protocol(&self) -> Protocol {
         use ProtoMsg::*;
         match self {
@@ -762,29 +540,13 @@ impl ProtoMsg {
             | RmwReq { .. }
             | RmwResp { .. }
             | FutexWakeErr { .. } => Protocol::Futex,
-            Seq { inner, .. } => inner.protocol(),
             ChanAck { .. }
+            | Duplicate
             | RetxTimer { .. }
             | RpcDeadline { .. }
             | PolicyTick
             | CrashDetect { .. }
             | LoadReport { .. } => Protocol::Transport,
-        }
-    }
-}
-
-impl SeqEnvelope for ProtoMsg {
-    fn wrap_seq(seq: u64, inner: Self) -> Self {
-        ProtoMsg::Seq {
-            seq,
-            inner: Box::new(inner),
-        }
-    }
-
-    fn unwrap_seq(self) -> Result<(u64, Self), Self> {
-        match self {
-            ProtoMsg::Seq { seq, inner } => Ok((seq, *inner)),
-            other => Err(other),
         }
     }
 }
@@ -820,8 +582,6 @@ impl Wire for ProtoMsg {
             }
             // Bulk shadow install: (page, version) pairs.
             ProtoMsg::PtReplicaGrant { pages, .. } => HDR + pages.len() * 8,
-            // Envelope: the inner message plus the sequence-number field.
-            ProtoMsg::Seq { inner, .. } => 8 + inner.wire_size(),
             // Telemetry snapshot: four counters plus two rates.
             ProtoMsg::LoadReport { .. } => HDR + 32,
             // Small fixed-size control messages.
@@ -899,55 +659,6 @@ mod tests {
             pending: None,
         }));
         assert_eq!(heavy.wire_size() - lean.wire_size(), 512 + 3 * 24);
-    }
-
-    #[test]
-    fn seq_envelope_adds_only_the_seq_field() {
-        let inner = ProtoMsg::PageDone {
-            group: GroupId(Tid::new(KernelId(0), 1)),
-            page: PageNo(5),
-        };
-        let bare = inner.wire_size();
-        let wrapped = ProtoMsg::Seq {
-            seq: 9,
-            inner: Box::new(inner),
-        };
-        assert_eq!(wrapped.wire_size(), bare + 8);
-    }
-
-    #[test]
-    fn try_clone_refuses_program_bearing_messages() {
-        let m = ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
-            tid: Tid::new(KernelId(0), 1),
-            group: GroupId(Tid::new(KernelId(0), 1)),
-            program: Box::new(Nop),
-            ctx: CpuContext::default(),
-            stats: TaskStats::default(),
-            started: SimTime::ZERO,
-            vmas: vec![],
-            resume: None,
-            pending: None,
-        }));
-        assert!(m.try_clone().is_none());
-        let wrapped = ProtoMsg::Seq {
-            seq: 1,
-            inner: Box::new(m),
-        };
-        assert!(wrapped.try_clone().is_none());
-    }
-
-    #[test]
-    fn try_clone_copies_control_messages() {
-        let m = ProtoMsg::PageGrant {
-            rpc: RpcId(3),
-            group: GroupId(Tid::new(KernelId(0), 1)),
-            page: PageNo(7),
-            state: PageState::ReadShared,
-            version: 4,
-            contents: Some(PageContents::default()),
-        };
-        let c = m.try_clone().expect("clonable");
-        assert_eq!(c.wire_size(), m.wire_size());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use popcorn_kernel::program::{
 use popcorn_kernel::types::{Errno, VAddr};
 use popcorn_msg::{ChannelFaults, FaultPlan, KernelId, MsgParams};
 use popcorn_sim::{SimTime, StopCondition};
+use popcorn_workloads::adversarial::TolerantRingHopper;
 use popcorn_workloads::micro;
 
 fn faulty_os(kernels: u16, plan: FaultPlan, pop: PopcornParams) -> PopcornOs {
@@ -158,8 +159,9 @@ fn lost_response_recovers_with_reliability_layer() {
 
 #[test]
 fn injected_duplicates_are_suppressed_by_sequence_numbers() {
-    // Duplicate every clonable message. Correctness asserts live inside the
-    // program (the read must still see 0xBEEF exactly once written).
+    // Duplicate every send (a migrating thread excepted: it gets no
+    // duplicate arrival). Correctness asserts live inside the program (the
+    // read must still see 0xBEEF exactly once written).
     let plan = FaultPlan {
         seed: 11,
         uniform: Some(popcorn_msg::ChannelFaults {
@@ -711,4 +713,42 @@ fn zero_fault_plan_matches_fault_free_build_exactly() {
         (format!("{:?}", r.metrics), r.finished_at)
     };
     assert_eq!(base, gated);
+}
+
+#[test]
+fn notifications_for_reaped_groups_do_not_chase_a_dead_home() {
+    // A home notification abandoned (or frozen at a crashed kernel) after
+    // its group was reaped used to be re-sent to the group's id-derived
+    // home, which can be the dead kernel itself: abandon and re-send then
+    // alternated until the event budget ran out. Every cell must drain.
+    for victim in 0..4u16 {
+        for at_us in [174, 211, 248] {
+            for hoppers in [false, true] {
+                let plan =
+                    FaultPlan::none().with_crash(KernelId(victim), SimTime::from_micros(at_us));
+                let mut os = PopcornOs::builder()
+                    .topology(Topology::paper_default())
+                    .kernels(4)
+                    .msg_params(MsgParams {
+                        faults: plan,
+                        ..MsgParams::default()
+                    })
+                    .build();
+                for _ in 0..4 {
+                    if hoppers {
+                        os.load(Box::new(TolerantRingHopper::new(24, 4, 50_000)));
+                    } else {
+                        os.load(Box::new(micro::MigrationPingPong::new(30)));
+                    }
+                }
+                let r = os.run_with(SimTime::MAX, 1_000_000);
+                assert_eq!(
+                    r.stop,
+                    StopCondition::QueueEmpty,
+                    "victim {victim}, crash at {at_us} us, hoppers {hoppers}: {:?}",
+                    r.stop
+                );
+            }
+        }
+    }
 }

@@ -7,35 +7,24 @@
 use popcorn_core::machine::{PopEvent, PopcornMachine};
 use popcorn_core::proto::{ProtoMsg, Protocol};
 use popcorn_core::PopcornParams;
-use popcorn_hw::{HwParams, Machine, Topology};
-use popcorn_kernel::kernel::Kernel;
-use popcorn_kernel::osmodel::OsEvent;
+use popcorn_hw::{HwParams, Topology};
+use popcorn_kernel::osmodel::{self, OsEvent};
 use popcorn_kernel::params::OsParams;
 use popcorn_kernel::program::{FutexOp, Op, ProgEnv, Program, Resume, RmwOp};
 use popcorn_kernel::types::{Tid, VAddr};
-use popcorn_msg::{Delivery, Fabric, KernelId, MsgParams, RpcId};
+use popcorn_msg::{Delivery, KernelId, MsgParams, RpcId};
 use popcorn_sim::{SimTime, Simulator};
 
 /// A bare machine with `n` kernels and a fault-free fabric, assembled
 /// without the OS builder so tests can poke protocol internals.
 fn scripted_machine(n: u16) -> PopcornMachine {
-    let topology = Topology::new(2, 4);
-    let machine = Machine::new(topology, HwParams::default());
-    let parts = topology.partition(n);
-    let locations: Vec<_> = parts.iter().map(|p| p[0]).collect();
-    let fabric = Fabric::new(&machine, locations, MsgParams::default());
-    let kernels: Vec<Kernel> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, cores)| {
-            Kernel::new(
-                KernelId(i as u16),
-                cores,
-                OsParams::default(),
-                machine.clone(),
-            )
-        })
-        .collect();
+    let (machine, kernels, fabric) = osmodel::partition_machine(
+        Topology::new(2, 4),
+        n,
+        HwParams::default(),
+        OsParams::default(),
+        MsgParams::default(),
+    );
     PopcornMachine::new(kernels, fabric, machine, PopcornParams::default())
 }
 
@@ -57,6 +46,7 @@ fn deliver(at_ns: u64, from: u16, to: u16, payload: ProtoMsg) -> PopEvent {
         to: KernelId(to),
         deliver_at: SimTime::from_nanos(at_ns),
         send_busy: SimTime::ZERO,
+        seq: 0,
         payload,
     })
 }

@@ -14,14 +14,18 @@
 //!   [`Handler`](popcorn_sim::Handler) impl delegates to;
 //! - [`OsModel`] + [`RunReport`] — the harness-facing interface every model
 //!   (Popcorn, SMP, multikernel) exposes so experiments can treat them
-//!   uniformly.
+//!   uniformly;
+//! - [`partition_machine`] — the kernels and fabric of a partitioned
+//!   (replicated-kernel or multikernel) machine.
 
 use std::collections::BTreeMap;
 
-use popcorn_hw::{CoreId, Topology};
+use popcorn_hw::{CoreId, HwParams, Machine, Topology};
+use popcorn_msg::{Fabric, KernelId, MsgParams};
 use popcorn_sim::{Scheduler, SimTime, StopCondition};
 
 use crate::kernel::{Kernel, RunOutcome};
+use crate::params::OsParams;
 use crate::program::{Program, Resume, RmwOp, SysResult, SyscallReq};
 use crate::types::{GroupId, PageNo, Tid, VAddr};
 
@@ -291,6 +295,34 @@ impl KernelClustering {
             KernelClustering::PerSocket => "per-socket",
         }
     }
+}
+
+/// Builds a partitioned machine: `kernels` kernel instances on contiguous
+/// core partitions of `topology`, and a fabric whose message handler for
+/// each kernel runs on the first core of its partition.
+///
+/// # Panics
+///
+/// Panics if a parameter set fails validation or there are more kernels
+/// than cores.
+pub fn partition_machine(
+    topology: Topology,
+    kernels: u16,
+    hw: HwParams,
+    os: OsParams,
+    msg: MsgParams,
+) -> (Machine, Vec<Kernel>, Fabric) {
+    hw.validate().expect("invalid hardware parameters");
+    os.validate().expect("invalid OS parameters");
+    let machine = Machine::new(topology, hw);
+    let parts = topology.partition(kernels);
+    let fabric = Fabric::new(&machine, parts.iter().map(|p| p[0]).collect(), msg);
+    let kernels = parts
+        .into_iter()
+        .enumerate()
+        .map(|(i, cores)| Kernel::new(KernelId(i as u16), cores, os.clone(), machine.clone()))
+        .collect();
+    (machine, kernels, fabric)
 }
 
 /// Harness-facing interface implemented by every OS model.

@@ -14,6 +14,12 @@
 //!   can all use it.
 //! - [`RetxPolicy`] owns the backoff arithmetic.
 //!
+//! Sequence numbers travel in the [`Delivery`] header, not in the payload:
+//! a sequenced send stamps `seq` there and the fabric charges the field's
+//! [`SEQ_BYTES`](crate::fabric::SEQ_BYTES). The receiver checks it with
+//! [`ReliableFabric::accept_seq`]; an injected duplicate needs nothing but
+//! the header, so no payload is ever wrapped, copied or boxed.
+//!
 //! The reliability state is allocated only when the fabric's fault plan is
 //! active *and* the model supplied a retransmit policy; zero-fault runs
 //! carry no state and take the plain send path, which keeps their results
@@ -24,21 +30,6 @@ use std::collections::BTreeMap;
 use popcorn_sim::SimTime;
 
 use crate::fabric::{Delivery, Fabric, KernelId, SendOutcome, Wire};
-
-/// A payload type that can carry a sequence-number envelope.
-///
-/// The reliability layer wraps every payload in a sequence envelope (one
-/// variant of the model's message enum) so the receive side can suppress
-/// injected duplicates. The envelope must account for its own wire
-/// overhead in the payload's [`Wire`] impl.
-pub trait SeqEnvelope: Wire + Sized {
-    /// Wraps `inner` in a sequence envelope carrying `seq`.
-    fn wrap_seq(seq: u64, inner: Self) -> Self;
-
-    /// Unwraps a sequence envelope; `Err` returns a non-envelope payload
-    /// unchanged.
-    fn unwrap_seq(self) -> Result<(u64, Self), Self>;
-}
 
 /// Retransmission policy: exponential backoff from `base_ns`, clamped at
 /// `cap_ns`, giving up after `max_attempts` total transmissions.
@@ -108,14 +99,15 @@ struct Stashed<P> {
 struct SeqState<P> {
     /// How lost messages are retried.
     policy: RetxPolicy,
-    /// Next sequence number per directed channel `(sender, receiver)`.
-    next_seq: BTreeMap<(u16, u16), u64>,
+    /// Last sequence number issued per directed channel
+    /// `(sender, receiver)`.
+    next_seq: BTreeMap<(u16, u16), u32>,
     /// Highest sequence seen per directed channel `(receiver, sender)`.
     /// Channels are FIFO and retransmissions take *fresh* sequence numbers
     /// (the receiver never saw the lost original), so arrivals are
     /// strictly monotone in `seq` and anything at or below the high-water
     /// mark is an injected duplicate.
-    last_seen: BTreeMap<(u16, u16), u64>,
+    last_seen: BTreeMap<(u16, u16), u32>,
     /// Lost messages awaiting their retransmit timer, by token.
     retx: BTreeMap<u64, Stashed<P>>,
     next_token: u64,
@@ -132,9 +124,9 @@ impl<P> SeqState<P> {
         }
     }
 
-    fn alloc_seq(&mut self, from: KernelId, to: KernelId) -> u64 {
+    fn alloc_seq(&mut self, from: KernelId, to: KernelId) -> u32 {
         let c = self.next_seq.entry((from.0, to.0)).or_insert(0);
-        *c += 1;
+        *c = c.checked_add(1).expect("sequence numbers exhausted");
         *c
     }
 
@@ -188,13 +180,13 @@ pub enum SendPlan<P> {
 
 /// A [`Fabric`] with reliable delivery layered on top (see module docs).
 #[derive(Debug)]
-pub struct ReliableFabric<P: SeqEnvelope> {
+pub struct ReliableFabric<P: Wire> {
     fabric: Fabric,
     /// `None` on the plain path (no faults or reliability disabled).
     seq: Option<SeqState<P>>,
 }
 
-impl<P: SeqEnvelope> ReliableFabric<P> {
+impl<P: Wire> ReliableFabric<P> {
     /// Wraps `fabric`. Reliability state is allocated only when the
     /// fabric's fault plan is active and a retransmit `policy` is given
     /// (`None` disables the reliability layer).
@@ -259,8 +251,8 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
             .seq
             .as_mut()
             .expect("sequenced transmit without reliability state");
-        let wrapped = P::wrap_seq(state.alloc_seq(from, to), payload);
-        match self.fabric.send(now, from, to, wrapped) {
+        let seq = state.alloc_seq(from, to);
+        match self.fabric.send_with_seq(now, from, to, seq, payload) {
             SendOutcome::Delivered {
                 delivery,
                 duplicate_at,
@@ -269,22 +261,15 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
                 duplicate_at,
             },
             SendOutcome::Dropped { payload, .. } => {
-                let Ok((_, inner)) = payload.unwrap_seq() else {
-                    unreachable!("the fabric returns the payload it was given");
-                };
                 if attempt >= state.policy.max_attempts {
-                    return SendPlan::Abandoned {
-                        from,
-                        to,
-                        payload: inner,
-                    };
+                    return SendPlan::Abandoned { from, to, payload };
                 }
                 let backoff = SimTime::from_nanos(state.policy.backoff_ns(attempt));
                 let token = state.stash(Stashed {
                     from,
                     to,
                     attempts: attempt,
-                    payload: inner,
+                    payload,
                 });
                 SendPlan::Backoff {
                     token,
@@ -323,7 +308,7 @@ impl<P: SeqEnvelope> ReliableFabric<P> {
     /// Receive-side duplicate suppression: records `seq` as seen on the
     /// directed channel `sender → receiver` and returns true when it is
     /// fresh (deliver + ack) or false for an injected duplicate (drop).
-    pub fn accept_seq(&mut self, receiver: KernelId, sender: KernelId, seq: u64) -> bool {
+    pub fn accept_seq(&mut self, receiver: KernelId, sender: KernelId, seq: u32) -> bool {
         let Some(state) = self.seq.as_mut() else {
             debug_assert!(false, "sequenced message without reliability state");
             return false;
@@ -345,33 +330,11 @@ mod tests {
     use popcorn_hw::{CoreId, HwParams, Machine, Topology};
 
     #[derive(Debug, PartialEq)]
-    enum Msg {
-        Ping,
-        Seq { seq: u64, inner: Box<Msg> },
-    }
+    struct Ping;
 
-    impl Wire for Msg {
+    impl Wire for Ping {
         fn wire_size(&self) -> usize {
-            match self {
-                Msg::Ping => 64,
-                Msg::Seq { inner, .. } => 8 + inner.wire_size(),
-            }
-        }
-    }
-
-    impl SeqEnvelope for Msg {
-        fn wrap_seq(seq: u64, inner: Self) -> Self {
-            Msg::Seq {
-                seq,
-                inner: Box::new(inner),
-            }
-        }
-
-        fn unwrap_seq(self) -> Result<(u64, Self), Self> {
-            match self {
-                Msg::Seq { seq, inner } => Ok((seq, *inner)),
-                other => Err(other),
-            }
+            64
         }
     }
 
@@ -404,11 +367,11 @@ mod tests {
 
     #[test]
     fn plain_path_without_faults() {
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(None), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(None), Some(policy()));
         assert!(!net.is_reliable());
-        match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Msg::Ping) {
+        match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Ping) {
             SendPlan::Deliver { delivery, .. } => {
-                assert_eq!(delivery.payload, Msg::Ping); // no envelope
+                assert_eq!(delivery.seq, 0); // unsequenced
                 assert!(delivery.deliver_at > SimTime::ZERO);
             }
             other => panic!("expected Deliver, got {other:?}"),
@@ -418,32 +381,34 @@ mod tests {
     #[test]
     fn sequenced_sends_wrap_with_monotone_seq() {
         let plan = FaultPlan::uniform_drop(1, 0.0); // active but lossless
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
         assert!(net.is_reliable());
-        for expect in 1..=3u64 {
-            match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Msg::Ping) {
-                SendPlan::Deliver { delivery, .. } => match delivery.payload {
-                    Msg::Seq { seq, inner } => {
-                        assert_eq!(seq, expect);
-                        assert_eq!(*inner, Msg::Ping);
-                    }
-                    other => panic!("expected Seq envelope, got {other:?}"),
-                },
+        for expect in 1..=3u32 {
+            match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Ping) {
+                SendPlan::Deliver { delivery, .. } => {
+                    assert_eq!(delivery.seq, expect);
+                    assert_eq!(delivery.payload, Ping);
+                }
                 other => panic!("expected Deliver, got {other:?}"),
             }
+        }
+        // The reverse channel numbers its own sends from 1.
+        match net.send(SimTime::ZERO, KernelId(1), KernelId(0), Ping) {
+            SendPlan::Deliver { delivery, .. } => assert_eq!(delivery.seq, 1),
+            other => panic!("expected Deliver, got {other:?}"),
         }
     }
 
     #[test]
     fn lost_send_backs_off_then_retransmits_with_fresh_seq() {
         let plan = FaultPlan::uniform_drop(7, 1.0); // lose everything
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
         let now = SimTime::from_nanos(1_000);
         let SendPlan::Backoff {
             token,
             fire_at,
             backoff,
-        } = net.send(now, KernelId(0), KernelId(1), Msg::Ping)
+        } = net.send(now, KernelId(0), KernelId(1), Ping)
         else {
             panic!("expected Backoff");
         };
@@ -468,7 +433,7 @@ mod tests {
     #[test]
     fn abandoned_after_max_attempts() {
         let plan = FaultPlan::uniform_drop(7, 1.0);
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(
             fabric(Some(plan)),
             Some(RetxPolicy {
                 max_attempts: 2,
@@ -476,7 +441,7 @@ mod tests {
             }),
         );
         let SendPlan::Backoff { token, fire_at, .. } =
-            net.send(SimTime::ZERO, KernelId(0), KernelId(1), Msg::Ping)
+            net.send(SimTime::ZERO, KernelId(0), KernelId(1), Ping)
         else {
             panic!("expected Backoff");
         };
@@ -484,7 +449,7 @@ mod tests {
             SendPlan::Abandoned { from, to, payload } => {
                 assert_eq!(from, KernelId(0));
                 assert_eq!(to, KernelId(1));
-                assert_eq!(payload, Msg::Ping); // unwrapped, back in hand
+                assert_eq!(payload, Ping); // back in hand
             }
             other => panic!("expected Abandoned, got {other:?}"),
         }
@@ -521,21 +486,21 @@ mod tests {
     #[test]
     fn abandon_to_drains_only_the_dead_channel() {
         let plan = FaultPlan::uniform_drop(7, 1.0); // lose everything
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
         let (a, b) = (KernelId(0), KernelId(1));
         // Two stashed a→b losses and one b→a loss.
-        let SendPlan::Backoff { token, .. } = net.send(SimTime::ZERO, a, b, Msg::Ping) else {
+        let SendPlan::Backoff { token, .. } = net.send(SimTime::ZERO, a, b, Ping) else {
             panic!("expected Backoff");
         };
         assert!(matches!(
-            net.send(SimTime::ZERO, a, b, Msg::Ping),
+            net.send(SimTime::ZERO, a, b, Ping),
             SendPlan::Backoff { .. }
         ));
-        let SendPlan::Backoff { token: rev, .. } = net.send(SimTime::ZERO, b, a, Msg::Ping) else {
+        let SendPlan::Backoff { token: rev, .. } = net.send(SimTime::ZERO, b, a, Ping) else {
             panic!("expected Backoff");
         };
         let drained = net.abandon_to(a, b);
-        assert_eq!(drained, vec![Msg::Ping, Msg::Ping]);
+        assert_eq!(drained, vec![Ping, Ping]);
         // The drained tokens' timers are now no-ops …
         assert!(net.retransmit(SimTime::from_nanos(1), token).is_none());
         // … while the reverse channel's stash is untouched.
@@ -546,7 +511,7 @@ mod tests {
     #[test]
     fn accept_seq_suppresses_duplicates_per_channel() {
         let plan = FaultPlan::uniform_drop(1, 0.0);
-        let mut net: ReliableFabric<Msg> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
         let (a, b) = (KernelId(0), KernelId(1));
         assert!(net.accept_seq(b, a, 1));
         assert!(!net.accept_seq(b, a, 1)); // duplicate

@@ -20,6 +20,10 @@ impl fmt::Display for KernelId {
     }
 }
 
+/// Wire bytes of a delivery header's sequence-number field: a sequenced send
+/// (see [`Fabric::send_with_seq`]) costs this much more than a plain one.
+pub const SEQ_BYTES: usize = 8;
+
 /// Byte-size accounting for payloads: how many bytes the message occupies on
 /// the shared-memory ring, which drives the transmit-time cost.
 pub trait Wire {
@@ -42,8 +46,26 @@ pub struct Delivery<P> {
     pub deliver_at: SimTime,
     /// Time the sending CPU was busy in the send path.
     pub send_busy: SimTime,
+    /// Per-directed-channel sequence number stamped by the reliability
+    /// layer (1-based); 0 on unsequenced traffic and self-addressed timers.
+    pub seq: u32,
     /// The payload, returned by value for the OS model to route.
     pub payload: P,
+}
+
+impl<P> Delivery<P> {
+    /// A self-addressed, unsequenced delivery at `at`: a kernel-local
+    /// timer, which never touches the fabric (no cost, no fault exposure).
+    pub fn local(kernel: KernelId, at: SimTime, payload: P) -> Self {
+        Delivery {
+            from: kernel,
+            to: kernel,
+            deliver_at: at,
+            send_busy: SimTime::ZERO,
+            seq: 0,
+            payload,
+        }
+    }
 }
 
 /// What the fabric did with a send.
@@ -63,7 +85,8 @@ pub enum SendOutcome<P> {
         delivery: Delivery<P>,
         /// When fault injection duplicated the message: the (later) arrival
         /// time of the second copy. The OS model schedules a second event
-        /// with a clone of the payload.
+        /// carrying this delivery's header (and its `seq`) but no payload:
+        /// the receiver only needs the header to discard it.
         duplicate_at: Option<SimTime>,
     },
     /// Fault injection lost the message in flight; the payload comes back
@@ -249,6 +272,23 @@ impl Fabric {
         to: KernelId,
         payload: P,
     ) -> SendOutcome<P> {
+        self.send_with_seq(now, from, to, 0, payload)
+    }
+
+    /// [`Fabric::send`] with `seq` stamped into the delivery header. A
+    /// nonzero `seq` puts [`SEQ_BYTES`] more on the wire.
+    ///
+    /// # Panics
+    ///
+    /// As [`Fabric::send`].
+    pub fn send_with_seq<P: Wire>(
+        &mut self,
+        now: SimTime,
+        from: KernelId,
+        to: KernelId,
+        seq: u32,
+        payload: P,
+    ) -> SendOutcome<P> {
         assert_ne!(from, to, "kernel cannot message itself");
         assert!(
             (from.0 as usize) < self.locations.len(),
@@ -256,7 +296,7 @@ impl Fabric {
         );
         assert!((to.0 as usize) < self.locations.len(), "{to} out of range");
 
-        let size = payload.wire_size();
+        let size = payload.wire_size() + if seq == 0 { 0 } else { SEQ_BYTES };
         // One envelope line plus the payload, rounded up to cache lines.
         let lines = 1 + (size as u64).div_ceil(64);
         let tx_time = SimTime::from_nanos(self.params.send_sw_ns + lines * self.params.per_line_ns);
@@ -318,6 +358,7 @@ impl Fabric {
                 to,
                 deliver_at,
                 send_busy: tx_done - now,
+                seq,
                 payload,
             },
             duplicate_at,
@@ -629,6 +670,30 @@ mod tests {
             .expect_delivered();
         assert!(d.send_busy < d.deliver_at);
         assert!(d.send_busy >= SimTime::from_nanos(MsgParams::default().send_sw_ns));
+    }
+
+    #[test]
+    fn sequenced_send_is_charged_eight_more_bytes() {
+        // 64 payload bytes fill one line; the sequence field spills into a
+        // second, exactly as a plain 72-byte payload does.
+        let mut seq = fabric(2);
+        let d = seq
+            .send_with_seq(SimTime::ZERO, KernelId(0), KernelId(1), 5, Blob(64))
+            .expect_delivered();
+        let mut plain = fabric(2);
+        let p = plain
+            .send(
+                SimTime::ZERO,
+                KernelId(0),
+                KernelId(1),
+                Blob(64 + SEQ_BYTES),
+            )
+            .expect_delivered();
+        assert_eq!((d.seq, p.seq), (5, 0));
+        assert_eq!(d.deliver_at, p.deliver_at);
+        assert_eq!(d.send_busy, p.send_busy);
+        assert_eq!(seq.channel_stats()[0].3, 3 * 64);
+        assert_eq!(plain.channel_stats(), seq.channel_stats());
     }
 
     #[test]

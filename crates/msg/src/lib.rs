@@ -16,8 +16,8 @@
 //!   (a channel is busy while a message is being written), and delivery
 //!   timestamps the OS model turns into simulation events;
 //! - [`RpcTable`] — request/response correlation for the protocol layers;
-//! - [`ReliableFabric`] — the shared reliable-delivery substrate every OS
-//!   model builds its protocols on;
+//! - [`ReliableFabric`] — reliable delivery over a faulty fabric: sequence
+//!   numbers in the [`Delivery`] header, acks and retransmission;
 //! - [`MsgParams`] — the calibrated cost constants;
 //! - [`FaultPlan`] — deterministic fault injection (drop / delay /
 //!   duplicate / blackout / kernel crash); inactive by default.
@@ -47,7 +47,7 @@ pub mod fault;
 pub mod params;
 pub mod rpc;
 
-pub use endpoint::{ReliableFabric, RetxPolicy, SendPlan, SeqEnvelope};
+pub use endpoint::{ReliableFabric, RetxPolicy, SendPlan};
 pub use fabric::{Delivery, Fabric, KernelId, SendOutcome, Wire};
 pub use fault::{Blackout, ChannelFaults, Crash, FaultCounters, FaultPlan};
 pub use params::MsgParams;
