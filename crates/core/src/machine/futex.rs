@@ -3,8 +3,9 @@
 //! Each synchronization word is served at one kernel — the group's origin
 //! (the paper's global futex server) or, under the first-touch extension,
 //! whichever kernel used it first. Syscalls at the serving kernel take the
-//! local fast path; everyone else runs a `FutexReq`/`RmwReq` RPC. Waiters
-//! parked remotely are woken with a `FutexWakeTask` one-way message.
+//! local fast path; everyone else runs a `FutexReq`/`RmwReq` RPC. Woken
+//! waiters get a `FutexWakeTask`, posted (inline for a waiter parked at
+//! the serving kernel itself).
 
 use std::collections::BTreeMap;
 
@@ -129,16 +130,12 @@ impl KernelCtx<'_, '_> {
                 let mut t = done;
                 for w in woken {
                     t += wakeup;
-                    if w.kernel == serving {
-                        self.wake_with(serve_ki, w.tid, SysResult::Val(0), t);
-                    } else {
-                        self.send(
-                            t,
-                            serve_ki,
-                            w.kernel,
-                            ProtoMsg::FutexWakeTask { group, tid: w.tid },
-                        );
-                    }
+                    self.post(
+                        t,
+                        serve_ki,
+                        w.kernel,
+                        ProtoMsg::FutexWakeTask { group, tid: w.tid },
+                    );
                 }
                 (FutexOutcome::Woken(n), t, hint)
             }

@@ -42,7 +42,6 @@ impl KernelCtx<'_, '_> {
         at: SimTime,
     ) {
         let me = self.kid(ki);
-        let home = self.home_of(group);
         let (target_ki, core_hint) = match placement {
             Placement::Local => (ki, None),
             Placement::Core(c) => {
@@ -60,22 +59,7 @@ impl KernelCtx<'_, '_> {
             self.kernels[ki].finish_syscall(tid, SysResult::Val(child_tid.0 as u64), done);
             self.kick(ki, core, done);
             self.kick(ki, child_core, done);
-            if me == home {
-                if let Some(h) = self.groups.get_mut(&group) {
-                    h.member_joined(child_tid, me);
-                }
-            } else {
-                self.send(
-                    done,
-                    ki,
-                    home,
-                    ProtoMsg::MemberAt {
-                        group,
-                        tid: child_tid,
-                        joined: true,
-                    },
-                );
-            }
+            self.note_member_at(ki, group, child_tid, true, done);
         } else {
             self.stats.clone_remote.incr();
             let target = self.kid(target_ki);
@@ -139,22 +123,11 @@ impl KernelCtx<'_, '_> {
         }
     }
 
-    /// Records a member's exit at the home (directly, or via a
-    /// `TaskExited` message from a replica); the last exit reaps the
-    /// group.
+    /// Reports a member's exit at kernel `ki` to the home: a `TaskExited`
+    /// step, posted (handled inline when `ki` is the home).
     pub(super) fn note_task_exited(&mut self, ki: usize, group: GroupId, tid: Tid, at: SimTime) {
         let home = self.home_of(group);
-        if self.kid(ki) == home {
-            let finished = match self.groups.get_mut(&group) {
-                Some(h) => h.member_exited(tid) == 0 && h.phase() == ExitPhase::Running,
-                None => false,
-            };
-            if finished {
-                self.reap_group(group, at);
-            }
-        } else {
-            self.send(at, ki, home, ProtoMsg::TaskExited { group, tid });
-        }
+        self.post(at, ki, home, ProtoMsg::TaskExited { group, tid });
     }
 
     /// Tears the group down everywhere (run at the group's effective home
@@ -193,6 +166,31 @@ impl KernelCtx<'_, '_> {
         members
     }
 
+    /// Tells the home that member `tid` now lives at kernel `ki` (`joined`
+    /// for a new thread). At the home itself the board is updated inline,
+    /// and unlike [`KernelCtx::on_member_at`] no straggler joining a dying
+    /// group is killed.
+    pub(super) fn note_member_at(
+        &mut self,
+        ki: usize,
+        group: GroupId,
+        tid: Tid,
+        joined: bool,
+        at: SimTime,
+    ) {
+        let me = self.kid(ki);
+        let home = self.home_of(group);
+        if me != home {
+            self.send(at, ki, home, ProtoMsg::MemberAt { group, tid, joined });
+        } else if let Some(h) = self.groups.get_mut(&group) {
+            if joined {
+                h.member_joined(tid, me);
+            } else {
+                h.member_at(tid, me);
+            }
+        }
+    }
+
     /// `MemberAt` at the home: record the member's location; stragglers
     /// joining a dying group are killed where they landed.
     pub(super) fn on_member_at(
@@ -222,7 +220,6 @@ impl KernelCtx<'_, '_> {
     /// home learns of the new member either directly or via `MemberAt`.
     pub(super) fn on_clone_req(
         &mut self,
-        to: KernelId,
         ki: usize,
         rpc: RpcId,
         origin: KernelId,
@@ -250,23 +247,7 @@ impl KernelCtx<'_, '_> {
                 tid: child_tid,
             },
         );
-        let home = self.home_of(group);
-        if to == home {
-            if let Some(h) = self.groups.get_mut(&group) {
-                h.member_joined(child_tid, to);
-            }
-        } else {
-            self.send(
-                done,
-                ki,
-                home,
-                ProtoMsg::MemberAt {
-                    group,
-                    tid: child_tid,
-                    joined: true,
-                },
-            );
-        }
+        self.note_member_at(ki, group, child_tid, true, done);
     }
 
     /// `CloneResp` at the parent: wake it with the child's tid.
@@ -283,8 +264,8 @@ impl KernelCtx<'_, '_> {
         }
     }
 
-    /// `TaskExited` at the home: bookkeeping twin of
-    /// [`KernelCtx::note_task_exited`] for remote members.
+    /// `TaskExited` at the home: record the exit; the last one reaps the
+    /// group.
     pub(super) fn on_task_exited(&mut self, group: GroupId, tid: Tid, now: SimTime) {
         let finished = match self.groups.get_mut(&group) {
             Some(h) => h.member_exited(tid) == 0 && h.phase() == ExitPhase::Running,

@@ -8,9 +8,9 @@
 
 use popcorn_kernel::mm::Mm;
 use popcorn_kernel::policy::PolicyView;
-use popcorn_kernel::program::{MigrateTarget, Resume, SysResult};
-use popcorn_kernel::task::BlockReason;
-use popcorn_kernel::types::{Errno, Tid};
+use popcorn_kernel::program::{MigrateTarget, Op, Program, Resume, SysResult};
+use popcorn_kernel::task::{BlockReason, TaskStats};
+use popcorn_kernel::types::{CpuContext, Errno, GroupId, Tid};
 use popcorn_msg::KernelId;
 use popcorn_sim::SimTime;
 
@@ -91,27 +91,41 @@ impl KernelCtx<'_, '_> {
         let freed_at = at + marshal;
         let core = self.kernels[ki].task(tid).expect("shadow remains").core;
         self.kick(ki, core, freed_at);
+        let msg = self.task_migrate_msg(ki, tid, group, program, ctx, stats, at, resume, pending);
+        self.send(freed_at, ki, target, msg);
+    }
+
+    /// Builds the `TaskMigrate` message for a thread extracted at kernel
+    /// `ki`, carrying the group's whole layout under eager VMA
+    /// replication.
+    fn task_migrate_msg(
+        &self,
+        ki: usize,
+        tid: Tid,
+        group: GroupId,
+        program: Box<dyn Program>,
+        ctx: CpuContext,
+        stats: TaskStats,
+        started: SimTime,
+        resume: Option<Resume>,
+        pending: Option<Op>,
+    ) -> ProtoMsg {
         let vmas = if self.params.eager_vma_replication {
             self.kernels[ki].mm(group).vmas()
         } else {
             Vec::new()
         };
-        self.send(
-            freed_at,
-            ki,
-            target,
-            ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
-                tid,
-                group,
-                program,
-                ctx,
-                stats,
-                started: at,
-                vmas,
-                resume,
-                pending,
-            })),
-        );
+        ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
+            tid,
+            group,
+            program,
+            ctx,
+            stats,
+            started,
+            vmas,
+            resume,
+            pending,
+        }))
     }
 
     /// Policy-initiated migration of a thread that is *not* on a core (a
@@ -143,27 +157,18 @@ impl KernelCtx<'_, '_> {
         // free — the thread was not running.
         let cost =
             SimTime::from_nanos(self.params.migration_marshal_ns + self.params.policy_eval_ns);
-        let vmas = if self.params.eager_vma_replication {
-            self.kernels[ki].mm(group).vmas()
-        } else {
-            Vec::new()
-        };
-        self.send(
-            at + cost,
+        let msg = self.task_migrate_msg(
             ki,
-            target,
-            ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
-                tid,
-                group,
-                program,
-                ctx,
-                stats,
-                started: at,
-                vmas,
-                resume: Some(resume),
-                pending,
-            })),
+            tid,
+            group,
+            program,
+            ctx,
+            stats,
+            at,
+            Some(resume),
+            pending,
         );
+        self.send(at + cost, ki, target, msg);
         true
     }
 
@@ -214,22 +219,7 @@ impl KernelCtx<'_, '_> {
             self.stats.migration_first_lat.record_time(lat);
         }
         // Tell the home where the thread lives now.
-        if self.kid(ki) == home {
-            if let Some(h) = self.groups.get_mut(&group) {
-                h.member_at(tid, home);
-            }
-        } else {
-            self.send(
-                now,
-                ki,
-                home,
-                ProtoMsg::MemberAt {
-                    group,
-                    tid,
-                    joined: false,
-                },
-            );
-        }
+        self.note_member_at(ki, group, tid, false, now);
     }
 
     /// An abandoned `TaskMigrate` (every transmission lost): revive the

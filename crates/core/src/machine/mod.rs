@@ -43,9 +43,19 @@
 //!       │ RetxTimer:   ReliableFabric::retransmit → apply_plan
 //!       │ RpcDeadline: fail the still-pending RPC
 //!       ▼
-//!  KernelCtx::dispatch ──► per-protocol on_* handlers
-//!                          (each counted in stats.proto by family)
+//!  KernelCtx::dispatch ──► KernelCtx::handle ──► per-protocol on_* handlers
+//!  (counts msgs_in by family)      ▲
+//!                                  │ to == from: inline at `at`, uncounted
+//!  protocol step ──► KernelCtx::post
+//!                                  │ to != from
+//!                                  ▼
+//!                           KernelCtx::send ──► fabric ──► transport::receive
 //! ```
+//!
+//! A step a kernel may serve for itself (a VMA operation or page request
+//! at the home, a grant or wake for a local waiter, a member's exit at
+//! the home) is built as its message and handed to `post`, so the
+//! message's handler is its only implementation.
 //!
 //! A structural invariant keeps the distributed semantics honest even
 //! though the simulation is one process: state that logically lives on a
@@ -563,8 +573,7 @@ impl KernelCtx<'_, '_> {
 
     /// Dispatches one protocol message at its receiving kernel (after the
     /// transport layer has checked its sequence number and filtered
-    /// duplicates),
-    /// charging it to its protocol family.
+    /// duplicates), charging the arrival to its protocol family.
     pub fn dispatch(
         &mut self,
         from: KernelId,
@@ -574,6 +583,27 @@ impl KernelCtx<'_, '_> {
         now: SimTime,
     ) {
         self.stats.proto.of(payload.protocol()).msgs_in.incr();
+        self.handle(from, to, ki, payload, now);
+    }
+
+    /// Runs one protocol step from kernel `from`: addressed to `from`
+    /// itself, the message's handler runs inline at `at` (no fabric, no
+    /// arrival counted); otherwise it is a [`KernelCtx::send`]. A step
+    /// posted here has one handler, whether or not it crosses the fabric.
+    #[inline(always)]
+    pub fn post(&mut self, at: SimTime, from: usize, to: KernelId, msg: ProtoMsg) {
+        if to == self.kid(from) {
+            self.handle(to, to, from, msg, at);
+        } else {
+            self.send(at, from, to, msg);
+        }
+    }
+
+    /// The per-message handler match behind [`KernelCtx::dispatch`] and
+    /// [`KernelCtx::post`]. Always inlined, like `post`, so that a post
+    /// of a known message compiles to a direct call of its handler.
+    #[inline(always)]
+    fn handle(&mut self, from: KernelId, to: KernelId, ki: usize, payload: ProtoMsg, now: SimTime) {
         match payload {
             ProtoMsg::Duplicate
             | ProtoMsg::ChanAck { .. }
@@ -593,7 +623,7 @@ impl KernelCtx<'_, '_> {
                 group,
                 child,
                 vmas,
-            } => self.on_clone_req(to, ki, rpc, origin, group, child, vmas, now),
+            } => self.on_clone_req(ki, rpc, origin, group, child, vmas, now),
             ProtoMsg::CloneResp { rpc, tid } => self.on_clone_resp(ki, rpc, tid, now),
             ProtoMsg::VmaOpReq {
                 rpc,
@@ -647,9 +677,7 @@ impl KernelCtx<'_, '_> {
                 contents,
             } => self.apply_grant(ki, group, page, state, version, contents, rpc, now),
             ProtoMsg::PageDone { group, page } => self.page_done_at_home(group, page, to, now),
-            ProtoMsg::PageNack { rpc, group, page } => {
-                self.on_page_nack(ki, rpc, group, page, now);
-            }
+            ProtoMsg::PageNack { rpc, .. } => self.on_page_nack(ki, rpc, now),
             ProtoMsg::PtReplicaUpdate {
                 group,
                 page,

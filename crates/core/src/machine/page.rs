@@ -151,28 +151,7 @@ impl KernelCtx<'_, '_> {
         match step {
             DirStep::Grant(g) => self.deliver_grant(group, serving, g, at),
             DirStep::Fetch { owner } => {
-                if owner == serving {
-                    // The serving kernel holds the copy: snapshot +
-                    // downgrade.
-                    let mm = self.kernels[serving_ki].mm_mut(group);
-                    let contents = if mm.page_info(page).is_some() {
-                        if mm.page_info(page).expect("checked").state == PageState::Exclusive {
-                            mm.set_page_state(page, PageState::ReadShared);
-                        }
-                        mm.snapshot_page(page)
-                    } else {
-                        PageContents::default()
-                    };
-                    let cost = SimTime::from_nanos(self.params.page_fetch_service_ns);
-                    let done = self.serve_page(group, serving, at, cost);
-                    let grant = self
-                        .dir_mut(group, page)
-                        .expect("group alive during transfer")
-                        .fetched(page, contents);
-                    self.deliver_grant(group, serving, grant, done);
-                } else {
-                    self.send(at, serving_ki, owner, ProtoMsg::PageFetch { group, page });
-                }
+                self.post(at, serving_ki, owner, ProtoMsg::PageFetch { group, page });
             }
             DirStep::Invalidate { holders } => {
                 for h in holders {
@@ -223,26 +202,19 @@ impl KernelCtx<'_, '_> {
         // Every grant re-maps the page: push the new version to the other
         // page-table replica holders (no-op with replication off).
         self.push_pt_updates(group, g.page, g.version, g.req.origin, at);
-        if g.req.origin == serving {
-            // A (queued) local request at the serving kernel.
-            self.apply_grant(
-                serving_ki, group, g.page, g.state, g.version, g.contents, g.req.rpc, at,
-            );
-        } else {
-            self.send(
-                at,
-                serving_ki,
-                g.req.origin,
-                ProtoMsg::PageGrant {
-                    rpc: g.req.rpc,
-                    group,
-                    page: g.page,
-                    state: g.state,
-                    version: g.version,
-                    contents: g.contents,
-                },
-            );
-        }
+        self.post(
+            at,
+            serving_ki,
+            g.req.origin,
+            ProtoMsg::PageGrant {
+                rpc: g.req.rpc,
+                group,
+                page: g.page,
+                state: g.state,
+                version: g.version,
+                contents: g.contents,
+            },
+        );
     }
 
     /// Installs a grant at the faulting kernel, wakes the waiters, and
@@ -259,7 +231,6 @@ impl KernelCtx<'_, '_> {
         at: SimTime,
     ) {
         if self.kernels[ki].has_mm(group) {
-            let had_data = contents.is_some();
             self.kernels[ki]
                 .mm_mut(group)
                 .apply_grant(page, state, version, contents);
@@ -288,7 +259,6 @@ impl KernelCtx<'_, '_> {
                     self.stats.faults_remote_read.incr();
                     self.stats.fault_remote_read_lat.record_time(lat);
                 }
-                let _ = had_data;
                 for (tid, _) in waiters {
                     if self.task_alive(ki, tid) {
                         let core = self.kernels[ki].wake(tid, done);
@@ -301,11 +271,7 @@ impl KernelCtx<'_, '_> {
         // busy until this lands, so the serving kernel cannot change under
         // the requester's feet.
         let serving = self.page_home(group, page);
-        if self.kid(ki) == serving {
-            self.page_done_at_home(group, page, serving, at);
-        } else {
-            self.send(at, ki, serving, ProtoMsg::PageDone { group, page });
-        }
+        self.post(at, ki, serving, ProtoMsg::PageDone { group, page });
     }
 
     /// Releases the directory entry at the serving kernel `to` and serves
@@ -593,7 +559,8 @@ impl KernelCtx<'_, '_> {
     }
 
     /// `PageFetch` at a page's current owner: snapshot + downgrade, then
-    /// ship the contents back to the serving kernel (`from`).
+    /// return the contents to the serving kernel (`from`, possibly this
+    /// very kernel).
     pub(super) fn on_page_fetch(
         &mut self,
         from: KernelId,
@@ -618,7 +585,7 @@ impl KernelCtx<'_, '_> {
         };
         let cost = SimTime::from_nanos(self.params.page_fetch_service_ns);
         let done = self.serve_page(group, from, now, cost);
-        self.send(
+        self.post(
             done,
             ki,
             from,

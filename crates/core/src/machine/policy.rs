@@ -222,19 +222,15 @@ impl KernelCtx<'_, '_> {
                     ReplicaDecision::Stay => {}
                     ReplicaDecision::Replicate => {
                         let home = self.home_of(g);
-                        if me == home {
-                            self.on_pt_replica_req(me, g, now);
-                        } else {
-                            self.send(
-                                now,
-                                ki,
-                                home,
-                                ProtoMsg::PtReplicaReq {
-                                    origin: me,
-                                    group: g,
-                                },
-                            );
-                        }
+                        self.post(
+                            now,
+                            ki,
+                            home,
+                            ProtoMsg::PtReplicaReq {
+                                origin: me,
+                                group: g,
+                            },
+                        );
                     }
                     ReplicaDecision::MigrateToward(k) => {
                         if k != me {

@@ -24,7 +24,8 @@
 //! 4. abandons its retransmissions toward the victim and fails over its
 //!    pending RPCs aimed at it — resumable ones (idempotent page
 //!    requests) restart against the new home, unresumable ones
-//!    (VMA ops, clones, futex calls) complete with `EOWNERDEAD`.
+//!    (VMA ops, clones, futex calls) fail through `fail_pending` with
+//!    `EOWNERDEAD`.
 //!
 //! Because all detection timers for one crash fire at the same instant in
 //! kernel order, every survivor sees the same membership and the same
@@ -33,9 +34,12 @@
 //! The victim itself is **frozen**, not deleted: events addressed to a
 //! crashed kernel are dropped at the dispatch front door
 //! (`PopcornMachine::intercept_crashed`), and messages caught mid-flight
-//! are bounced back to their (live) sender's unwind path so one-shot
-//! payloads — a migrating thread's context, a page grant — are never
-//! silently destroyed.
+//! are handed back to their (live) sender's undeliverable unwind
+//! (`fail_undeliverable`, in the transport module) so one-shot payloads —
+//! a migrating thread's context, a page grant — are never silently
+//! destroyed. The abandoned retransmissions of step 4 take the same
+//! unwind, and both leave request halves (see `is_request`) to RPC
+//! failover.
 //!
 //! Everything here is gated on `scheduled`, which only flips when the run
 //! has planned crashes and the reliability layer is active — fault-free
@@ -44,7 +48,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use popcorn_kernel::osmodel::OsEvent;
-use popcorn_kernel::program::SysResult;
 use popcorn_kernel::types::{Errno, GroupId, PageNo};
 use popcorn_msg::{KernelId, RpcId};
 use popcorn_sim::{Scheduler, SimTime};
@@ -53,10 +56,7 @@ use crate::directory::{DirReclaim, Directory, PageRequest};
 use crate::group::ExitPhase;
 use crate::proto::ProtoMsg;
 
-use super::{
-    futex::FutexPending, group::CloneWait, page::InFlight, vma::VmaPending, KernelCtx, Pending,
-    PopEvent, PopMsg, PopcornMachine,
-};
+use super::{page::InFlight, KernelCtx, Pending, PopEvent, PopMsg, PopcornMachine};
 
 /// Per-machine crash-recovery state. One instance per [`PopcornMachine`].
 #[derive(Debug)]
@@ -148,10 +148,13 @@ impl PopcornMachine {
     /// The fabric judges faults at *send* time, so a message sent just
     /// before the crash can still be delivered just after it — to a kernel
     /// that no longer runs. Such deliveries are counted as fenced and, when
-    /// their sender is alive, bounced into its undeliverable-unwind path:
-    /// one-shot payloads (a migrating thread, a page grant, an unmap ack
-    /// barrier) must be unwound exactly once, not silently destroyed. A
-    /// duplicate's ghost has no payload, so it is only counted.
+    /// their sender is alive, handed back to its undeliverable unwind
+    /// (`fail_undeliverable`): one-shot payloads (a migrating thread, a
+    /// page grant, an unmap ack barrier) must be unwound exactly once, not
+    /// silently destroyed. Request halves of conversations are the
+    /// exception: detection-time RPC failover, which knows the new home,
+    /// owns them. A duplicate's ghost has no payload, so it is only
+    /// counted.
     pub(crate) fn intercept_crashed(
         &mut self,
         now: SimTime,
@@ -171,8 +174,10 @@ impl PopcornMachine {
         if let OsEvent::Custom(d) = event {
             if d.from != d.to {
                 self.stats.fenced_msgs.incr();
-                if !self.net.fabric().is_crashed(d.from, now) {
-                    self.ctx(sched).bounce_frozen(d.from, d.to, d.payload, now);
+                if !self.net.fabric().is_crashed(d.from, now) && !is_request(&d.payload) {
+                    let mut ctx = self.ctx(sched);
+                    let from = ctx.ki(d.from);
+                    ctx.fail_undeliverable(from, d.to, d.payload, now);
                 }
             }
         }
@@ -181,47 +186,6 @@ impl PopcornMachine {
 }
 
 impl KernelCtx<'_, '_> {
-    /// Sender-side unwind for a message frozen at a crashed kernel's door
-    /// (see [`PopcornMachine::intercept_crashed`]). Only one-shot payloads
-    /// are unwound here; request/response conversations are deliberately
-    /// left to detection-time RPC failover, which knows the new home.
-    pub(super) fn bounce_frozen(
-        &mut self,
-        from: KernelId,
-        to: KernelId,
-        payload: ProtoMsg,
-        now: SimTime,
-    ) {
-        let from_ki = self.ki(from);
-        match payload {
-            // The only copy of a thread's context: revive the shadow.
-            ProtoMsg::TaskMigrate(m) => self.abort_migration(from_ki, *m, now),
-            // A grant the requester will never confirm: release the entry
-            // at the kernel that issued it.
-            ProtoMsg::PageGrant { group, page, .. } => {
-                self.page_done_at_home(group, page, from, now);
-            }
-            // An unmap barrier update: the dead replica's mappings died
-            // with it — morally an ack.
-            ProtoMsg::VmaUpdate {
-                group,
-                ack: Some(token),
-                ..
-            } => {
-                if let Some(h) = self.groups.get_mut(&group) {
-                    if let Some((rpc, origin)) = h.unmap_acked(token, to) {
-                        self.finish_vma_op(group, rpc, origin, Ok(0), now);
-                    }
-                }
-            }
-            // A home-addressed notification caught in flight when its home
-            // died: the state transition it carries must still reach
-            // whoever serves the group now (or re-chain until detection
-            // moves the home).
-            payload => self.resend_to_home(from_ki, payload, now),
-        }
-    }
-
     /// Re-sends a home-addressed notification (see
     /// `home_notification_group`) from kernel `from_ki` to its group's
     /// current home; anything else is dropped. A reaped group has no home
@@ -305,32 +269,19 @@ impl KernelCtx<'_, '_> {
         let orphaned_sends = self.net.abandon_to(me, victim);
         for payload in orphaned_sends {
             self.stats.msgs_abandoned.incr();
-            match payload {
-                // Request halves of conversations: the RPC failover below
-                // re-drives (pages) or errors (the rest) them with full
-                // knowledge of the new home — don't EIO them here.
-                ProtoMsg::CloneReq { .. }
-                | ProtoMsg::VmaOpReq { .. }
-                | ProtoMsg::VmaFetchReq { .. }
-                | ProtoMsg::PageReq { .. }
-                | ProtoMsg::FutexReq { .. }
-                | ProtoMsg::RmwReq { .. } => {}
-                payload => {
-                    // Home-addressed notifications outlive their dead home:
-                    // deliver to the successor that adopted the group.
-                    if let Some(g) = home_notification_group(&payload) {
-                        let new_home = self.home_of(g);
-                        if new_home != victim {
-                            if new_home == me {
-                                self.dispatch(me, me, ki, payload, now);
-                            } else {
-                                self.send(now, ki, new_home, payload);
-                            }
-                            continue;
-                        }
-                    }
-                    self.fail_undeliverable(ki, victim, payload, now);
-                }
+            // Request halves of conversations: the RPC failover below
+            // re-drives (pages) or errors (the rest) them with full
+            // knowledge of the new home — don't EIO them here.
+            if is_request(&payload) {
+                continue;
+            }
+            // A home-addressed notification whose group this kernel adopted
+            // is re-delivered here, arriving (and counted) like any other
+            // message; everything else takes the undeliverable unwind,
+            // which re-sends notifications to the group's current home.
+            match home_notification_group(&payload) {
+                Some(g) if self.home_of(g) == me => self.dispatch(me, me, ki, payload, now),
+                _ => self.fail_undeliverable(ki, victim, payload, now),
             }
         }
         self.failover_rpcs(ki, victim, now);
@@ -501,16 +452,12 @@ impl KernelCtx<'_, '_> {
                 continue;
             }
             self.stats.futex_recovered.incr();
-            if w.kernel == me {
-                self.wake_with(ki, w.tid, SysResult::Err(Errno::OwnerDead), now);
-            } else {
-                self.send(
-                    now,
-                    ki,
-                    w.kernel,
-                    ProtoMsg::FutexWakeErr { group, tid: w.tid },
-                );
-            }
+            self.post(
+                now,
+                ki,
+                w.kernel,
+                ProtoMsg::FutexWakeErr { group, tid: w.tid },
+            );
         }
         // Sync words first-touch-homed at the victim move to this kernel.
         if let Some(h) = self.groups.get_mut(&group) {
@@ -667,53 +614,33 @@ impl KernelCtx<'_, '_> {
                 continue;
             };
             self.stats.rpcs_failed_over.incr();
-            match pending {
-                Pending::Page(w) => {
-                    self.clear_inflight(ki, w.group, w.page, rpc);
-                    let (group, page, write) = (w.group, w.page, w.write);
-                    let home = self.page_home(group, page);
-                    let new_rpc = self.register_rpc(ki, Pending::Page(w), now, home);
-                    self.inflight[ki].insert(
-                        (group, page),
-                        InFlight {
-                            rpc: new_rpc,
-                            write,
-                        },
-                    );
-                    let req = PageRequest {
-                        rpc: new_rpc,
-                        origin: me,
-                        write,
-                    };
-                    if me == home {
-                        self.home_page_request(me, group, page, req, now);
-                    } else {
-                        self.send(
-                            now,
-                            ki,
-                            home,
-                            ProtoMsg::PageReq {
-                                rpc: new_rpc,
-                                origin: me,
-                                group,
-                                page,
-                                write,
-                            },
-                        );
-                    }
-                }
-                Pending::Vma(VmaPending::Fetch { tid, .. })
-                | Pending::Futex(FutexPending::Rmw { tid }) => {
-                    // No error return on these paths (page/sync faults).
-                    self.fail_task(ki, tid, now);
-                }
-                Pending::Vma(VmaPending::Op { tid })
-                | Pending::Futex(FutexPending::Futex { tid })
-                | Pending::Clone(CloneWait { tid, .. }) => {
-                    self.stats.ops_failed.incr();
-                    self.wake_with(ki, tid, SysResult::Err(Errno::OwnerDead), now);
-                }
-            }
+            let Pending::Page(w) = pending else {
+                self.fail_pending(ki, rpc, pending, Errno::OwnerDead, now);
+                continue;
+            };
+            self.clear_inflight(ki, w.group, w.page, rpc);
+            let (group, page, write) = (w.group, w.page, w.write);
+            let home = self.page_home(group, page);
+            let new_rpc = self.register_rpc(ki, Pending::Page(w), now, home);
+            self.inflight[ki].insert(
+                (group, page),
+                InFlight {
+                    rpc: new_rpc,
+                    write,
+                },
+            );
+            self.post(
+                now,
+                ki,
+                home,
+                ProtoMsg::PageReq {
+                    rpc: new_rpc,
+                    origin: me,
+                    group,
+                    page,
+                    write,
+                },
+            );
         }
     }
 
@@ -727,40 +654,25 @@ impl KernelCtx<'_, '_> {
         req: PageRequest,
         at: SimTime,
     ) {
-        let home = self.home_of(group);
-        let home_ki = self.ki(home);
-        if req.origin == home {
-            self.on_page_nack(home_ki, req.rpc, group, page, at);
-        } else {
-            self.send(
-                at,
-                home_ki,
-                req.origin,
-                ProtoMsg::PageNack {
-                    rpc: req.rpc,
-                    group,
-                    page,
-                },
-            );
-        }
+        let home_ki = self.ki(self.home_of(group));
+        self.post(
+            at,
+            home_ki,
+            req.origin,
+            ProtoMsg::PageNack {
+                rpc: req.rpc,
+                group,
+                page,
+            },
+        );
     }
 
     /// `PageNack` at the requester: the faulting threads die with the exit
     /// a real kernel delivers when backing memory is gone for good (135 =
     /// 128+SIGBUS).
-    pub(super) fn on_page_nack(
-        &mut self,
-        ki: usize,
-        rpc: RpcId,
-        group: GroupId,
-        page: PageNo,
-        now: SimTime,
-    ) {
-        if let Some(Pending::Page(w)) = self.complete_rpc(ki, rpc) {
-            self.clear_inflight(ki, group, page, rpc);
-            for (tid, _) in w.waiters {
-                self.fail_task(ki, tid, now);
-            }
+    pub(super) fn on_page_nack(&mut self, ki: usize, rpc: RpcId, now: SimTime) {
+        if let Some(pending @ Pending::Page(_)) = self.complete_rpc(ki, rpc) {
+            self.fail_pending(ki, rpc, pending, Errno::Io, now);
         }
     }
 }
@@ -782,4 +694,19 @@ fn home_notification_group(msg: &ProtoMsg) -> Option<GroupId> {
         | ProtoMsg::VmaUpdateAck { group, .. } => Some(*group),
         _ => None,
     }
+}
+
+/// Whether `msg` is the request half of an RPC. Its sender's pending
+/// state is what fails, and a crash leaves that to RPC failover rather
+/// than to the unwind of the payload.
+pub(super) fn is_request(msg: &ProtoMsg) -> bool {
+    matches!(
+        msg,
+        ProtoMsg::CloneReq { .. }
+            | ProtoMsg::VmaOpReq { .. }
+            | ProtoMsg::VmaFetchReq { .. }
+            | ProtoMsg::PageReq { .. }
+            | ProtoMsg::FutexReq { .. }
+            | ProtoMsg::RmwReq { .. }
+    )
 }

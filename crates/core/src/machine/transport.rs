@@ -9,6 +9,13 @@
 //! that can never be delivered. Retransmissions and acks are charged to
 //! [`Protocol::Transport`], so per-family `msgs_out` totals sum to the
 //! fabric's send count.
+//!
+//! Two unwinds live here, each the only one of its kind: every payload
+//! that cannot be delivered (abandoned after its last retransmit, frozen
+//! at a crashed kernel's door, or orphaned toward a dead kernel) goes
+//! through `fail_undeliverable`, and every RPC that will never complete
+//! (deadline, abandoned request, crash failover, lost page) through
+//! `fail_pending`, with the errno its caller sees.
 
 use popcorn_kernel::osmodel::OsEvent;
 use popcorn_kernel::program::SysResult;
@@ -154,10 +161,19 @@ impl KernelCtx<'_, '_> {
         Some(pending)
     }
 
-    /// Fails a request that will never complete (deadline expiry or
-    /// abandoned after retransmit exhaustion): callers on paths with an
-    /// error return get `EIO`; fault paths with no error return are killed.
-    pub(super) fn fail_pending(&mut self, ki: usize, rpc: RpcId, pending: Pending, at: SimTime) {
+    /// Fails a request that will never complete: callers on paths with an
+    /// error return get `errno` (`EIO` for a deadline expiry or an
+    /// abandoned send, `EOWNERDEAD` when its server crashed); fault paths
+    /// with no error return (page faults, sync words, VMA retrieval) are
+    /// killed. The one place a pending RPC is failed.
+    pub(super) fn fail_pending(
+        &mut self,
+        ki: usize,
+        rpc: RpcId,
+        pending: Pending,
+        errno: Errno,
+        at: SimTime,
+    ) {
         match pending {
             Pending::Page(w) => {
                 self.clear_inflight(ki, w.group, w.page, rpc);
@@ -173,7 +189,7 @@ impl KernelCtx<'_, '_> {
             | Pending::Futex(FutexPending::Futex { tid })
             | Pending::Clone(super::group::CloneWait { tid, .. }) => {
                 self.stats.ops_failed.incr();
-                self.wake_with(ki, tid, SysResult::Err(Errno::Io), at);
+                self.wake_with(ki, tid, SysResult::Err(errno), at);
             }
         }
     }
@@ -217,15 +233,14 @@ impl KernelCtx<'_, '_> {
             | ProtoMsg::FutexReq { rpc, .. }
             | ProtoMsg::RmwReq { rpc, .. } => {
                 if let Some(pending) = self.complete_rpc(from, rpc) {
-                    self.fail_pending(from, rpc, pending, at);
+                    self.fail_pending(from, rpc, pending, Errno::Io, at);
                 }
             }
             // The home gives up on a requester it cannot reach: unblock the
             // directory so other kernels can keep using the page (the
             // requester's own deadline cleans up its side).
             ProtoMsg::PageGrant { group, page, .. } => {
-                let serving = self.kid(from);
-                self.page_done_at_home(group, page, serving, at);
+                self.page_done_at_home(group, page, self.kid(from), at);
             }
             // An unmap barrier update to an unreachable replica: treat it
             // as acknowledged so the unmap completes for everyone else.
@@ -233,13 +248,7 @@ impl KernelCtx<'_, '_> {
                 group,
                 ack: Some(token),
                 ..
-            } => {
-                if let Some(h) = self.groups.get_mut(&group) {
-                    if let Some((rpc, origin)) = h.unmap_acked(token, to) {
-                        self.finish_vma_op(group, rpc, origin, Ok(0), at);
-                    }
-                }
-            }
+            } => self.on_vma_update_ack(to, group, token, at),
             // Home-addressed notifications carry state transitions the home
             // must eventually observe (a member's exit, its new location, a
             // barrier ack): losing one to an exhausted retransmit chain
@@ -324,7 +333,7 @@ impl KernelCtx<'_, '_> {
                 if let Some(pending) = self.complete_rpc(ki, rpc) {
                     self.note_activity(now);
                     self.stats.rpc_timeouts.incr();
-                    self.fail_pending(ki, rpc, pending, now);
+                    self.fail_pending(ki, rpc, pending, Errno::Io, now);
                 }
             }
             // Channel acks model the reliability layer's wire overhead;

@@ -53,21 +53,20 @@ impl KernelCtx<'_, '_> {
         self.kick(ki, c, at);
         if me == home {
             self.stats.vma_local.incr();
-            self.vma_op_at_home(group, op, rpc, me, at);
         } else {
             self.stats.vma_remote.incr();
-            self.send(
-                at,
-                ki,
-                home,
-                ProtoMsg::VmaOpReq {
-                    rpc,
-                    origin: me,
-                    group,
-                    op,
-                },
-            );
         }
+        self.post(
+            at,
+            ki,
+            home,
+            ProtoMsg::VmaOpReq {
+                rpc,
+                origin: me,
+                group,
+                op,
+            },
+        );
     }
 
     /// Applies a VMA operation at the home kernel (the group-wide
@@ -111,19 +110,7 @@ impl KernelCtx<'_, '_> {
                         .mm(group)
                         .vma_covering(addr)
                         .expect("just mapped");
-                    let remotes = self.groups[&group].remote_replicas();
-                    for r in remotes {
-                        self.send(
-                            done,
-                            home_ki,
-                            r,
-                            ProtoMsg::VmaUpdate {
-                                group,
-                                change: VmaChange::Map(vma),
-                                ack: None,
-                            },
-                        );
-                    }
+                    self.push_vma_change(group, home_ki, VmaChange::Map(vma), None, done);
                 }
                 self.finish_vma_op(group, rpc, origin, res.map(|a| a.0), done);
             }
@@ -134,19 +121,7 @@ impl KernelCtx<'_, '_> {
                     .vma_covering(VAddr(BRK_BASE))
                     .copied();
                 if let Some(heap) = heap {
-                    let remotes = self.groups[&group].remote_replicas();
-                    for r in remotes {
-                        self.send(
-                            done,
-                            home_ki,
-                            r,
-                            ProtoMsg::VmaUpdate {
-                                group,
-                                change: VmaChange::Map(heap),
-                                ack: None,
-                            },
-                        );
-                    }
+                    self.push_vma_change(group, home_ki, VmaChange::Map(heap), None, done);
                 }
                 self.finish_vma_op(group, rpc, origin, Ok(old.0), done);
             }
@@ -168,8 +143,7 @@ impl KernelCtx<'_, '_> {
                         let cores = self.kernels[home_ki].cores();
                         let sd = self.machine.shootdown().tlb_shootdown(&cores[1..]);
                         let done = done + sd.initiator_busy;
-                        let remotes = h.remote_replicas();
-                        let (token, complete) = h.begin_unmap(rpc, origin, remotes.clone());
+                        let (token, complete) = h.begin_unmap(rpc, origin, h.remote_replicas());
                         if complete {
                             let (rpc, origin) = self
                                 .groups
@@ -178,22 +152,27 @@ impl KernelCtx<'_, '_> {
                                 .finish_unmap(token);
                             self.finish_vma_op(group, rpc, origin, Ok(0), done);
                         } else {
-                            for r in remotes {
-                                self.send(
-                                    done,
-                                    home_ki,
-                                    r,
-                                    ProtoMsg::VmaUpdate {
-                                        group,
-                                        change: VmaChange::Unmap { addr, len },
-                                        ack: Some(token),
-                                    },
-                                );
-                            }
+                            let change = VmaChange::Unmap { addr, len };
+                            self.push_vma_change(group, home_ki, change, Some(token), done);
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// Pushes a layout change from the home to every remote replica.
+    fn push_vma_change(
+        &mut self,
+        group: GroupId,
+        home_ki: usize,
+        change: VmaChange,
+        ack: Option<u64>,
+        at: SimTime,
+    ) {
+        let remotes = self.groups[&group].remote_replicas();
+        for r in remotes {
+            self.send(at, home_ki, r, ProtoMsg::VmaUpdate { group, change, ack });
         }
     }
 
@@ -206,13 +185,8 @@ impl KernelCtx<'_, '_> {
         result: Result<u64, Errno>,
         at: SimTime,
     ) {
-        let home = self.home_of(group);
-        let home_ki = self.ki(home);
-        if origin == home {
-            self.complete_vma_pending(home_ki, rpc, result, at);
-        } else {
-            self.send(at, home_ki, origin, ProtoMsg::VmaOpDone { rpc, result });
-        }
+        let home_ki = self.ki(self.home_of(group));
+        self.post(at, home_ki, origin, ProtoMsg::VmaOpDone { rpc, result });
     }
 
     /// Wakes the thread whose VMA operation completed.
