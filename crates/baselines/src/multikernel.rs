@@ -22,7 +22,7 @@
 //! another core's kernel), shipping the current VMA layout so the new
 //! thread has the same address-space shape with private contents.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use popcorn_hw::{CoreId, HwParams, Machine, Topology};
 use popcorn_kernel::futex::{FutexTable, Waiter};
@@ -36,6 +36,7 @@ use popcorn_kernel::program::{
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::{Delivery, Fabric, KernelId, MsgParams, RpcId, RpcTable, Wire};
+use popcorn_sim::hash::FxHashMap;
 use popcorn_sim::{metric_table, Counter, Handler, Scheduler, SimTime, Simulator};
 
 use crate::params::MultikernelParams;
@@ -183,7 +184,7 @@ pub struct MultikernelMachine {
     machine: Machine,
     params: MultikernelParams,
     futex: FutexTable,
-    groups: HashMap<GroupId, MkGroup>,
+    groups: FxHashMap<GroupId, MkGroup>,
     /// Per-kernel RPC tables. Every pending continuation is just the
     /// blocked thread, so the continuation type is [`Tid`] directly.
     rpcs: Vec<RpcTable<Tid>>,
@@ -955,7 +956,7 @@ impl MultikernelOsBuilder {
                 machine,
                 params: self.mk,
                 futex: FutexTable::new(),
-                groups: HashMap::new(),
+                groups: FxHashMap::default(),
                 rpcs: (0..n).map(|_| RpcTable::new()).collect(),
                 auto_cursor: 0,
                 stats: MkStats::default(),

@@ -16,7 +16,7 @@
 //! As core counts grow these sites saturate — the contention collapse the
 //! replicated-kernel design removes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use popcorn_hw::{CoreId, HwParams, LockSite, Machine, RwLockSite, Topology};
 use popcorn_kernel::futex::{FutexTable, Waiter};
@@ -30,6 +30,7 @@ use popcorn_kernel::program::{
 use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::KernelId;
+use popcorn_sim::hash::FxHashMap;
 use popcorn_sim::{Handler, Scheduler, SimTime, Simulator};
 
 use crate::params::SmpParams;
@@ -55,12 +56,12 @@ pub struct SmpMachine {
     machine: Machine,
     params: SmpParams,
     futex: FutexTable,
-    groups: HashMap<GroupId, SmpGroup>,
+    groups: FxHashMap<GroupId, SmpGroup>,
     task_lock: LockSite,
     zone_lock: LockSite,
     futex_buckets: Vec<LockSite>,
     rq_locks: Vec<LockSite>,
-    sync_sites: HashMap<(GroupId, u64), LockSite>,
+    sync_sites: FxHashMap<(GroupId, u64), LockSite>,
     /// Lock statistics of groups that already exited: (acquires, summed
     /// mean-weighted wait ns) for their `mmap_sem`s.
     retired_mmap: (u64, f64),
@@ -81,8 +82,8 @@ impl SmpMachine {
             machine,
             params,
             futex: FutexTable::new(),
-            groups: HashMap::new(),
-            sync_sites: HashMap::new(),
+            groups: FxHashMap::default(),
+            sync_sites: FxHashMap::default(),
             retired_mmap: (0, 0.0),
         }
     }

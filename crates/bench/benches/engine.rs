@@ -1,11 +1,13 @@
 //! Criterion benches for the simulation substrate itself: event queue,
-//! RNG, histogram, lock-site model and fabric. These bound how large an
+//! RNG, histogram, lock-site model, fabric and the id-keyed tables the
+//! protocol handlers look up on every step. These bound how large an
 //! experiment the harness can afford.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use popcorn_hw::{CoreId, HwParams, Interconnect, LockSite, RwLockSite, Topology};
+use popcorn_hw::{CoreId, HwParams, Interconnect, LockSite, Machine, RwLockSite, Topology};
+use popcorn_msg::{Fabric, KernelId, MsgParams, RpcTable, Wire};
 use popcorn_sim::{Handler, Histogram, Scheduler, SimRng, SimTime, Simulator};
 
 #[derive(Debug)]
@@ -187,12 +189,63 @@ fn bench_lock_sites(c: &mut Criterion) {
     });
 }
 
+struct Ping;
+
+impl Wire for Ping {
+    fn wire_size(&self) -> usize {
+        64
+    }
+}
+
+/// The per-step table lookups of the protocol layer: an RPC's register
+/// and complete (one insert and one remove in the kernel's pending table,
+/// with 64 requests in flight as under a busy futex server), and a fabric
+/// send (one lookup in the per-channel map).
+fn bench_tables(c: &mut Criterion) {
+    c.bench_function("tables/rpc_register_complete_100k", |b| {
+        b.iter(|| {
+            let mut rpcs: RpcTable<u64> = RpcTable::new();
+            let mut window: Vec<_> = (0..64u64).map(|i| rpcs.register(i)).collect();
+            let mut acc = 0u64;
+            for i in 0..100_000u64 {
+                let slot = (i % 64) as usize;
+                acc = acc.wrapping_add(rpcs.complete(window[slot]).expect("in flight"));
+                window[slot] = rpcs.register(i);
+            }
+            black_box((acc, rpcs.outstanding()))
+        })
+    });
+
+    // 4 kernels, one per socket, and every one of the 12 ordered channels.
+    let machine = Machine::new(Topology::new(4, 16), HwParams::default());
+    let locations: Vec<CoreId> = (0..4).map(|k| CoreId(k * 16)).collect();
+    let pairs: Vec<(KernelId, KernelId)> = (0..4u16)
+        .flat_map(|a| (0..4u16).filter(move |&b| b != a).map(move |b| (a, b)))
+        .map(|(a, b)| (KernelId(a), KernelId(b)))
+        .collect();
+    c.bench_function("tables/fabric_send_100k", |b| {
+        b.iter(|| {
+            let mut fabric = Fabric::new(&machine, locations.clone(), MsgParams::default());
+            let mut last = SimTime::ZERO;
+            for i in 0..100_000u64 {
+                let (from, to) = pairs[(i % 12) as usize];
+                let d = fabric
+                    .send(SimTime::from_nanos(i * 200), from, to, Ping)
+                    .expect_delivered();
+                last = last.max(d.deliver_at);
+            }
+            black_box((last, fabric.total_sends()))
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_event_loop,
     bench_queue_regimes,
     bench_rng,
     bench_histogram,
-    bench_lock_sites
+    bench_lock_sites,
+    bench_tables
 );
 criterion_main!(benches);

@@ -38,7 +38,7 @@ impl Cli {
 /// each in place — unlike `Vec::dedup`, which only collapses *adjacent*
 /// repeats (so `repro e1 e2 e1` used to run e1 twice).
 pub fn dedup_preserving_order(ids: &mut Vec<String>) {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     ids.retain(|id| seen.insert(id.clone()));
 }
 

@@ -14,11 +14,12 @@
 //! completion via [`Directory::done`]. Keeping it pure lets the property
 //! tests drive millions of protocol interleavings without a simulator.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use popcorn_kernel::mm::{PageContents, PageInfo, PageState};
 use popcorn_kernel::types::PageNo;
 use popcorn_msg::{KernelId, RpcId};
+use popcorn_sim::hash::FxHashMap;
 
 /// One queued or in-service page request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +112,7 @@ pub struct DirView {
 /// The per-group page directory kept at the home kernel.
 #[derive(Debug, Default)]
 pub struct Directory {
-    entries: HashMap<PageNo, DirEntry>,
+    entries: FxHashMap<PageNo, DirEntry>,
 }
 
 impl Directory {

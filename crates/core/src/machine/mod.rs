@@ -201,11 +201,6 @@ impl Server {
         &self.depth_hist
     }
 
-    /// Queue depth over virtual time, sampled at service starts.
-    pub fn depth_series(&self) -> &TimeSeries {
-        &self.depth_series
-    }
-
     /// Total virtual nanoseconds spent serving requests.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns

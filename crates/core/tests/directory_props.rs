@@ -4,7 +4,7 @@
 //! eventually granted). Driven by the deterministic [`SimRng`] (the build
 //! is offline, so no external property-testing framework).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use popcorn_core::directory::{DirStep, Directory, Grant, PageRequest};
 use popcorn_kernel::mm::{PageContents, PageState};
@@ -19,7 +19,7 @@ const PAGE: PageNo = PageNo(0x7f00);
 struct Harness {
     dir: Directory,
     /// Simulated local state per kernel (mirrors what its Mm would hold).
-    local: HashMap<KernelId, PageState>,
+    local: BTreeMap<KernelId, PageState>,
     /// Work the "network" still has to deliver: pending fetch (owner) or
     /// invalidation acks.
     pending_fetch: Option<KernelId>,
@@ -35,7 +35,7 @@ impl Harness {
     fn new() -> Self {
         Harness {
             dir: Directory::new(),
-            local: HashMap::new(),
+            local: BTreeMap::new(),
             pending_fetch: None,
             pending_invals: VecDeque::new(),
             pending_done: None,
@@ -146,8 +146,8 @@ impl Harness {
         }
         // Directory's view matches the simulated holders.
         if let Some(v) = self.dir.view(PAGE) {
-            let dir_set: HashSet<KernelId> = v.copyset.iter().copied().collect();
-            let sim_set: HashSet<KernelId> = self.local.keys().copied().collect();
+            let dir_set: BTreeSet<KernelId> = v.copyset.iter().copied().collect();
+            let sim_set: BTreeSet<KernelId> = self.local.keys().copied().collect();
             assert_eq!(dir_set, sim_set, "directory copyset diverged from holders");
         }
     }

@@ -15,9 +15,10 @@
 //! Linux (per-bucket locks) and Popcorn (home-kernel server) close them.
 //! See DESIGN.md §Distributed futex for the modelling rationale.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use popcorn_msg::KernelId;
+use popcorn_sim::hash::FxHashMap;
 
 use crate::program::RmwOp;
 use crate::types::{GroupId, Tid, VAddr};
@@ -55,8 +56,8 @@ pub struct Waiter {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FutexTable {
-    words: HashMap<(GroupId, u64), u64>,
-    queues: HashMap<(GroupId, u64), VecDeque<Waiter>>,
+    words: FxHashMap<(GroupId, u64), u64>,
+    queues: FxHashMap<(GroupId, u64), VecDeque<Waiter>>,
 }
 
 impl FutexTable {

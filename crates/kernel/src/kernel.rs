@@ -9,10 +9,11 @@
 //! operations in virtual time until something needs OS attention and
 //! reports a [`RunOutcome`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use popcorn_hw::{CoreId, Machine};
 use popcorn_msg::KernelId;
+use popcorn_sim::hash::FxHashMap;
 use popcorn_sim::{metric_table, Counter, Histogram, SimTime};
 
 use crate::mm::{AccessCheck, Mm};
@@ -159,17 +160,13 @@ metric_table! {
 pub struct Kernel {
     id: KernelId,
     cores: Vec<CoreState>,
-    core_index: HashMap<CoreId, usize>,
-    tasks: HashMap<Tid, Task>,
-    mms: HashMap<GroupId, Mm>,
+    core_index: FxHashMap<CoreId, usize>,
+    tasks: FxHashMap<Tid, Task>,
+    mms: FxHashMap<GroupId, Mm>,
     next_local_tid: u32,
     params: OsParams,
     machine: Machine,
     mem_access: SimTime,
-    /// Pending memory op of a faulted task, re-attempted after resolution.
-    pending_ops: HashMap<Tid, Op>,
-    /// Wake timestamps for scheduling-latency accounting.
-    wake_stamp: HashMap<Tid, SimTime>,
     /// Rotating tie-breaker for spawn placement (so threads that block
     /// immediately still spread across cores).
     spawn_cursor: usize,
@@ -187,7 +184,7 @@ impl Kernel {
     pub fn new(id: KernelId, cores: Vec<CoreId>, params: OsParams, machine: Machine) -> Self {
         assert!(!cores.is_empty(), "kernel needs at least one core");
         params.validate().expect("invalid OS parameters");
-        let mut core_index = HashMap::new();
+        let mut core_index = FxHashMap::default();
         for (i, &c) in cores.iter().enumerate() {
             assert!(machine.topology().contains(c), "{c} not in topology");
             assert!(core_index.insert(c, i).is_none(), "duplicate core {c}");
@@ -197,14 +194,12 @@ impl Kernel {
             id,
             cores: cores.into_iter().map(CoreState::new).collect(),
             core_index,
-            tasks: HashMap::new(),
-            mms: HashMap::new(),
+            tasks: FxHashMap::default(),
+            mms: FxHashMap::default(),
             next_local_tid: 1,
             params,
             machine,
             mem_access,
-            pending_ops: HashMap::new(),
-            wake_stamp: HashMap::new(),
             spawn_cursor: 0,
             stats: KernelStats::default(),
         }
@@ -335,10 +330,10 @@ impl Kernel {
             .core_index
             .get(&core)
             .unwrap_or_else(|| panic!("{core} not owned by {}", self.id));
-        let task = Task::new(tid, group, program, core);
+        let mut task = Task::new(tid, group, program, core);
+        task.woke_at = Some(now);
         self.tasks.insert(tid, task);
         self.cores[ci].runqueue.push_back(tid);
-        self.wake_stamp.insert(tid, now);
         self.stats.spawned.incr();
         core
     }
@@ -396,10 +391,10 @@ impl Kernel {
             };
             t += self.params.context_switch();
             self.stats.ctx_switches.incr();
-            if let Some(woke) = self.wake_stamp.remove(&next) {
+            let task = self.tasks.get_mut(&next).expect("queued task exists");
+            if let Some(woke) = task.woke_at.take() {
                 self.stats.sched_latency.record_time(t.saturating_sub(woke));
             }
-            let task = self.tasks.get_mut(&next).expect("queued task exists");
             task.state = TaskState::Running;
             task.stats.ctx_switches += 1;
             self.cores[ci].current = Some(next);
@@ -414,31 +409,31 @@ impl Kernel {
 
         let mut ops = 0u32;
         loop {
+            let task = self.tasks.get_mut(&tid).expect("current exists");
+            let cs = &mut self.cores[ci];
             // Slice renewal for a sole runner: nobody to switch to.
-            if t >= self.cores[ci].slice_end && self.cores[ci].runqueue.is_empty() {
-                self.cores[ci].slice_end = t + self.params.quantum();
+            if t >= cs.slice_end && cs.runqueue.is_empty() {
+                cs.slice_end = t + self.params.quantum();
             }
             // Preemption check between ops.
-            if t >= self.cores[ci].slice_end && !self.cores[ci].runqueue.is_empty() {
-                let task = self.tasks.get_mut(&tid).expect("current exists");
+            if t >= cs.slice_end && !cs.runqueue.is_empty() {
                 task.state = TaskState::Ready;
-                self.cores[ci].current = None;
-                self.cores[ci].runqueue.push_back(tid);
-                self.cores[ci].busy_until = t;
-                self.wake_stamp.insert(tid, t);
+                task.woke_at = Some(t);
+                cs.current = None;
+                cs.runqueue.push_back(tid);
+                cs.busy_until = t;
                 return RunOutcome::Preempted { at: t };
             }
             // Batching bound: yield to the event loop without modelling cost.
             if ops >= self.params.max_batched_ops {
-                return self.cores[ci].repoll(t);
+                return cs.repoll(t);
             }
             ops += 1;
 
             // Take the pending (faulted) op if any, else step the program.
-            let op = match self.pending_ops.remove(&tid) {
+            let op = match task.pending_op.take() {
                 Some(op) => op,
                 None => {
-                    let task = self.tasks.get_mut(&tid).expect("current exists");
                     let env = ProgEnv {
                         tid,
                         core,
@@ -456,7 +451,7 @@ impl Kernel {
             match op {
                 Op::Compute(cycles) => {
                     let dt = self.machine.cycles(cycles);
-                    let slice_end = self.cores[ci].slice_end;
+                    let slice_end = cs.slice_end;
                     if t + dt > slice_end && dt > SimTime::ZERO {
                         // Compute is preemptible: run to the slice end and
                         // park the remainder as a pending op. The core
@@ -469,50 +464,40 @@ impl Kernel {
                             as u64;
                         let remaining = cycles - consumed_cycles.min(cycles);
                         if remaining > 0 {
-                            self.pending_ops.insert(tid, Op::Compute(remaining));
-                            let task = self.tasks.get_mut(&tid).expect("current exists");
+                            task.pending_op = Some(Op::Compute(remaining));
                             task.stats.cpu_time += available;
                             t = slice_end;
-                            if self.cores[ci].runqueue.is_empty() {
+                            if cs.runqueue.is_empty() {
                                 // Sole runner: yield to the event loop so
                                 // arrivals within this quantum get seen.
-                                return self.cores[ci].repoll(t);
+                                return cs.repoll(t);
                             }
                             continue; // the loop head performs the preemption
                         }
                     }
                     t += dt;
-                    let task = self.tasks.get_mut(&tid).expect("current exists");
                     task.stats.cpu_time += dt;
                     task.resume = Resume::Done;
                 }
                 Op::Load(addr) | Op::Store(addr, _) => {
                     let write = matches!(op, Op::Store(..));
-                    let group = self.tasks[&tid].group;
-                    let mm = self.mms.get(&group).expect("task group has mm");
+                    let mm = self.mms.get_mut(&task.group).expect("task group has mm");
                     match mm.check_access(addr, write) {
                         AccessCheck::Ok => {
                             t += self.mem_access;
-                            let task_resume;
-                            if let Op::Store(addr, val) = op {
-                                self.mms
-                                    .get_mut(&group)
-                                    .expect("checked above")
-                                    .write_word(addr, val);
-                                task_resume = Resume::Done;
+                            task.resume = if let Op::Store(addr, val) = op {
+                                mm.write_word(addr, val);
+                                Resume::Done
                             } else {
-                                task_resume = Resume::Value(mm.read_word(addr));
-                            }
-                            let task = self.tasks.get_mut(&tid).expect("current exists");
+                                Resume::Value(mm.read_word(addr))
+                            };
                             task.stats.cpu_time += self.mem_access;
-                            task.resume = task_resume;
                         }
                         AccessCheck::NeedPage { page, write } => {
-                            self.pending_ops.insert(tid, op);
-                            let task = self.tasks.get_mut(&tid).expect("current exists");
+                            task.pending_op = Some(op);
                             task.stats.faults += 1;
                             self.stats.faults.incr();
-                            self.cores[ci].busy_until = t;
+                            cs.busy_until = t;
                             return RunOutcome::Fault {
                                 tid,
                                 page,
@@ -525,11 +510,10 @@ impl Kernel {
                             // No local VMA. The OS model decides whether
                             // this is a segfault (SMP) or a VMA to fetch
                             // from the home kernel (replicated kernel).
-                            self.pending_ops.insert(tid, op);
-                            let task = self.tasks.get_mut(&tid).expect("current exists");
+                            task.pending_op = Some(op);
                             task.stats.faults += 1;
                             self.stats.faults.incr();
-                            self.cores[ci].busy_until = t;
+                            cs.busy_until = t;
                             return RunOutcome::Fault {
                                 tid,
                                 page: addr.page(),
@@ -541,9 +525,8 @@ impl Kernel {
                     }
                 }
                 Op::AtomicRmw(addr, rmw) => {
-                    let task = self.tasks.get_mut(&tid).expect("current exists");
                     task.state = TaskState::InSyscall;
-                    self.cores[ci].busy_until = t;
+                    cs.busy_until = t;
                     return RunOutcome::SyncOp {
                         tid,
                         addr,
@@ -553,11 +536,10 @@ impl Kernel {
                 }
                 Op::Syscall(req) => {
                     t += self.params.syscall_entry();
-                    let task = self.tasks.get_mut(&tid).expect("current exists");
                     task.state = TaskState::InSyscall;
                     task.stats.syscalls += 1;
                     self.stats.syscalls.incr();
-                    self.cores[ci].busy_until = t;
+                    cs.busy_until = t;
                     return RunOutcome::Syscall { tid, req, at: t };
                 }
                 Op::Exit(code) => {
@@ -572,7 +554,7 @@ impl Kernel {
         let task = self.tasks.get_mut(&tid).expect("exiting task exists");
         task.state = TaskState::Exited(code);
         task.program = None;
-        self.pending_ops.remove(&tid);
+        task.pending_op = None;
         self.cores[ci].current = None;
         self.cores[ci].busy_until = at;
         self.stats.exited.incr();
@@ -666,12 +648,12 @@ impl Kernel {
             task.state
         );
         task.state = TaskState::Ready;
+        task.woke_at = Some(now);
         // A woken task resumes the retry of its pending op (if any) or its
         // stored resume value set by the waker.
         let core = task.core;
         let cs = self.core_state_mut(core);
         cs.runqueue.push_back(tid);
-        self.wake_stamp.insert(tid, now);
         core
     }
 
@@ -685,13 +667,13 @@ impl Kernel {
         );
         task.state = TaskState::Ready;
         task.resume = Resume::Sys(SysResult::Val(0));
+        task.woke_at = Some(now);
         let core = task.core;
         let cs = self.core_state_mut(core);
         assert_eq!(cs.current, Some(tid));
         cs.current = None;
         cs.runqueue.push_back(tid);
         cs.busy_until = cs.busy_until.max(now);
-        self.wake_stamp.insert(tid, now);
         core
     }
 
@@ -750,12 +732,12 @@ impl Kernel {
         task.stats.migrations += 1;
         let stats = task.stats;
         task.state = TaskState::MigratedAway { to };
+        let pending = task.pending_op.take();
         let core = task.core;
         let cs = self.core_state_mut(core);
         assert_eq!(cs.current, Some(tid));
         cs.current = None;
         cs.busy_until = cs.busy_until.max(now);
-        let pending = self.pending_ops.remove(&tid);
         (program, ctx, stats, pending)
     }
 
@@ -811,8 +793,8 @@ impl Kernel {
         let stats = task.stats;
         task.state = TaskState::MigratedAway { to };
         let resume = std::mem::replace(&mut task.resume, Resume::Start);
-        let pending = self.pending_ops.remove(&tid);
-        self.wake_stamp.remove(&tid);
+        let pending = task.pending_op.take();
+        task.woke_at = None;
         Some((program, ctx, stats, resume, pending))
     }
 
@@ -866,33 +848,25 @@ impl Kernel {
             self.has_mm(group),
             "migration before mm replica for {group}"
         );
-        if let Some(op) = pending {
-            self.pending_ops.insert(tid, op);
-        }
-        if let Some(task) = self.tasks.get_mut(&tid) {
+        let back = if let Some(task) = self.tasks.get_mut(&tid) {
             assert!(task.is_shadow(), "{tid} exists here but is not a shadow");
             task.program = Some(program);
-            task.ctx = ctx;
-            task.stats = stats;
             task.state = TaskState::Ready;
-            task.resume = resume;
-            let core = task.core;
-            let cs = self.core_state_mut(core);
-            cs.runqueue.push_back(tid);
-            self.wake_stamp.insert(tid, now);
-            (core, true)
+            true
         } else {
             let core = self.least_loaded_core();
-            let mut task = Task::new(tid, group, program, core);
-            task.ctx = ctx;
-            task.stats = stats;
-            task.resume = resume;
-            self.tasks.insert(tid, task);
-            let cs = self.core_state_mut(core);
-            cs.runqueue.push_back(tid);
-            self.wake_stamp.insert(tid, now);
-            (core, false)
-        }
+            self.tasks.insert(tid, Task::new(tid, group, program, core));
+            false
+        };
+        let task = self.tasks.get_mut(&tid).expect("attached above");
+        task.ctx = ctx;
+        task.stats = stats;
+        task.resume = resume;
+        task.pending_op = pending;
+        task.woke_at = Some(now);
+        let core = task.core;
+        self.core_state_mut(core).runqueue.push_back(tid);
+        (core, back)
     }
 
     /// Kills the thread that is current on its core (segfault policy):
@@ -907,7 +881,7 @@ impl Kernel {
         let core = task.core;
         task.state = TaskState::Exited(code);
         task.program = None;
-        self.pending_ops.remove(&tid);
+        task.pending_op = None;
         let cs = self.core_state_mut(core);
         assert_eq!(cs.current, Some(tid), "force-exiting non-current task");
         cs.current = None;
@@ -933,8 +907,8 @@ impl Kernel {
         let was_queued = matches!(task.state, TaskState::Ready);
         task.state = TaskState::Exited(code);
         task.program = None;
-        self.pending_ops.remove(&tid);
-        self.wake_stamp.remove(&tid);
+        task.pending_op = None;
+        task.woke_at = None;
         self.stats.exited.incr();
         let cs = self.core_state_mut(core);
         if was_on_core {
@@ -969,8 +943,6 @@ impl Kernel {
                 "reaping live task {tid}"
             );
             self.tasks.remove(tid);
-            self.pending_ops.remove(tid);
-            self.wake_stamp.remove(tid);
         }
         doomed.len()
     }

@@ -16,7 +16,9 @@
 //! protocol bookkeeping, survive migration. They are kept per page, in the
 //! form [`PageContents`] ships, so a page operation never scans the others.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use popcorn_sim::hash::FxHashMap;
 
 use crate::types::{Errno, GroupId, PageNo, VAddr};
 
@@ -118,9 +120,9 @@ pub enum AccessCheck {
 pub struct Mm {
     group: GroupId,
     vmas: BTreeMap<u64, Vma>,
-    pages: HashMap<PageNo, PageInfo>,
+    pages: FxHashMap<PageNo, PageInfo>,
     /// Each page's non-zero words, ascending by address.
-    words: HashMap<PageNo, Vec<(u64, u64)>>,
+    words: FxHashMap<PageNo, Vec<(u64, u64)>>,
     next_map: u64,
     brk: u64,
 }
@@ -131,8 +133,8 @@ impl Mm {
         Mm {
             group,
             vmas: BTreeMap::new(),
-            pages: HashMap::new(),
-            words: HashMap::new(),
+            pages: FxHashMap::default(),
+            words: FxHashMap::default(),
             next_map: MMAP_BASE,
             brk: BRK_BASE,
         }
@@ -150,8 +152,8 @@ impl Mm {
         Mm {
             group: self.group,
             vmas: self.vmas.clone(),
-            pages: HashMap::new(),
-            words: HashMap::new(),
+            pages: FxHashMap::default(),
+            words: FxHashMap::default(),
             next_map: self.next_map,
             brk: self.brk,
         }

@@ -6,7 +6,7 @@ use popcorn_hw::CoreId;
 use popcorn_msg::KernelId;
 use popcorn_sim::SimTime;
 
-use crate::program::{Program, Resume};
+use crate::program::{Op, Program, Resume};
 use crate::types::{CpuContext, GroupId, Tid, VAddr};
 
 /// Why a task is off the run queue.
@@ -80,6 +80,12 @@ pub struct Task {
     pub resume: Resume,
     /// Accounting.
     pub stats: TaskStats,
+    /// The memory op that faulted (or the rest of a preempted compute),
+    /// re-attempted before the program steps again.
+    pub(crate) pending_op: Option<Op>,
+    /// When the task last became runnable; taken at dispatch for the
+    /// scheduling-latency histogram.
+    pub(crate) woke_at: Option<SimTime>,
 }
 
 impl Task {
@@ -94,6 +100,8 @@ impl Task {
             core,
             resume: Resume::Start,
             stats: TaskStats::default(),
+            pending_op: None,
+            woke_at: None,
         }
     }
 
@@ -129,7 +137,7 @@ impl fmt::Debug for Task {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Op, ProgEnv};
+    use crate::program::ProgEnv;
 
     #[derive(Debug)]
     struct Nop;

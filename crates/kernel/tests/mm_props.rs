@@ -3,7 +3,7 @@
 //! contents coherent. Driven by the deterministic [`SimRng`] (the build is
 //! offline, so no external property-testing framework).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use popcorn_kernel::mm::{AccessCheck, Mm, PageContents, PageState, Vma};
 use popcorn_kernel::types::{GroupId, PageNo, Tid, VAddr};
@@ -66,7 +66,7 @@ fn mm_agrees_with_reference_model() {
         };
         let mut mm = fresh();
         let mut regions: Vec<(VAddr, u64)> = Vec::new(); // (start, len)
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
 
         for a in actions {
             match a {
@@ -144,7 +144,7 @@ fn mm_agrees_with_reference_model() {
 fn page_transfer_roundtrip_is_lossless() {
     let mut rng = SimRng::new(0x5EED_1002);
     for _ in 0..256 {
-        let mut words: HashMap<u64, u64> = HashMap::new();
+        let mut words: BTreeMap<u64, u64> = BTreeMap::new();
         for _ in 0..rng.range_u64(0, 64) {
             words.insert(rng.range_u64(0, 512), rng.next_u64());
         }

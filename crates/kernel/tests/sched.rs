@@ -217,7 +217,7 @@ fn work_spreads_across_cores_of_one_kernel() {
         machine,
     );
     let g = group(&mut k);
-    let mut cores_used = std::collections::HashSet::new();
+    let mut cores_used = std::collections::BTreeSet::new();
     for _ in 0..8 {
         let t = k.alloc_tid();
         let c = k.spawn(t, g, Box::new(Spin::new(1_000, 1_000)), None, SimTime::ZERO);

@@ -1,9 +1,9 @@
 //! The message fabric: per-ordered-pair FIFO channels between kernels.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use popcorn_hw::{CoreId, Machine};
+use popcorn_sim::hash::FxHashMap;
 use popcorn_sim::stats::Summary;
 use popcorn_sim::{Counter, Histogram, SimTime};
 
@@ -172,7 +172,7 @@ pub struct Fabric {
     min_hop: SimTime,
     /// IPI notification latency (or expected polling delay).
     notify: SimTime,
-    channels: HashMap<(KernelId, KernelId), Channel>,
+    channels: FxHashMap<(KernelId, KernelId), Channel>,
     total_sends: Counter,
     latency_hist: Histogram,
     /// Present iff the fault plan is active.
@@ -224,7 +224,7 @@ impl Fabric {
             hop,
             min_hop,
             notify,
-            channels: HashMap::new(),
+            channels: FxHashMap::default(),
             total_sends: Counter::new(),
             latency_hist: Histogram::new(),
             faults,

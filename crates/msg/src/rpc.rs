@@ -7,8 +7,9 @@
 //! matching and cancellation — so protocol logic stays in the protocol
 //! crates.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use popcorn_sim::hash::FxHashMap;
 
 /// Correlation identifier carried inside request/response payloads. Unique
 /// per [`RpcTable`] (i.e. per kernel), never reused within a run.
@@ -38,7 +39,7 @@ impl fmt::Display for RpcId {
 #[derive(Debug, Clone)]
 pub struct RpcTable<C> {
     next: u64,
-    pending: HashMap<RpcId, C>,
+    pending: FxHashMap<RpcId, C>,
 }
 
 impl<C> Default for RpcTable<C> {
@@ -52,7 +53,7 @@ impl<C> RpcTable<C> {
     pub fn new() -> Self {
         RpcTable {
             next: 1,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
         }
     }
 

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod engine;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod stats;

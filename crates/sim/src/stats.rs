@@ -410,7 +410,9 @@ macro_rules! metric_table {
 }
 
 /// A `(time, value)` series sampled during a run, e.g. runqueue depth over
-/// time. Stores raw points; the harness downsamples at print time.
+/// time, kept as running sums: pushing is O(1) and the series holds no
+/// points, so a server sampled on every request costs the same memory
+/// after a million samples as after one.
 ///
 /// # Example
 ///
@@ -422,17 +424,39 @@ macro_rules! metric_table {
 /// assert_eq!(ts.len(), 2);
 /// assert_eq!(ts.mean(), 5.0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
+    /// Time of the first point.
+    first: SimTime,
+    /// Time and value of the last point (the next push's holding
+    /// interval starts here).
+    last: (SimTime, f64),
+    /// Σ value × holding interval over every point but the last.
+    weighted: f64,
+    /// Σ value, for the point-weighted mean. Starts at -0.0, the identity
+    /// of float addition, as `Iterator::sum` does.
+    sum: f64,
+    len: usize,
+    max: f64,
     disorder: u64,
+}
+
+impl Default for TimeSeries {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TimeSeries {
     /// Creates an empty series.
     pub fn new() -> Self {
         TimeSeries {
-            points: Vec::new(),
+            first: SimTime::ZERO,
+            last: (SimTime::ZERO, 0.0),
+            weighted: 0.0,
+            sum: -0.0,
+            len: 0,
+            max: f64::NEG_INFINITY,
             disorder: 0,
         }
     }
@@ -445,18 +469,25 @@ impl TimeSeries {
     /// the series monotonic so [`TimeSeries::time_weighted_mean`] stays
     /// well-defined) and counted in [`TimeSeries::disorder`].
     pub fn push(&mut self, at: SimTime, value: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(t, _)| at >= t),
-            "time series must be appended in time order"
-        );
-        let at = match self.points.last() {
-            Some(&(t, _)) if at < t => {
+        let at = if self.len == 0 {
+            self.first = at;
+            at
+        } else {
+            let (t, v) = self.last;
+            debug_assert!(at >= t, "time series must be appended in time order");
+            let at = if at < t {
                 self.disorder += 1;
                 t
-            }
-            _ => at,
+            } else {
+                at
+            };
+            self.weighted += v * at.saturating_sub(t).as_nanos() as f64;
+            at
         };
-        self.points.push((at, value));
+        self.last = (at, value);
+        self.sum += value;
+        self.len += 1;
+        self.max = self.max.max(value);
     }
 
     /// Number of out-of-order appends that were clamped (always 0 in debug
@@ -467,12 +498,12 @@ impl TimeSeries {
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.len
     }
 
     /// True if no points were recorded.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len == 0
     }
 
     /// Point-weighted mean of the recorded values (0.0 if empty).
@@ -483,10 +514,10 @@ impl TimeSeries {
     /// sampled on arrivals) over-weight bursty intervals — use
     /// [`TimeSeries::time_weighted_mean`] for those.
     pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
+        if self.len == 0 {
             return 0.0;
         }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
+        self.sum / self.len as f64
     }
 
     /// Time-weighted mean, treating the series as a step function: each
@@ -498,37 +529,19 @@ impl TimeSeries {
     /// (its holding interval is unknown). Falls back to the point-weighted
     /// mean when the series spans zero time.
     pub fn time_weighted_mean(&self) -> f64 {
-        let (first, last) = match (self.points.first(), self.points.last()) {
-            (Some(&(f, _)), Some(&(l, _))) => (f, l),
-            _ => return 0.0,
-        };
-        let span = last.saturating_sub(first).as_nanos();
+        let span = self.last.0.saturating_sub(self.first).as_nanos();
         if span == 0 {
             return self.mean();
         }
-        let mut acc = 0.0;
-        for w in self.points.windows(2) {
-            let (t0, v) = w[0];
-            let (t1, _) = w[1];
-            acc += v * t1.saturating_sub(t0).as_nanos() as f64;
-        }
-        acc / span as f64
+        self.weighted / span as f64
     }
 
     /// Largest recorded value (0.0 if empty).
     pub fn max(&self) -> f64 {
-        if self.points.is_empty() {
+        if self.len == 0 {
             return 0.0;
         }
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Iterates over the raw points.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.points.iter().copied()
+        self.max
     }
 }
 
@@ -754,7 +767,7 @@ mod tests {
         ts.push(SimTime::from_nanos(3), 2.0);
         assert_eq!(ts.mean(), 2.0);
         assert_eq!(ts.max(), 3.0);
-        assert_eq!(ts.iter().count(), 3);
+        assert_eq!(ts.len(), 3);
         assert!(!ts.is_empty());
     }
 
@@ -792,10 +805,10 @@ mod tests {
         // and count the violation.
         ts.push(SimTime::from_nanos(5), 2.0);
         assert_eq!(ts.disorder(), 1);
-        let pts: Vec<_> = ts.iter().collect();
-        assert_eq!(pts[1].0, SimTime::from_nanos(10), "clamped, not reordered");
-        // The clamped series spans zero time, so it falls back to the point
-        // mean (1.5), as documented.
+        // Clamped to 10 ns, not reordered: the series spans zero time, so
+        // it falls back to the point mean (1.5), as documented.
         assert_eq!(ts.time_weighted_mean(), ts.mean());
+        ts.push(SimTime::from_nanos(20), 0.0);
+        assert_eq!(ts.time_weighted_mean(), 2.0, "2.0 held 10..20 ns");
     }
 }

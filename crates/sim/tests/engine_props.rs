@@ -6,6 +6,7 @@
 
 use popcorn_sim::{
     CalendarQueue, Handler, Histogram, Scheduler, SimRng, SimTime, Simulator, StopCondition,
+    TimeSeries,
 };
 
 #[derive(Debug)]
@@ -116,6 +117,108 @@ fn histogram_quantiles_are_sane() {
             );
         }
     }
+}
+
+/// The point-list series `TimeSeries` kept before it streamed: every point
+/// stored (out-of-order times clamped to the last one), every statistic
+/// recomputed from the list.
+#[derive(Default)]
+struct PointSeries {
+    points: Vec<(SimTime, f64)>,
+}
+
+impl PointSeries {
+    fn push(&mut self, at: SimTime, value: f64) {
+        let at = self.points.last().map_or(at, |&(t, _)| at.max(t));
+        self.points.push((at, value));
+    }
+
+    fn mean(&self) -> f64 {
+        if self.points.is_empty() {
+            return 0.0;
+        }
+        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
+    }
+
+    fn max(&self) -> f64 {
+        if self.points.is_empty() {
+            return 0.0;
+        }
+        self.points
+            .iter()
+            .map(|&(_, v)| v)
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    fn time_weighted_mean(&self) -> f64 {
+        let (Some(&(first, _)), Some(&(last, _))) = (self.points.first(), self.points.last())
+        else {
+            return 0.0;
+        };
+        let span = last.saturating_sub(first).as_nanos();
+        if span == 0 {
+            return self.mean();
+        }
+        let mut acc = 0.0;
+        for w in self.points.windows(2) {
+            acc += w[0].1 * w[1].0.saturating_sub(w[0].0).as_nanos() as f64;
+        }
+        acc / span as f64
+    }
+}
+
+/// The streaming `TimeSeries` matches the point list bit for bit after
+/// every push: point and time-weighted means (including the zero-span
+/// fallback, which a quarter of the cases stay in), max, and in release
+/// builds the clamping of out-of-order pushes.
+#[test]
+fn time_series_streams_the_point_list_bit_for_bit() {
+    let mut rng = SimRng::new(0x5EED_0007);
+    let mut total_clamped = 0;
+    for case in 0..64 {
+        let zero_span = case % 4 == 0;
+        let integral = rng.chance(0.5);
+        let mut ts = TimeSeries::new();
+        let mut reference = PointSeries::default();
+        let mut now = rng.range_u64(0, 1_000_000);
+        let mut clamped = 0;
+        for _ in 0..rng.range_u64(0, 400) {
+            let mut at = now;
+            if !zero_span {
+                now += rng.range_u64(0, 5) * rng.range_u64(0, 10_000);
+                at = now;
+                // Debug builds panic on an out-of-order push instead.
+                if cfg!(not(debug_assertions)) && rng.chance(0.05) {
+                    at = now.saturating_sub(rng.range_u64(1, 50_000));
+                }
+            }
+            let at = SimTime::from_nanos(at);
+            clamped += u64::from(reference.points.last().is_some_and(|&(t, _)| at < t));
+            let value = if integral {
+                rng.range_u64(0, 64) as f64
+            } else {
+                (rng.f64() - 0.5) * 1e4
+            };
+            ts.push(at, value);
+            reference.push(at, value);
+            assert_eq!(ts.len(), reference.points.len());
+            assert_eq!(
+                ts.mean().to_bits(),
+                reference.mean().to_bits(),
+                "case {case}"
+            );
+            assert_eq!(ts.max().to_bits(), reference.max().to_bits(), "case {case}");
+            assert_eq!(
+                ts.time_weighted_mean().to_bits(),
+                reference.time_weighted_mean().to_bits(),
+                "case {case}"
+            );
+        }
+        assert_eq!(ts.disorder(), clamped, "case {case}");
+        assert_eq!(ts.is_empty(), reference.points.is_empty());
+        total_clamped += clamped;
+    }
+    assert!(cfg!(debug_assertions) || total_clamped > 0);
 }
 
 /// The RNG's range draws are uniform enough: each of 8 buckets of a large

@@ -515,7 +515,7 @@ mod tests {
     use popcorn_kernel::futex::{FutexTable, Waiter};
     use popcorn_kernel::types::{GroupId, Tid};
     use popcorn_msg::KernelId;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// A miniature cooperative executor: drives a set of flows against a
     /// real `FutexTable`, round-robin, handling AtomicRmw and futex
@@ -525,8 +525,8 @@ mod tests {
         table: FutexTable,
         group: GroupId,
         flows: Vec<(u32, Box<dyn Flow>)>,
-        resumes: HashMap<u32, Resume>,
-        blocked: HashMap<u32, VAddr>,
+        resumes: BTreeMap<u32, Resume>,
+        blocked: BTreeMap<u32, VAddr>,
         done: Vec<u32>,
     }
 
@@ -545,7 +545,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, f)| (i as u32, f))
                     .collect(),
-                blocked: HashMap::new(),
+                blocked: BTreeMap::new(),
                 done: Vec::new(),
             }
         }
