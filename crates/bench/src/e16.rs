@@ -88,7 +88,7 @@ fn bounce_pairs(clustering: KernelClustering) -> Vec<(KernelId, KernelId)> {
 fn run_cell(sharded: bool, clustering: KernelClustering) -> [String; 12] {
     let mut os = popcorn_core::PopcornOs::builder()
         .topology(e16_topology())
-        .clustering(clustering)
+        .kernels(clustering.kernel_count(e16_topology()))
         .popcorn_params(PopcornParams {
             home_sharding: sharded,
             ..PopcornParams::default()

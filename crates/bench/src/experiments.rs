@@ -8,9 +8,7 @@ use popcorn_core::PopcornParams;
 use popcorn_hw::{CoreId, HwParams, Machine, Topology};
 use popcorn_kernel::osmodel::OsModel;
 use popcorn_kernel::policy::PolicyKind;
-use popcorn_kernel::program::{
-    MigrateTarget, Op, Placement, ProgEnv, Program, Resume, SysResult, SyscallReq,
-};
+use popcorn_kernel::program::{Op, Placement, ProgEnv, Program, Resume, SyscallReq};
 use popcorn_kernel::types::VAddr;
 use popcorn_msg::{Fabric, FaultPlan, KernelId, MsgParams, Wire};
 use popcorn_sim::SimTime;
@@ -716,50 +714,6 @@ pub fn e11_npb_mg() -> Table {
     )
 }
 
-/// Migrates around the kernel ring with compute between hops, skipping a
-/// hop when the migration fails with an error (the graceful-abort path a
-/// crashed target forces). Used by the E12 kernel-crash scenario.
-#[derive(Debug)]
-struct RingHopper {
-    hops_left: u32,
-    kernels: u16,
-    compute_ns: u64,
-    migrating: bool,
-    hops_failed: u32,
-}
-
-impl RingHopper {
-    fn new(hops: u32, kernels: u16, compute_ns: u64) -> Self {
-        RingHopper {
-            hops_left: hops,
-            kernels,
-            compute_ns,
-            migrating: false,
-            hops_failed: 0,
-        }
-    }
-}
-
-impl Program for RingHopper {
-    fn step(&mut self, r: Resume, env: &ProgEnv) -> Op {
-        if self.migrating {
-            self.migrating = false;
-            if matches!(r, Resume::Sys(SysResult::Err(_))) {
-                // The target was unreachable; we were revived at the origin.
-                self.hops_failed += 1;
-            }
-            return Op::Compute(self.compute_ns);
-        }
-        if self.hops_left == 0 {
-            return Op::Exit(0);
-        }
-        self.hops_left -= 1;
-        self.migrating = true;
-        let next = KernelId((env.kernel.0 + 1) % self.kernels);
-        Op::Syscall(SyscallReq::Migrate(MigrateTarget::Kernel(next)))
-    }
-}
-
 /// E12 workloads: the E2 migration workload, the E4 page-protocol
 /// workload, and the crash-scenario hopper fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -800,7 +754,7 @@ fn e12_cell(wk: E12Workload, plan: FaultPlan) -> (bool, f64, f64, f64, f64, f64)
             // ring (homes round-robin across kernels); compute keeps them
             // in flight when the crash lands.
             for _ in 0..4 {
-                os.load(Box::new(RingHopper::new(24, 4, 200_000)));
+                os.load(adversarial::straggler_hopper(24, 4, 200_000));
             }
         }
     }

@@ -22,8 +22,8 @@
 //!    hold no outstanding requests and no blocked tasks.
 //! 6. **Page-table replicas agree with the directory** — with replication
 //!    on, every holder's shadow entry matches the directory's version for
-//!    every page both still track (lossless, crash-free runs), and no
-//!    holder is a crashed kernel.
+//!    every page both still track (crash-free runs), and no holder is a
+//!    crashed kernel.
 //! 7. **Shard map and delegates agree**, group by group — with home
 //!    sharding off, no group holds shard state at all (map, escalation
 //!    marks, shard directories, delegate servers — the inertness
@@ -33,10 +33,10 @@
 //!    delegation points at a dead kernel.
 //!
 //! Checks 2's kernel-liveness clause, 3's dead-kernel clauses and 4 only
-//! apply when crash recovery actually engaged; 5 only when the
-//! reliability layer ran (raw-loss ablations wedge by design — that loss
-//! is the measurement). Structural checks 1–3 and 7 (self-consistency)
-//! hold unconditionally.
+//! apply when crash recovery actually engaged; 5 only when the fault plan
+//! is active (only then do RPCs carry deadlines). Every injected loss is
+//! retried, so no run is excused from the structural checks 1–3 and 7
+//! (self-consistency), which hold unconditionally.
 
 use popcorn_msg::KernelId;
 use popcorn_sim::SimTime;
@@ -49,12 +49,7 @@ pub fn check(m: &PopcornMachine, now: SimTime) -> Result<(), Vec<String>> {
     let mut bad = Vec::new();
     let fabric = m.fabric();
     let recovery = m.recovery().scheduled;
-    let reliable = m.params().reliable_delivery && fabric.faults_active();
-    // Raw-loss ablations (faults without the reliability layer) lose
-    // threads and wedge conversations *by design* — demonstrating that is
-    // their purpose — so truthful membership is only demanded when the
-    // substrate actually promises it.
-    let lossless = !fabric.faults_active() || m.params().reliable_delivery;
+    let reliable = fabric.faults_active();
     let crashed = |k: KernelId| recovery && fabric.is_crashed(k, now);
 
     // 1. No thread duplicated.
@@ -92,7 +87,7 @@ pub fn check(m: &PopcornMachine, now: SimTime) -> Result<(), Vec<String>> {
             let live = m.kernels()[ki]
                 .task(tid)
                 .is_some_and(|t| !t.is_exited() && !t.is_shadow());
-            if lossless && !live {
+            if !live {
                 bad.push(format!(
                     "{group:?} records member {tid} on kernel {ki} but no live task exists there"
                 ));
@@ -125,7 +120,7 @@ pub fn check(m: &PopcornMachine, now: SimTime) -> Result<(), Vec<String>> {
                         ));
                     }
                 }
-                if reliable && v.busy {
+                if v.busy {
                     bad.push(format!(
                         "{group:?} {page} ({at}) transfer still busy after the queue drained"
                     ));
@@ -137,18 +132,18 @@ pub fn check(m: &PopcornMachine, now: SimTime) -> Result<(), Vec<String>> {
         // pushed update has been applied, so a holder's shadow must match
         // the directory version for every page both still track (shadow-
         // only entries are stale mappings awaiting the next push — legal;
-        // dir-only entries are pages the holder never observed). Lossy
-        // runs drop pushes by design, and a post-crash rebuild can
-        // legitimately disagree with pre-crash pushes still in flight at
-        // the instant of death, so both are excluded. Holders must also
-        // never name a dead kernel once recovery engaged.
+        // dir-only entries are pages the holder never observed). A
+        // post-crash rebuild can legitimately disagree with pre-crash
+        // pushes still in flight at the instant of death, so crash runs
+        // are excluded. Holders must also never name a dead kernel once
+        // recovery engaged.
         if m.params().page_table_replication {
             for k in h.pt_holders() {
                 if crashed(k) {
                     bad.push(format!("{group:?} page-table holder {k:?} is dead"));
                 }
             }
-            if lossless && !recovery {
+            if !recovery {
                 let home = h.home();
                 for k in h.pt_holders() {
                     if k == home {

@@ -281,10 +281,7 @@ impl PopcornMachine {
         let zone_locks = (0..n)
             .map(|_| LockSite::new("zone_lock", machine.params()))
             .collect();
-        let net = ReliableFabric::new(
-            fabric,
-            params.reliable_delivery.then(|| params.retx_policy()),
-        );
+        let net = ReliableFabric::new(fabric, params.retx_policy());
         let policy = params.policy.build();
         let telemetry = policy::Telemetry::new(n);
         let sharding = sharding::ShardCtl::new(&kernels, &machine, params.home_sharding);

@@ -42,8 +42,9 @@
 //! failover.
 //!
 //! Everything here is gated on `scheduled`, which only flips when the run
-//! has planned crashes and the reliability layer is active — fault-free
-//! runs take a single boolean branch and stay byte-identical.
+//! has planned crashes (which make the fault plan, and so the reliability
+//! layer, active) — fault-free runs take a single boolean branch and stay
+//! byte-identical.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,11 +112,10 @@ impl PopcornMachine {
     /// The detection timers for every planned crash, as ready-made
     /// self-addressed deliveries for the harness to schedule (the
     /// crash-recovery twin of `policy_tick_starts`). Flips `scheduled`;
-    /// returns nothing on later calls, without planned crashes, or when
-    /// reliable delivery is off — the fault-free configuration never
-    /// allocates a single event here.
+    /// returns nothing on later calls or without planned crashes — the
+    /// fault-free configuration never allocates a single event here.
     pub fn crash_detect_starts(&mut self) -> Vec<(SimTime, PopMsg)> {
-        if self.recovery.scheduled || !self.net.is_reliable() {
+        if self.recovery.scheduled {
             return Vec::new();
         }
         let crashes = self.net.fabric().planned_crashes().to_vec();

@@ -16,7 +16,7 @@
 //! The replica state itself (holder set and per-holder page→version
 //! shadows) lives in [`crate::group::GroupHome`]; the invariant checker
 //! demands that at queue drain every shadow entry the directory still
-//! tracks agrees with the directory's version (lossless, crash-free runs).
+//! tracks agrees with the directory's version (crash-free runs).
 //!
 //! Everything in this module is behind the `page_table_replication` gate:
 //! with the toggle off (the default) no walk is charged, no message is
@@ -157,32 +157,11 @@ impl KernelCtx<'_, '_> {
             return;
         }
         let home = self.home_of(group);
-        let topo = self.machine.topology();
         let Some(h) = self.groups.get_mut(&group) else {
             return;
         };
         if !h.add_pt_holder(origin) {
             return;
-        }
-        // NUMA-distance-aware eviction (`pt_replica_cap`): when the
-        // non-home holder set now exceeds the cap, drop the replica
-        // sitting farthest (in socket hops) from the home — it pays the
-        // most per pushed update and profits least from locality. The
-        // freshly granted requester and the home itself are never
-        // evicted; distance ties break toward the highest kernel id.
-        if self.params.pt_replica_cap > 0 {
-            let home_socket = self.sharding.socket_of(home);
-            let holders: Vec<KernelId> =
-                h.pt_holders().into_iter().filter(|&k| k != home).collect();
-            if holders.len() > self.params.pt_replica_cap as usize {
-                let victim = pick_eviction_victim(&holders, origin, |k| {
-                    topo.socket_distance(self.sharding.socket_of(k), home_socket)
-                });
-                if let Some(v) = victim {
-                    h.remove_pt_holder(v);
-                    self.stats.replica_evictions.incr();
-                }
-            }
         }
         let pages: Vec<(PageNo, u64)> = h
             .dir
@@ -228,60 +207,5 @@ impl KernelCtx<'_, '_> {
             .service
             .record_time(cost);
         self.note_activity(now + cost);
-    }
-}
-
-/// Chooses which over-cap replica holder to drop: the one farthest from
-/// the home by `dist` (socket hops), ties broken toward the highest
-/// kernel id so the choice is deterministic. `holders` must already
-/// exclude the home; the freshly granted `origin` is never picked.
-fn pick_eviction_victim(
-    holders: &[KernelId],
-    origin: KernelId,
-    dist: impl Fn(KernelId) -> u16,
-) -> Option<KernelId> {
-    holders
-        .iter()
-        .copied()
-        .filter(|&k| k != origin)
-        .max_by_key(|&k| (dist(k), k.0))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn k(id: u16) -> KernelId {
-        KernelId(id)
-    }
-
-    #[test]
-    fn farthest_holder_is_evicted() {
-        // Distances: k1 → 0 hops, k2 → 1, k3 → 2. The farthest loses.
-        let holders = [k(1), k(2), k(3)];
-        let victim = pick_eviction_victim(&holders, k(1), |h| h.0.saturating_sub(1));
-        assert_eq!(victim, Some(k(3)));
-    }
-
-    #[test]
-    fn distance_ties_break_toward_the_highest_kernel_id() {
-        let holders = [k(1), k(2), k(3)];
-        let victim = pick_eviction_victim(&holders, k(1), |_| 1);
-        assert_eq!(victim, Some(k(3)));
-    }
-
-    #[test]
-    fn the_fresh_requester_is_never_the_victim() {
-        // k3 is both farthest and the requester being granted right now;
-        // the next-farthest holder goes instead.
-        let holders = [k(1), k(2), k(3)];
-        let victim = pick_eviction_victim(&holders, k(3), |h| h.0);
-        assert_eq!(victim, Some(k(2)));
-    }
-
-    #[test]
-    fn a_lone_over_cap_requester_evicts_nobody() {
-        let holders = [k(3)];
-        assert_eq!(pick_eviction_victim(&holders, k(3), |h| h.0), None);
     }
 }

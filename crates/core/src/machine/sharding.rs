@@ -53,9 +53,7 @@ pub struct ShardCtl {
 }
 
 impl ShardCtl {
-    /// Computes the socket layout for a kernel set. The layout is computed
-    /// even when sharding is disabled: the NUMA-distance pt-replica
-    /// eviction policy reuses it.
+    /// Computes the socket layout for a kernel set.
     pub fn new(kernels: &[Kernel], machine: &Machine, enabled: bool) -> Self {
         let topo = machine.topology();
         let kernel_socket: Vec<SocketId> = kernels

@@ -1,8 +1,8 @@
 //! Transport glue: the OS-model side of the shared reliable-delivery
 //! substrate ([`popcorn_msg::ReliableFabric`] / [`popcorn_msg::RpcTable`]).
 //!
-//! The substrate decides *what* happens to a send (deliver, raw loss,
-//! retransmit backoff, abandonment) and returns a [`SendPlan`]; this module
+//! The substrate decides *what* happens to a send (deliver, retransmit
+//! backoff, abandonment) and returns a [`SendPlan`]; this module
 //! maps each plan onto scheduler events, runs the self-addressed timers
 //! (retransmits, RPC deadlines), performs receive-side duplicate
 //! suppression plus channel acks, and unwinds sender state for traffic
@@ -66,10 +66,6 @@ impl KernelCtx<'_, '_> {
                 delivery,
                 duplicate_at,
             } => self.schedule_delivery(delivery, duplicate_at),
-            SendPlan::LostRaw => {
-                // Faults active but the reliability layer is off: raw loss.
-                self.stats.msgs_lost_raw.incr();
-            }
             SendPlan::Backoff {
                 token,
                 fire_at,
@@ -339,8 +335,7 @@ impl KernelCtx<'_, '_> {
             // Channel acks model the reliability layer's wire overhead;
             // the simulated sender observes delivery directly, so nothing
             // to do on receipt beyond counting it. The same goes for a
-            // duplicate of unsequenced traffic (an ack, or anything sent
-            // with the reliability layer off).
+            // duplicate of unsequenced traffic (an ack).
             ProtoMsg::ChanAck { .. } | ProtoMsg::Duplicate => {
                 self.stats.proto.of(Protocol::Transport).msgs_in.incr();
             }

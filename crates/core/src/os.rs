@@ -2,7 +2,7 @@
 
 use popcorn_hw::{HwParams, Topology};
 use popcorn_kernel::kernel::Kernel;
-use popcorn_kernel::osmodel::{self, KernelClustering, OsEvent, OsModel, RunReport};
+use popcorn_kernel::osmodel::{self, OsEvent, OsModel, RunReport};
 use popcorn_kernel::params::OsParams;
 use popcorn_kernel::program::Program;
 use popcorn_kernel::types::GroupId;
@@ -41,7 +41,6 @@ impl Handler<PopEvent> for PopcornMachine {
 pub struct PopcornOsBuilder {
     topology: Topology,
     kernels: u16,
-    clustering: Option<KernelClustering>,
     hw: HwParams,
     os: OsParams,
     msg: MsgParams,
@@ -53,7 +52,6 @@ impl Default for PopcornOsBuilder {
         PopcornOsBuilder {
             topology: Topology::paper_default(),
             kernels: 4,
-            clustering: None,
             hw: HwParams::default(),
             os: OsParams::default(),
             msg: MsgParams::default(),
@@ -73,15 +71,6 @@ impl PopcornOsBuilder {
     /// contiguously among them).
     pub fn kernels(mut self, n: u16) -> Self {
         self.kernels = n;
-        self
-    }
-
-    /// Sets the kernel count from a first-class clustering (one kernel per
-    /// core / CCX / socket of the configured topology) instead of a raw
-    /// number. Resolved against the topology at [`Self::build`] time, so
-    /// the call order relative to [`Self::topology`] does not matter.
-    pub fn clustering(mut self, c: KernelClustering) -> Self {
-        self.clustering = Some(c);
         self
     }
 
@@ -120,7 +109,7 @@ impl PopcornOsBuilder {
         // Crash detection infers death from ack silence: the window must
         // outlast the worst-case retransmit chain or survivors would
         // declare a congested peer dead.
-        if !self.msg.faults.crashes.is_empty() && self.pop.reliable_delivery {
+        if !self.msg.faults.crashes.is_empty() {
             assert!(
                 self.pop.crash_detect_ns > self.pop.worst_retx_chain_ns(),
                 "crash_detect_ns ({}) must exceed the worst-case retransmit \
@@ -129,11 +118,8 @@ impl PopcornOsBuilder {
                 self.pop.worst_retx_chain_ns()
             );
         }
-        let kernel_count = self
-            .clustering
-            .map_or(self.kernels, |c| c.kernel_count(self.topology));
         let (machine, kernels, fabric) =
-            osmodel::partition_machine(self.topology, kernel_count, self.hw, self.os, self.msg);
+            osmodel::partition_machine(self.topology, self.kernels, self.hw, self.os, self.msg);
         PopcornOs {
             sim: Simulator::new(),
             machine: PopcornMachine::new(kernels, fabric, machine, self.pop),
@@ -257,8 +243,8 @@ impl OsModel for PopcornOs {
         // Under fault injection, moot RPC-deadline timers can trail the real
         // work by up to `rpc_deadline_ns`; report when the workload actually
         // finished. The same applies to an active policy's trailing final
-        // tick. Fault-free scripted runs keep the raw clock (byte-identical
-        // to a build without the reliability layer).
+        // tick. Fault-free scripted runs keep the raw clock (they carry no
+        // reliability state, so nothing trails the work).
         let finished_at = if self.machine.fabric().faults_active() || self.machine.policy_active() {
             self.machine.last_activity()
         } else {

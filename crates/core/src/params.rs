@@ -40,13 +40,11 @@ pub struct PopcornParams {
     /// Ablation: replicate the whole VMA layout with each migration
     /// (`false` = the paper's on-demand VMA retrieval).
     pub eager_vma_replication: bool,
-    /// Reliable delivery over a faulty fabric: sequence numbers, duplicate
-    /// suppression, retransmission with backoff, and RPC deadlines. Only
-    /// engaged when the fabric's [`popcorn_msg::FaultPlan`] is active —
-    /// with no faults the send path is byte-identical with this on or off.
-    /// `false` exposes raw loss (used to demonstrate stuck tasks).
-    pub reliable_delivery: bool,
-    /// First retransmit backoff after a loss.
+    /// First retransmit backoff after a loss. The `retx_*` and
+    /// `rpc_deadline_ns` knobs drive reliable delivery (sequence numbers,
+    /// duplicate suppression, retransmission with backoff, RPC deadlines),
+    /// which engages exactly when the fabric's [`popcorn_msg::FaultPlan`]
+    /// is active; with no faults the send path carries none of it.
     pub retx_base_ns: u64,
     /// Backoff ceiling (exponential growth is clamped here).
     pub retx_cap_ns: u64,
@@ -125,13 +123,6 @@ pub struct PopcornParams {
     /// branch per routing site, results byte-identical to pre-sharding
     /// builds.
     pub home_sharding: bool,
-    /// Upper bound on a group's page-table replica holder set (the home's
-    /// authoritative tables count as one). When a new holder registers
-    /// past the cap, the holder whose socket is NUMA-farthest from the
-    /// home is evicted (ties broken toward the highest kernel id). `0`
-    /// (the default) means uncapped — the pre-existing behaviour where
-    /// `pt_holders` never shrinks outside crashes.
-    pub pt_replica_cap: u32,
 }
 
 impl Default for PopcornParams {
@@ -150,7 +141,6 @@ impl Default for PopcornParams {
             futex_local_fastpath: true,
             sync_first_touch_homing: false,
             eager_vma_replication: false,
-            reliable_delivery: true,
             retx_base_ns: 50_000,
             retx_cap_ns: 2_000_000,
             retx_max_attempts: 10,
@@ -170,7 +160,6 @@ impl Default for PopcornParams {
             replica_update_service_ns: 500,
             replica_install_page_ns: 150,
             home_sharding: false,
-            pt_replica_cap: 0,
         }
     }
 }
@@ -212,16 +201,6 @@ impl PopcornParams {
         if self.policy == PolicyKind::ReplicaAware && !self.page_table_replication {
             return Err("the replica-aware policy requires page_table_replication \
                  (its co-placement hook has nothing to act on without replicas)"
-                .into());
-        }
-        if self.pt_replica_cap > 0 && !self.page_table_replication {
-            return Err("pt_replica_cap requires page_table_replication \
-                 (there is no holder set to bound without the replica model)"
-                .into());
-        }
-        if self.pt_replica_cap == 1 {
-            return Err("pt_replica_cap must be 0 (uncapped) or at least 2: the \
-                 home's authoritative tables always count as one holder"
                 .into());
         }
         if self.home_sharding && self.page_table_replication {
@@ -351,23 +330,6 @@ mod tests {
 
     #[test]
     fn sharding_and_eviction_knobs_validate() {
-        let cap_without_model = PopcornParams {
-            pt_replica_cap: 3,
-            ..PopcornParams::default()
-        };
-        assert!(cap_without_model.validate().is_err());
-        let cap_of_one = PopcornParams {
-            page_table_replication: true,
-            pt_replica_cap: 1,
-            ..PopcornParams::default()
-        };
-        assert!(cap_of_one.validate().is_err());
-        let capped = PopcornParams {
-            page_table_replication: true,
-            pt_replica_cap: 2,
-            ..PopcornParams::default()
-        };
-        assert_eq!(capped.validate(), Ok(()));
         let sharded = PopcornParams {
             home_sharding: true,
             ..PopcornParams::default()

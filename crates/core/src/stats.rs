@@ -107,8 +107,6 @@ metric_table! {
         retx_backoff_ns: Counter => "retx_backoff_ms" / 1e6,
         /// Messages abandoned after exhausting every transmission attempt.
         msgs_abandoned: Counter,
-        /// Messages lost with the reliability layer disabled (raw loss).
-        msgs_lost_raw: Counter,
         /// Injected duplicates suppressed by sequence-number checks.
         dup_suppressed: Counter,
         /// Channel-level acknowledgements sent for sequenced messages.
@@ -185,9 +183,6 @@ metric_table! {
         replica_installs: Counter,
         /// Replica page-table-entry updates applied at holder kernels.
         replica_updates: Counter,
-        /// Page-table replicas evicted because a holder cap was exceeded (the
-        /// NUMA-farthest idle holder is dropped first).
-        replica_evictions: Counter,
 
         // --- Hierarchical home sharding (only non-zero when enabled) ---
         /// Pages the root home delegated to a per-socket home delegate on

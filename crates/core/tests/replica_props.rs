@@ -186,52 +186,6 @@ fn replicas_and_directory_agree_under_random_interleavings() {
     }
 }
 
-/// With `pt_replica_cap` set, a fleet whose migrating writers would
-/// otherwise accumulate a holder per kernel must trigger
-/// NUMA-distance-aware evictions — and the run still drains clean with
-/// the invariant audit (check 6 included) passing, since an evicted
-/// holder simply re-requests on its next fault.
-#[test]
-fn replica_cap_evicts_and_stays_consistent() {
-    let mut os = PopcornOs::builder()
-        .topology(Topology::paper_default())
-        .kernels(4)
-        .popcorn_params(PopcornParams {
-            page_table_replication: true,
-            replicate_on_first_fault: true,
-            pt_replica_cap: 2,
-            ..PopcornParams::default()
-        })
-        .build();
-    os.load(adversarial::migrating_writers(6, 10, 4, 2, 20_000));
-    let r = os.run();
-    assert!(r.is_clean(), "stuck: {:?}", r.stuck_tasks);
-    assert!(
-        r.metric("replica_evictions") >= 1.0,
-        "cap=2 with writers roving all 4 kernels never evicted a holder"
-    );
-    assert!(
-        r.metric("replica_installs") >= 1.0,
-        "some grant must still land despite the churn"
-    );
-
-    // The cap is an extension of an extension: with it left at 0 the
-    // eviction path must be unreachable.
-    let mut os = PopcornOs::builder()
-        .topology(Topology::paper_default())
-        .kernels(4)
-        .popcorn_params(PopcornParams {
-            page_table_replication: true,
-            replicate_on_first_fault: true,
-            ..PopcornParams::default()
-        })
-        .build();
-    os.load(adversarial::migrating_writers(6, 10, 4, 2, 20_000));
-    let r = os.run();
-    assert!(r.is_clean());
-    assert_eq!(r.metric("replica_evictions"), 0.0);
-}
-
 fn off_run(hw: HwParams) -> (String, SimTime) {
     let mut os = PopcornOs::builder()
         .topology(Topology::paper_default())

@@ -21,9 +21,9 @@
 //! the header, so no payload is ever wrapped, copied or boxed.
 //!
 //! The reliability state is allocated only when the fabric's fault plan is
-//! active *and* the model supplied a retransmit policy; zero-fault runs
-//! carry no state and take the plain send path, which keeps their results
-//! byte-identical to a model using the fabric directly.
+//! active; zero-fault runs carry no state and take the plain send path,
+//! which keeps their results byte-identical to a model using the fabric
+//! directly. Every loss an active fault plan injects is retried.
 
 use std::collections::BTreeMap;
 
@@ -152,9 +152,6 @@ pub enum SendPlan<P> {
         /// Injected-duplicate delivery time, if any.
         duplicate_at: Option<SimTime>,
     },
-    /// The message was lost and the reliability layer is off: raw loss,
-    /// nothing to schedule.
-    LostRaw,
     /// The transmission was lost; the payload is parked in the retransmit
     /// buffer under `token`. Schedule a retransmit timer at `fire_at` and
     /// call [`ReliableFabric::retransmit`] when it fires.
@@ -182,16 +179,15 @@ pub enum SendPlan<P> {
 #[derive(Debug)]
 pub struct ReliableFabric<P: Wire> {
     fabric: Fabric,
-    /// `None` on the plain path (no faults or reliability disabled).
+    /// `None` on the plain path (no active fault plan).
     seq: Option<SeqState<P>>,
 }
 
 impl<P: Wire> ReliableFabric<P> {
-    /// Wraps `fabric`. Reliability state is allocated only when the
-    /// fabric's fault plan is active and a retransmit `policy` is given
-    /// (`None` disables the reliability layer).
-    pub fn new(fabric: Fabric, policy: Option<RetxPolicy>) -> Self {
-        let seq = policy.filter(|_| fabric.faults_active()).map(SeqState::new);
+    /// Wraps `fabric`, retrying lost sends under `policy`. Reliability
+    /// state is allocated only when the fabric's fault plan is active.
+    pub fn new(fabric: Fabric, policy: RetxPolicy) -> Self {
+        let seq = fabric.faults_active().then(|| SeqState::new(policy));
         ReliableFabric { fabric, seq }
     }
 
@@ -222,7 +218,9 @@ impl<P: Wire> ReliableFabric<P> {
                     delivery,
                     duplicate_at,
                 },
-                SendOutcome::Dropped { .. } => SendPlan::LostRaw,
+                SendOutcome::Dropped { .. } => {
+                    unreachable!("an inactive fault plan drops nothing")
+                }
             };
         }
         self.transmit(now, from, to, payload, 1)
@@ -367,7 +365,7 @@ mod tests {
 
     #[test]
     fn plain_path_without_faults() {
-        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(None), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(None), policy());
         assert!(!net.is_reliable());
         match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Ping) {
             SendPlan::Deliver { delivery, .. } => {
@@ -381,7 +379,7 @@ mod tests {
     #[test]
     fn sequenced_sends_wrap_with_monotone_seq() {
         let plan = FaultPlan::uniform_drop(1, 0.0); // active but lossless
-        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), policy());
         assert!(net.is_reliable());
         for expect in 1..=3u32 {
             match net.send(SimTime::ZERO, KernelId(0), KernelId(1), Ping) {
@@ -402,7 +400,7 @@ mod tests {
     #[test]
     fn lost_send_backs_off_then_retransmits_with_fresh_seq() {
         let plan = FaultPlan::uniform_drop(7, 1.0); // lose everything
-        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), policy());
         let now = SimTime::from_nanos(1_000);
         let SendPlan::Backoff {
             token,
@@ -435,10 +433,10 @@ mod tests {
         let plan = FaultPlan::uniform_drop(7, 1.0);
         let mut net: ReliableFabric<Ping> = ReliableFabric::new(
             fabric(Some(plan)),
-            Some(RetxPolicy {
+            RetxPolicy {
                 max_attempts: 2,
                 ..policy()
-            }),
+            },
         );
         let SendPlan::Backoff { token, fire_at, .. } =
             net.send(SimTime::ZERO, KernelId(0), KernelId(1), Ping)
@@ -486,7 +484,7 @@ mod tests {
     #[test]
     fn abandon_to_drains_only_the_dead_channel() {
         let plan = FaultPlan::uniform_drop(7, 1.0); // lose everything
-        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), policy());
         let (a, b) = (KernelId(0), KernelId(1));
         // Two stashed a→b losses and one b→a loss.
         let SendPlan::Backoff { token, .. } = net.send(SimTime::ZERO, a, b, Ping) else {
@@ -511,7 +509,7 @@ mod tests {
     #[test]
     fn accept_seq_suppresses_duplicates_per_channel() {
         let plan = FaultPlan::uniform_drop(1, 0.0);
-        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), Some(policy()));
+        let mut net: ReliableFabric<Ping> = ReliableFabric::new(fabric(Some(plan)), policy());
         let (a, b) = (KernelId(0), KernelId(1));
         assert!(net.accept_seq(b, a, 1));
         assert!(!net.accept_seq(b, a, 1)); // duplicate

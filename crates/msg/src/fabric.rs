@@ -170,7 +170,8 @@ pub struct Fabric {
     /// Minimum hop latency over all distinct kernel pairs, cached at
     /// construction (single-kernel fabrics have no pairs: zero).
     min_hop: SimTime,
-    /// IPI notification latency (or expected polling delay).
+    /// Receive-side notification cost: IPI latency plus the IPI handler
+    /// (the message layer is interrupt-driven).
     notify: SimTime,
     channels: FxHashMap<(KernelId, KernelId), Channel>,
     total_sends: Counter,
@@ -208,11 +209,7 @@ impl Fabric {
         if n == 1 {
             min_hop = SimTime::ZERO;
         }
-        let notify = if params.ipi_notify {
-            machine.shootdown().ipi_latency() + machine.shootdown().ipi_handler_cost()
-        } else {
-            SimTime::from_nanos(params.poll_interval_ns / 2)
-        };
+        let notify = machine.shootdown().ipi_latency() + machine.shootdown().ipi_handler_cost();
         let faults = if params.faults.is_active() {
             Some(FaultRuntime::new(params.faults.clone()))
         } else {
@@ -363,35 +360,6 @@ impl Fabric {
             },
             duplicate_at,
         }
-    }
-
-    /// Sends a clone of `payload` to every other kernel (the payload itself
-    /// is moved into the final send: N−1 clones for N−1 recipients);
-    /// returns outcomes in kernel-id order.
-    pub fn broadcast<P: Wire + Clone>(
-        &mut self,
-        now: SimTime,
-        from: KernelId,
-        payload: P,
-    ) -> Vec<SendOutcome<P>> {
-        let targets: Vec<KernelId> = (0..self.locations.len() as u16)
-            .map(KernelId)
-            .filter(|&k| k != from)
-            .collect();
-        let mut payload = Some(payload);
-        let last = targets.len().saturating_sub(1);
-        targets
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let p = if i == last {
-                    payload.take().expect("payload moved before final send")
-                } else {
-                    payload.as_ref().expect("payload still held").clone()
-                };
-                self.send(now, from, k, p)
-            })
-            .collect()
     }
 
     /// Total messages sent across all channels (including dropped ones —
@@ -575,48 +543,6 @@ mod tests {
         let _ = fabric(2).send(SimTime::ZERO, KernelId(0), KernelId(0), Blob(1));
     }
 
-    #[derive(Clone)]
-    struct B;
-    impl Wire for B {
-        fn wire_size(&self) -> usize {
-            32
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_all_others() {
-        let mut f = fabric(4);
-        let ds = f.broadcast(SimTime::ZERO, KernelId(1), B);
-        let tos: Vec<u16> = ds.into_iter().map(|o| o.expect_delivered().to.0).collect();
-        assert_eq!(tos, vec![0, 2, 3]);
-        assert_eq!(f.total_sends(), 3);
-    }
-
-    #[test]
-    fn broadcast_matches_individual_sends_exactly() {
-        // The move-the-last-payload restructuring must not change delivery
-        // order or timing relative to sending one clone per recipient.
-        let mut a = fabric(4);
-        let via_broadcast: Vec<Delivery<B>> = a
-            .broadcast(SimTime::ZERO, KernelId(1), B)
-            .into_iter()
-            .map(SendOutcome::expect_delivered)
-            .collect();
-        let mut b = fabric(4);
-        let via_sends: Vec<Delivery<B>> = [0u16, 2, 3]
-            .iter()
-            .map(|&k| {
-                b.send(SimTime::ZERO, KernelId(1), KernelId(k), B)
-                    .expect_delivered()
-            })
-            .collect();
-        for (x, y) in via_broadcast.iter().zip(&via_sends) {
-            assert_eq!(x.to, y.to);
-            assert_eq!(x.deliver_at, y.deliver_at);
-            assert_eq!(x.send_busy, y.send_busy);
-        }
-    }
-
     #[test]
     fn stats_accumulate() {
         let mut f = fabric(2);
@@ -644,22 +570,6 @@ mod tests {
         assert!(s.max > 0, "second send should have queued");
         let merged = f.queue_delay_histogram();
         assert_eq!(merged.count(), 2);
-    }
-
-    #[test]
-    fn polling_mode_uses_poll_delay() {
-        let machine = Machine::new(Topology::new(1, 2), HwParams::default());
-        let params = MsgParams {
-            ipi_notify: false,
-            poll_interval_ns: 100_000,
-            ..MsgParams::default()
-        };
-        let mut f = Fabric::new(&machine, vec![CoreId(0), CoreId(1)], params);
-        let d = f
-            .send(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64))
-            .expect_delivered();
-        // Expected poll delay (50us) dominates.
-        assert!(d.deliver_at.as_nanos() > 50_000);
     }
 
     #[test]

@@ -16,12 +16,6 @@ pub struct MsgParams {
     pub recv_sw_ns: u64,
     /// Ring write throughput, in nanoseconds per 64-byte cache line.
     pub per_line_ns: u64,
-    /// Whether delivery is notified by IPI (true, the default) or by the
-    /// receiver polling (adds `poll_interval_ns/2` expected delay instead of
-    /// the IPI cost). The paper's layer is interrupt-driven.
-    pub ipi_notify: bool,
-    /// Mean polling interval when `ipi_notify` is false.
-    pub poll_interval_ns: u64,
     /// Deterministic fault-injection script. The default
     /// ([`FaultPlan::none()`]) injects nothing and keeps the send path
     /// byte-identical to a fabric without fault support.
@@ -34,8 +28,6 @@ impl Default for MsgParams {
             send_sw_ns: 550,
             recv_sw_ns: 650,
             per_line_ns: 18,
-            ipi_notify: true,
-            poll_interval_ns: 4_000,
             faults: FaultPlan::none(),
         }
     }
@@ -48,9 +40,6 @@ impl MsgParams {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.ipi_notify && self.poll_interval_ns == 0 {
-            return Err("polling mode requires a non-zero poll interval".into());
-        }
         self.faults.validate()
     }
 }
@@ -62,16 +51,6 @@ mod tests {
     #[test]
     fn defaults_validate() {
         assert_eq!(MsgParams::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn polling_without_interval_rejected() {
-        let p = MsgParams {
-            ipi_notify: false,
-            poll_interval_ns: 0,
-            ..MsgParams::default()
-        };
-        assert!(p.validate().is_err());
     }
 
     #[test]

@@ -248,11 +248,6 @@ impl<E> Simulator<E> {
         self.queue.push(at, seq, event);
     }
 
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Runs until the queue drains. Returns the stop condition (which is
     /// [`StopCondition::QueueEmpty`] unless a handler requested a stop).
     pub fn run<H: Handler<E>>(&mut self, handler: &mut H) -> StopCondition {
