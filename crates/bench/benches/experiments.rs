@@ -10,9 +10,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use popcorn_bench::{parallel_map, set_jobs, OsKind, Rig};
-use popcorn_core::PopcornOs;
 use popcorn_hw::{HwParams, Machine, Topology};
-use popcorn_kernel::osmodel::OsModel;
+use popcorn_kernel::program::Program;
 use popcorn_msg::{Fabric, KernelId, MsgParams, Wire};
 use popcorn_sim::SimTime;
 use popcorn_workloads::micro;
@@ -54,13 +53,10 @@ fn bench_e1_messaging(c: &mut Criterion) {
 /// E2 class: migration ping-pong simulation.
 fn bench_e2_migration(c: &mut Criterion) {
     c.bench_function("e2/migration_pingpong_20", |b| {
+        let rig = small_rig();
         b.iter(|| {
-            let mut os = PopcornOs::builder()
-                .topology(Topology::new(2, 4))
-                .kernels(2)
-                .build();
-            os.load(Box::new(micro::MigrationPingPong::new(20)));
-            black_box(os.run().finished_at)
+            let pingpong: Box<dyn Program> = Box::new(micro::MigrationPingPong::new(20));
+            black_box(rig.run(OsKind::Popcorn, [pingpong]).finished_at)
         })
     });
 }
@@ -75,7 +71,10 @@ fn bench_e3_thread_group(c: &mut Criterion) {
                 black_box(
                     rig.run(
                         kind,
-                        micro::spawn_join_storm(16, popcorn_kernel::program::Placement::Auto),
+                        [micro::spawn_join_storm(
+                            16,
+                            popcorn_kernel::program::Placement::Auto,
+                        )],
                     )
                     .finished_at,
                 )
@@ -91,7 +90,7 @@ fn bench_e4_page_protocol(c: &mut Criterion) {
         let rig = small_rig();
         b.iter(|| {
             black_box(
-                rig.run(OsKind::Popcorn, micro::page_bounce(8, 4, 20))
+                rig.run(OsKind::Popcorn, [micro::page_bounce(8, 4, 20)])
                     .finished_at,
             )
         })
@@ -104,7 +103,7 @@ fn bench_e5_mmap(c: &mut Criterion) {
     for kind in OsKind::ALL {
         g.bench_function(format!("mmap_storm_8x20/{}", kind.name()), |b| {
             let rig = small_rig();
-            b.iter(|| black_box(rig.run(kind, micro::mmap_storm(8, 20, 16384)).finished_at))
+            b.iter(|| black_box(rig.run(kind, [micro::mmap_storm(8, 20, 16384)]).finished_at))
         });
     }
     g.finish();
@@ -118,7 +117,7 @@ fn bench_e6_futex(c: &mut Criterion) {
             let rig = small_rig();
             b.iter(|| {
                 black_box(
-                    rig.run(kind, micro::futex_contention(8, 20, 2_000))
+                    rig.run(kind, [micro::futex_contention(8, 20, 2_000)])
                         .finished_at,
                 )
             })
@@ -133,7 +132,12 @@ fn bench_e7_syscalls(c: &mut Criterion) {
     for kind in OsKind::ALL {
         g.bench_function(format!("null_syscalls_8x500/{}", kind.name()), |b| {
             let rig = small_rig();
-            b.iter(|| black_box(rig.run(kind, micro::null_syscall_storm(8, 500)).finished_at))
+            b.iter(|| {
+                black_box(
+                    rig.run(kind, [micro::null_syscall_storm(8, 500)])
+                        .finished_at,
+                )
+            })
         });
     }
     g.finish();
@@ -153,7 +157,7 @@ fn bench_npb(c: &mut Criterion) {
         for kind in OsKind::ALL {
             g.bench_function(format!("{name}/{}", kind.name()), |b| {
                 let rig = small_rig();
-                b.iter(|| black_box(rig.run(kind, make(cfg)).finished_at))
+                b.iter(|| black_box(rig.run(kind, [make(cfg)]).finished_at))
             });
         }
     }
@@ -167,7 +171,7 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     let run_sweep = || {
         let rig = small_rig();
         parallel_map(vec![2usize, 4, 6, 8, 12, 16], |n| {
-            rig.run(OsKind::Popcorn, micro::null_syscall_storm(n, 300))
+            rig.run(OsKind::Popcorn, [micro::null_syscall_storm(n, 300)])
                 .finished_at
         })
     };

@@ -26,16 +26,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use popcorn_hw::Topology;
-use popcorn_kernel::osmodel::OsModel;
 use popcorn_kernel::program::{
     FutexOp, MigrateTarget, Op, Placement, ProgEnv, Program, Resume, RmwOp, SysResult, SyscallReq,
 };
 use popcorn_kernel::types::{Errno, VAddr};
-use popcorn_msg::{FaultPlan, KernelId, MsgParams};
+use popcorn_msg::{FaultPlan, KernelId};
 use popcorn_sim::SimTime;
 
-use crate::rig::parallel_map;
+use crate::rig::{parallel_map, OsKind, Rig};
 use crate::table::Table;
 
 /// Host-side progress counter shared between the harness and the
@@ -582,12 +580,10 @@ impl Scenario {
 }
 
 /// One E14 cell reduced to its table columns plus the recovery-mechanism
-/// counters the table build asserts.
+/// counters the table build asserts. A returned result ran clean and
+/// passed the invariant audit: either failing panics the cell.
 #[derive(Debug, Clone)]
 struct CellResult {
-    /// Run completed with no stuck tasks (the invariant audit panics on
-    /// violation, so a returned result also passed the audit).
-    clean: bool,
     /// Workload completion, virtual ms.
     ms: f64,
     /// Mean crash-to-recovery-complete latency at the successor, ms (0
@@ -614,24 +610,18 @@ struct CellResult {
 
 /// Runs one scenario, with or without its planned crash.
 fn run_cell(scenario: Scenario, crash: bool) -> CellResult {
-    let plan = if crash {
+    let faults = if crash {
         FaultPlan::none().with_crash(scenario.victim(), scenario.crash_at())
     } else {
         FaultPlan::none()
     };
-    let mut os = popcorn_core::PopcornOs::builder()
-        .topology(Topology::paper_default())
-        .kernels(4)
-        .msg_params(MsgParams {
-            faults: plan,
-            ..MsgParams::default()
-        })
-        .build();
     let (leader, progress) = scenario.program();
-    os.load(leader);
-    let r = os.run();
+    let r = Rig {
+        faults,
+        ..Rig::paper()
+    }
+    .run(OsKind::Popcorn, [leader]);
     CellResult {
-        clean: r.is_clean(),
         ms: r.finished_at.as_millis_f64(),
         recovery_ms: r.metric("recovery_ms_mean"),
         units: progress.load(Ordering::Relaxed),
@@ -684,7 +674,8 @@ pub fn e14_crash_recovery() -> Table {
         t.row([
             s.name().to_string(),
             "none".to_string(),
-            base.clean.to_string(),
+            // `Rig::run` panics on an unclean run.
+            true.to_string(),
             format!("{:.3}", base.ms),
             "-".to_string(),
             base.units.to_string(),
@@ -705,7 +696,7 @@ pub fn e14_crash_recovery() -> Table {
                 s.victim().0,
                 s.crash_at().as_millis_f64()
             ),
-            crashed.clean.to_string(),
+            true.to_string(),
             format!("{:.3}", crashed.ms),
             format!("{:.3}", crashed.recovery_ms),
             crashed.units.to_string(),

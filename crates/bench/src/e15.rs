@@ -30,12 +30,10 @@
 //! `results/e15.json`.
 
 use popcorn_core::PopcornParams;
-use popcorn_hw::Topology;
-use popcorn_kernel::osmodel::OsModel;
 use popcorn_kernel::policy::PolicyKind;
 use popcorn_workloads::adversarial;
 
-use crate::rig::parallel_map;
+use crate::rig::{parallel_map, OsKind, Rig};
 use crate::table::Table;
 
 /// The two adversarial memory scenarios E15 sweeps.
@@ -120,25 +118,21 @@ impl Config {
 /// table row. The run must drain cleanly and pass the invariant audit,
 /// which cross-checks every holder's shadow against the directory.
 fn run_cell(sc: Scenario, cfg: Config) -> [String; 9] {
-    let mut os = popcorn_core::PopcornOs::builder()
-        .topology(Topology::paper_default())
-        .kernels(4)
-        .popcorn_params(cfg.params())
-        .build();
-    match sc {
-        Scenario::PingPong => {
-            os.load(adversarial::migrating_writers(6, 16, 4, 2, 20_000));
-        }
-        Scenario::HotPages => {
-            os.load(adversarial::hot_page_skew(8, 4, 120));
-        }
-    }
-    let r = os.run();
+    let rig = Rig {
+        popcorn: cfg.params(),
+        ..Rig::paper()
+    };
+    let program = match sc {
+        Scenario::PingPong => adversarial::migrating_writers(6, 16, 4, 2, 20_000),
+        Scenario::HotPages => adversarial::hot_page_skew(8, 4, 120),
+    };
+    let r = rig.run(OsKind::Popcorn, [program]);
     let count = |metric: &str| format!("{:.0}", r.metric(metric));
     [
         sc.name().to_string(),
         cfg.name().to_string(),
-        r.is_clean().to_string(),
+        // `Rig::run` panics on an unclean run.
+        true.to_string(),
         format!("{:.3}", r.finished_at.as_millis_f64()),
         // Faults whose walk hit a local replica (home or holder), and
         // faults that walked the home's tables remotely.

@@ -35,11 +35,11 @@
 
 use popcorn_core::PopcornParams;
 use popcorn_hw::Topology;
-use popcorn_kernel::osmodel::{KernelClustering, OsModel};
+use popcorn_kernel::osmodel::KernelClustering;
 use popcorn_msg::KernelId;
 use popcorn_workloads::adversarial;
 
-use crate::rig::parallel_map;
+use crate::rig::{parallel_map, OsKind, Rig};
 use crate::table::Table;
 
 /// The E16 machine: 4 sockets × 8 CCXs × 8 cores = 256 cores.
@@ -86,26 +86,30 @@ fn bounce_pairs(clustering: KernelClustering) -> Vec<(KernelId, KernelId)> {
 /// must drain cleanly and pass the invariant audit, including the
 /// shard-map/delegate agreement check.
 fn run_cell(sharded: bool, clustering: KernelClustering) -> [String; 12] {
-    let mut os = popcorn_core::PopcornOs::builder()
-        .topology(e16_topology())
-        .kernels(clustering.kernel_count(e16_topology()))
-        .popcorn_params(PopcornParams {
+    let rig = Rig {
+        topology: e16_topology(),
+        kernels: clustering.kernel_count(e16_topology()),
+        popcorn: PopcornParams {
             home_sharding: sharded,
             ..PopcornParams::default()
-        })
-        .build();
-    os.load(adversarial::kernel_pair_bouncers(
-        bounce_pairs(clustering),
-        PAGES_EACH,
-        ROUNDS,
-        COMPUTE_NS,
-    ));
-    let r = os.run();
+        },
+        ..Rig::paper()
+    };
+    let r = rig.run(
+        OsKind::Popcorn,
+        [adversarial::kernel_pair_bouncers(
+            bounce_pairs(clustering),
+            PAGES_EACH,
+            ROUNDS,
+            COMPUTE_NS,
+        )],
+    );
     [
         if sharded { "delegates" } else { "flat" }.to_string(),
         clustering.name().to_string(),
-        clustering.kernel_count(e16_topology()).to_string(),
-        r.is_clean().to_string(),
+        rig.kernels.to_string(),
+        // `Rig::run` panics on an unclean run.
+        true.to_string(),
         format!("{:.3}", r.finished_at.as_millis_f64()),
         // Directory servers that did any work (root + active delegates),
         // the deepest backlog any one reached, and the worst per-server

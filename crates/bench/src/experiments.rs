@@ -123,24 +123,19 @@ pub fn e2_migration() -> Table {
     );
     let scenarios = vec![("idle", 0usize), ("loaded", 32)];
     for row in parallel_map(scenarios, |(scenario, background)| {
-        let rig = Rig::paper();
-        let mut os = popcorn_core::PopcornOs::builder()
-            .topology(rig.topology)
-            .kernels(rig.kernels)
-            .build();
+        let mut programs: Vec<Box<dyn Program>> = Vec::new();
         if background > 0 {
-            os.load(Team::boxed(
+            programs.push(Team::boxed(
                 TeamConfig::new(background, 0),
                 Box::new(|_, _| micro::compute_worker(120_000_000)),
             ));
         }
-        os.load(Box::new(micro::MigrationPingPong::new(40)));
-        let r = os.run();
-        assert!(r.is_clean(), "E2 {scenario} unclean");
+        programs.push(Box::new(micro::MigrationPingPong::new(40)));
+        let r = Rig::paper().run(OsKind::Popcorn, programs);
         [
             scenario.to_string(),
-            us(os.stats().migration_first_lat.mean()),
-            us(os.stats().migration_back_lat.mean()),
+            format!("{:.2}", r.metric("migration_first_us_mean")),
+            format!("{:.2}", r.metric("migration_back_us_mean")),
             "40".to_string(),
         ]
     }) {
@@ -166,7 +161,7 @@ pub fn e3_thread_group() -> Table {
     );
     let rig = Rig::paper();
     let reports = per_os(&THREAD_SWEEP, |n, k| {
-        rig.run(k, micro::spawn_join_storm(n, Placement::Auto))
+        rig.run(k, [micro::spawn_join_storm(n, Placement::Auto)])
     });
     for (n, [p, s, m]) in THREAD_SWEEP.iter().zip(reports) {
         t.row([
@@ -206,18 +201,30 @@ impl Program for Toucher {
 }
 
 /// E4 driver: leader maps a region, touches it (becoming owner), then
-/// spawns touchers on other kernels in sequence; finally (optionally)
-/// writes again from a late kernel to measure invalidation of the full
-/// copyset.
+/// spawns touchers on other kernels in sequence; finally writes again from
+/// the last reader's kernel to measure invalidation of the full copyset.
 #[derive(Debug)]
 struct E4Orchestrator {
     pages: u64,
     readers: u16, // kernels 1..=readers read the region
-    writer_last: bool,
     state: u8,
     base: VAddr,
     page: u64,
     next_reader: u16,
+}
+
+impl E4Orchestrator {
+    /// The 16-page orchestrator with readers on kernels `1..=readers`.
+    fn boxed(readers: u16) -> Box<dyn Program> {
+        Box::new(E4Orchestrator {
+            pages: 16,
+            readers,
+            state: 0,
+            base: VAddr(0),
+            page: 0,
+            next_reader: 1,
+        })
+    }
 }
 
 impl Program for E4Orchestrator {
@@ -250,7 +257,7 @@ impl Program for E4Orchestrator {
                     // Sequentially place a toucher on each reader kernel and
                     // wait for it (sequential ⇒ clean latency attribution).
                     if self.next_reader > self.readers {
-                        self.state = if self.writer_last { 4 } else { 6 };
+                        self.state = 4;
                         continue;
                     }
                     let k = self.next_reader;
@@ -294,7 +301,7 @@ impl Program for E4Orchestrator {
                     self.state = 9;
                     return Op::Syscall(SyscallReq::Nanosleep { ns: 3_000_000 });
                 }
-                9 | 6 => return Op::Exit(0),
+                9 => return Op::Exit(0),
                 _ => unreachable!(),
             }
         }
@@ -318,55 +325,19 @@ pub fn e4_page_protocol() -> Table {
     );
     // Base case: one reader kernel, then a writer: copyset 2.
     for row in parallel_map(vec![1u16, 2, 3], |readers| {
-        let mut os = popcorn_core::PopcornOs::builder()
-            .topology(Topology::paper_default())
-            .kernels(4)
-            .build();
-        os.load(Box::new(E4Orchestrator {
-            pages: 16,
-            readers,
-            writer_last: true,
-            state: 0,
-            base: VAddr(0),
-            page: 0,
-            next_reader: 1,
-        }));
-        let r = os.run();
-        assert!(r.is_clean(), "E4 unclean: {:?}", r.stuck_tasks);
+        let r = Rig::paper().run(OsKind::Popcorn, [E4Orchestrator::boxed(readers)]);
         [
             "read-share-then-write".to_string(),
             format!("{}", readers + 1),
-            us(os.stats().fault_local_lat.mean()),
-            us(os.stats().fault_remote_read_lat.mean()),
-            us(os.stats().fault_remote_write_lat.mean()),
+            format!("{:.2}", r.metric("fault_local_us_mean")),
+            format!("{:.2}", r.metric("fault_remote_read_us_mean")),
+            format!("{:.2}", r.metric("fault_remote_write_us_mean")),
         ]
     }) {
         t.row(row);
     }
     t.note("expected: local ≪ remote read < remote write; invalidations to multiple holders proceed in parallel, so write cost grows from copyset 2 to 3 and then saturates");
     t
-}
-
-/// Runs `procs` processes (each a team built by `make`) on one OS
-/// instance; returns total virtual ms.
-fn multiproc_ms(
-    rig: &Rig,
-    kind: OsKind,
-    procs: usize,
-    make: impl Fn(usize) -> Box<dyn Program>,
-) -> f64 {
-    let mut os = rig.build(kind);
-    for p in 0..procs {
-        os.load(make(p));
-    }
-    let r = os.run_with(rig.horizon, rig.event_budget);
-    assert!(
-        r.is_clean(),
-        "{} multi-process run unclean: {:?}",
-        kind.name(),
-        r.stuck_tasks
-    );
-    r.finished_at.as_millis_f64()
 }
 
 /// Builds an mmap-storm team with explicit placement.
@@ -406,9 +377,9 @@ pub fn e5_mmap_storm() -> Table {
     let ms = per_os(&totals, |total, k| {
         let per_proc = total / procs;
         let iters = total_iters / total as u32;
-        multiproc_ms(&rig, k, procs, |_| {
-            mmap_storm_placed(per_proc, iters, 4 * 4096, Placement::Local)
-        })
+        let storms =
+            (0..procs).map(|_| mmap_storm_placed(per_proc, iters, 4 * 4096, Placement::Local));
+        rig.run(k, storms).finished_at.as_millis_f64()
     });
     for (total, [p, s, m]) in totals.iter().zip(ms) {
         t.row([
@@ -442,7 +413,7 @@ pub fn e5b_mmap_span() -> Table {
         .collect();
     let ms = parallel_map(cells, |(n, k)| {
         let iters = total_iters / n as u32;
-        rig.run(k, mmap_storm_placed(n, iters, 4 * 4096, Placement::Auto))
+        rig.run(k, [mmap_storm_placed(n, iters, 4 * 4096, Placement::Auto)])
             .finished_at
             .as_millis_f64()
     });
@@ -510,7 +481,7 @@ pub fn e6_futex() -> Table {
         .collect();
     let ms = parallel_map(cells, |(n, k, placement)| {
         let iters = total_rounds / n as u32;
-        rig.run(k, futex_contention_placed(n, iters, 4_000, placement))
+        rig.run(k, [futex_contention_placed(n, iters, 4_000, placement)])
             .finished_at
             .as_millis_f64()
     });
@@ -544,11 +515,11 @@ pub fn e7_syscall_scaling() -> Table {
     let sweep = [1usize, 8, 32, 63];
     let ns = per_os(&sweep, |n, k| {
         let t_short = rig
-            .run(k, micro::null_syscall_storm(n, short))
+            .run(k, [micro::null_syscall_storm(n, short)])
             .finished_at
             .as_nanos() as f64;
         let t_long = rig
-            .run(k, micro::null_syscall_storm(n, long))
+            .run(k, [micro::null_syscall_storm(n, long)])
             .finished_at
             .as_nanos() as f64;
         (t_long - t_short) / (long - short) as f64
@@ -607,7 +578,7 @@ fn npb_experiment(
     let rig = Rig::paper();
     let ms = per_os(&THREAD_SWEEP, |n, k| {
         let cfg = strong_scaling(n, total_cycles_per_iter, iterations, pages);
-        rig.run(k, make(cfg)).finished_at.as_millis_f64()
+        rig.run(k, [make(cfg)]).finished_at.as_millis_f64()
     });
     // Speedups are relative to the first sweep point (popcorn@1, smp@1).
     let [p1, s1, _] = ms[0];
@@ -654,9 +625,8 @@ pub fn e8_npb_is() -> Table {
         };
         // Keep each process on its home kernel (the pinning the paper's
         // runs use); SMP spreads over its one kernel.
-        multiproc_ms(&rig, kind, 4, |_| {
-            npb::is_benchmark_placed(cfg, Placement::Local)
-        })
+        let processes = (0..4).map(|_| npb::is_benchmark_placed(cfg, Placement::Local));
+        rig.run(kind, processes).finished_at.as_millis_f64()
     });
     for (total, [p, s, m]) in totals.iter().zip(ms) {
         t.row([
@@ -725,29 +695,18 @@ enum E12Workload {
 
 /// Runs one E12 cell and reduces it to the table's numeric columns
 /// (clean, completion ms, retransmits, backoff ms, aborts, p99 us).
-fn e12_cell(wk: E12Workload, plan: FaultPlan) -> (bool, f64, f64, f64, f64, f64) {
-    let mut os = popcorn_core::PopcornOs::builder()
-        .topology(Topology::paper_default())
-        .kernels(4)
-        .msg_params(MsgParams {
-            faults: plan,
-            ..MsgParams::default()
-        })
-        .build();
+fn e12_cell(wk: E12Workload, faults: FaultPlan) -> (bool, f64, f64, f64, f64, f64) {
+    let rig = Rig {
+        faults,
+        ..Rig::paper()
+    };
+    let mut os = rig.popcorn();
     match wk {
         E12Workload::Migration => {
             os.load(Box::new(micro::MigrationPingPong::new(200)));
         }
         E12Workload::Pages => {
-            os.load(Box::new(E4Orchestrator {
-                pages: 16,
-                readers: 2,
-                writer_last: true,
-                state: 0,
-                base: VAddr(0),
-                page: 0,
-                next_reader: 1,
-            }));
+            os.load(E4Orchestrator::boxed(2));
         }
         E12Workload::Hoppers => {
             // Four independent single-thread processes hopping the kernel
@@ -758,7 +717,7 @@ fn e12_cell(wk: E12Workload, plan: FaultPlan) -> (bool, f64, f64, f64, f64, f64)
             }
         }
     }
-    let r = os.run();
+    let r = os.run_with(rig.horizon, rig.event_budget);
     let p99_ns = match wk {
         E12Workload::Migration | E12Workload::Hoppers => {
             os.stats().migration_back_lat.quantile(0.99)
@@ -920,46 +879,35 @@ fn e13_straggler_plan() -> FaultPlan {
     plan
 }
 
-/// Runs one E13 cell and reduces it to the table's numeric columns
-/// (clean, completion ms, scripted migrations, policy actions, aborted
-/// ops, time-weighted runqueue depth).
-fn e13_cell(sc: E13Scenario, policy: PolicyKind) -> (bool, f64, f64, f64, f64, f64) {
-    let mut builder = popcorn_core::PopcornOs::builder()
-        .topology(Topology::paper_default())
-        .kernels(4)
-        .popcorn_params(PopcornParams {
+/// Runs one E13 cell (panicking if it is unclean) and reduces it to the
+/// table's numeric columns (completion ms, scripted migrations, policy
+/// actions, aborted ops, time-weighted runqueue depth).
+fn e13_cell(sc: E13Scenario, policy: PolicyKind) -> (f64, f64, f64, f64, f64) {
+    let rig = Rig {
+        popcorn: PopcornParams {
             policy,
             ..PopcornParams::default()
-        });
-    if sc == E13Scenario::Straggler {
-        builder = builder.msg_params(MsgParams {
-            faults: e13_straggler_plan(),
-            ..MsgParams::default()
-        });
-    }
-    let mut os = builder.build();
-    match sc {
-        E13Scenario::Herd => {
-            // The round window (cycles) must be wide enough for remote
-            // waiters to re-read and park before the wake fires.
-            os.load(adversarial::thundering_herd(10, 8, 800_000));
-        }
-        E13Scenario::Storm => {
-            os.load(adversarial::pingpong_storm(3, 30, 5_000, 6, 2_000_000));
-        }
-        E13Scenario::HotPages => {
-            os.load(adversarial::hot_page_skew(8, 4, 120));
-        }
-        E13Scenario::Straggler => {
-            // Four independent hopper processes, homes round-robin.
-            for _ in 0..4 {
-                os.load(adversarial::straggler_hopper(24, 4, 200_000));
-            }
-        }
-    }
-    let r = os.run();
+        },
+        faults: if sc == E13Scenario::Straggler {
+            e13_straggler_plan()
+        } else {
+            FaultPlan::none()
+        },
+        ..Rig::paper()
+    };
+    let programs = match sc {
+        // The round window (cycles) must be wide enough for remote
+        // waiters to re-read and park before the wake fires.
+        E13Scenario::Herd => vec![adversarial::thundering_herd(10, 8, 800_000)],
+        E13Scenario::Storm => vec![adversarial::pingpong_storm(3, 30, 5_000, 6, 2_000_000)],
+        E13Scenario::HotPages => vec![adversarial::hot_page_skew(8, 4, 120)],
+        // Four independent hopper processes, homes round-robin.
+        E13Scenario::Straggler => (0..4)
+            .map(|_| adversarial::straggler_hopper(24, 4, 200_000))
+            .collect(),
+    };
+    let r = rig.run(OsKind::Popcorn, programs);
     (
-        r.is_clean(),
         r.finished_at.as_millis_f64(),
         r.metric("migrations_first") + r.metric("migrations_back"),
         r.metric("policy_migrations") + r.metric("wake_chases") + r.metric("policy_redirects"),
@@ -1011,9 +959,9 @@ pub fn e13_policies() -> Table {
             .iter()
             .zip(&results)
             .find(|((s, pk), _)| *s == sc && *pk == PolicyKind::ScriptedOnly)
-            .map(|(_, r)| r.1)
+            .map(|(_, r)| r.0)
     };
-    for ((sc, pk), &(clean, ms, migr, acts, aborted, runq)) in cells.iter().zip(&results) {
+    for ((sc, pk), &(ms, migr, acts, aborted, runq)) in cells.iter().zip(&results) {
         let vs = match baseline_ms(*sc) {
             Some(base) if base > 0.0 => format!("{:.2}", ms / base),
             _ => "-".to_string(),
@@ -1021,7 +969,8 @@ pub fn e13_policies() -> Table {
         t.row([
             sc.name().to_string(),
             pk.name().to_string(),
-            clean.to_string(),
+            // `Rig::run` panics on an unclean run.
+            true.to_string(),
             format!("{ms:.3}"),
             format!("{migr:.0}"),
             format!("{acts:.0}"),
@@ -1042,22 +991,21 @@ pub fn ablate_shadow() -> Table {
         ["shadow_reuse", "back_migration_us", "first_visit_us"],
     );
     for row in parallel_map(vec![true, false], |reuse| {
-        let params = PopcornParams {
-            shadow_task_reuse: reuse,
-            ..PopcornParams::default()
+        let rig = Rig {
+            popcorn: PopcornParams {
+                shadow_task_reuse: reuse,
+                ..PopcornParams::default()
+            },
+            ..Rig::paper()
         };
-        let mut os = popcorn_core::PopcornOs::builder()
-            .topology(Topology::paper_default())
-            .kernels(4)
-            .popcorn_params(params)
-            .build();
-        os.load(Box::new(micro::MigrationPingPong::new(40)));
-        let r = os.run();
-        assert!(r.is_clean());
+        let r = rig.run(
+            OsKind::Popcorn,
+            [Box::new(micro::MigrationPingPong::new(40)) as Box<dyn Program>],
+        );
         [
             reuse.to_string(),
-            us(os.stats().migration_back_lat.mean()),
-            us(os.stats().migration_first_lat.mean()),
+            format!("{:.2}", r.metric("migration_back_us_mean")),
+            format!("{:.2}", r.metric("migration_first_us_mean")),
         ]
     }) {
         t.row(row);
@@ -1086,7 +1034,7 @@ pub fn ablate_vma() -> Table {
         cfg.placement = Placement::Auto;
         let r = rig.run(
             OsKind::Popcorn,
-            Team::boxed(
+            [Team::boxed(
                 cfg,
                 Box::new(|i, shared| {
                     Box::new(micro::PageBounceWorker::new(
@@ -1096,7 +1044,7 @@ pub fn ablate_vma() -> Table {
                         i as u64 * 3,
                     ))
                 }),
-            ),
+            )],
         );
         [
             if eager { "eager" } else { "on-demand" }.to_string(),
@@ -1133,12 +1081,12 @@ pub fn ablate_futex() -> Table {
         cfg.placement = Placement::Local; // all on the home kernel
         let r = rig.run(
             OsKind::Popcorn,
-            Team::boxed(
+            [Team::boxed(
                 cfg,
                 Box::new(|_, shared| {
                     Box::new(micro::MutexWorker::new(shared.sync_slot(1), 40, 2_000))
                 }),
-            ),
+            )],
         );
         [
             fast.to_string(),
@@ -1188,7 +1136,7 @@ pub fn ablate_hier() -> Table {
             compute_cycles: 30_000,
             barrier_groups: groups,
         };
-        let r = rig.run(OsKind::Popcorn, npb::cg_benchmark(cfg));
+        let r = rig.run(OsKind::Popcorn, [npb::cg_benchmark(cfg)]);
         [
             barrier.to_string(),
             if first_touch { "first-touch" } else { "origin" }.to_string(),
@@ -1237,19 +1185,8 @@ mod tests {
     /// Events one run of E5's kernel-pinned storm processes: four
     /// processes of `per_proc` local threads, `iters` rounds each.
     fn e5_storm_events(kind: OsKind, per_proc: usize, iters: u32) -> u64 {
-        let rig = Rig::paper();
-        let mut os = rig.build(kind);
-        for _ in 0..4 {
-            os.load(mmap_storm_placed(
-                per_proc,
-                iters,
-                4 * 4096,
-                Placement::Local,
-            ));
-        }
-        let r = os.run_with(rig.horizon, rig.event_budget);
-        assert!(r.is_clean(), "{} E5 storm run unclean", kind.name());
-        r.events
+        let storms = (0..4).map(|_| mmap_storm_placed(per_proc, iters, 4 * 4096, Placement::Local));
+        Rig::paper().run(kind, storms).events
     }
 
     /// Duplicate core re-poll chains that never merge make events grow

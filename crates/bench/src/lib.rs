@@ -2,8 +2,9 @@
 //! Experiment harness for the replicated-kernel OS reproduction.
 //!
 //! - [`table`] — result tables (text + JSON rendering);
-//! - [`rig`] — uniform construction/execution of the three OS models,
-//!   plus the deterministic parallel-sweep machinery ([`rig::parallel_map`]);
+//! - [`rig`] — [`Rig`], the only code in this crate that builds an OS
+//!   model (its fault plan applies to Popcorn only), plus the deterministic
+//!   parallel-sweep machinery ([`rig::parallel_map`]);
 //! - [`experiments`] — E1–E13 and the ablations, one function per
 //!   reconstructed table/figure of the paper's evaluation, plus
 //!   [`experiments::all_experiments`], the id → function list `repro` runs;

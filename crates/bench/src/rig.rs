@@ -1,6 +1,12 @@
 //! Experiment rigs: uniform construction and execution of the three OS
 //! models, plus the parallel sweep machinery shared by every experiment.
 //!
+//! [`Rig`] is the only code in this crate that builds an OS model (a
+//! `clippy.toml` lint holds every other caller off the model builders), so
+//! the inputs of an experiment cell are its [`Rig`] plus the parameter
+//! structs' defaults. The rig's fault plan applies to Popcorn only; the
+//! baselines always run on a fault-free fabric.
+//!
 //! # Parallel deterministic sweeps
 //!
 //! Every simulation in the suite is single-threaded and seeded, so
@@ -22,6 +28,7 @@ use popcorn_core::{PopcornOs, PopcornParams};
 use popcorn_hw::Topology;
 use popcorn_kernel::osmodel::{OsModel, RunReport};
 use popcorn_kernel::program::Program;
+use popcorn_msg::{FaultPlan, MsgParams};
 use popcorn_sim::SimTime;
 
 /// Configured host-parallelism level; 0 means "not set, use the host's
@@ -205,6 +212,9 @@ pub struct Rig {
     pub kernels: u16,
     /// Popcorn protocol parameters (for ablations).
     pub popcorn: PopcornParams,
+    /// Faults injected into Popcorn's message fabric (the baselines
+    /// ignore this and run fault-free).
+    pub faults: FaultPlan,
     /// Virtual-time horizon (safety stop).
     pub horizon: SimTime,
     /// Event budget (livelock guard).
@@ -217,6 +227,7 @@ impl Default for Rig {
             topology: Topology::paper_default(),
             kernels: 4,
             popcorn: PopcornParams::default(),
+            faults: FaultPlan::none(),
             horizon: SimTime::from_secs(300),
             event_budget: 200_000_000,
         }
@@ -238,16 +249,26 @@ impl Rig {
         }
     }
 
+    /// The configured Popcorn model, for cells that read its raw
+    /// statistics rather than a [`RunReport`].
+    #[allow(clippy::disallowed_methods)]
+    pub fn popcorn(&self) -> PopcornOs {
+        PopcornOs::builder()
+            .topology(self.topology)
+            .kernels(self.kernels)
+            .popcorn_params(self.popcorn.clone())
+            .msg_params(MsgParams {
+                faults: self.faults.clone(),
+                ..MsgParams::default()
+            })
+            .build()
+    }
+
     /// Builds one OS model instance.
+    #[allow(clippy::disallowed_methods)]
     pub fn build(&self, kind: OsKind) -> Box<dyn OsModel> {
         match kind {
-            OsKind::Popcorn => Box::new(
-                PopcornOs::builder()
-                    .topology(self.topology)
-                    .kernels(self.kernels)
-                    .popcorn_params(self.popcorn.clone())
-                    .build(),
-            ),
+            OsKind::Popcorn => Box::new(self.popcorn()),
             OsKind::Smp => Box::new(SmpOs::builder().topology(self.topology).build()),
             OsKind::Multikernel => Box::new(
                 MultikernelOs::builder()
@@ -258,11 +279,18 @@ impl Rig {
         }
     }
 
-    /// Builds, loads and runs one workload; panics on an unclean run so
-    /// experiments cannot silently report numbers from deadlocked runs.
-    pub fn run(&self, kind: OsKind, program: Box<dyn Program>) -> RunReport {
+    /// Builds the model, loads each program as its own process and runs
+    /// them together; panics on an unclean run so experiments cannot
+    /// silently report numbers from deadlocked runs.
+    pub fn run(
+        &self,
+        kind: OsKind,
+        programs: impl IntoIterator<Item = Box<dyn Program>>,
+    ) -> RunReport {
         let mut os = self.build(kind);
-        os.load(program);
+        for program in programs {
+            os.load(program);
+        }
         let report = os.run_with(self.horizon, self.event_budget);
         assert!(
             report.is_clean(),
@@ -272,16 +300,6 @@ impl Rig {
             report.stuck_tasks
         );
         report
-    }
-
-    /// Runs one workload per OS kind, on parallel host threads when
-    /// [`jobs`] allows (each simulation itself is single-threaded and
-    /// deterministic, so the reports are identical to a serial run).
-    pub fn run_all<F>(&self, make: F) -> Vec<(OsKind, RunReport)>
-    where
-        F: Fn() -> Box<dyn Program> + Sync,
-    {
-        parallel_map(OsKind::ALL.to_vec(), |kind| (kind, self.run(kind, make())))
     }
 }
 
@@ -293,20 +311,42 @@ mod tests {
     #[test]
     fn all_three_models_run_the_same_workload() {
         let rig = Rig::small();
-        let results = rig.run_all(|| micro::null_syscall_storm(4, 20));
+        let results = parallel_map(OsKind::ALL.to_vec(), |kind| {
+            (kind, rig.run(kind, [micro::null_syscall_storm(4, 20)]))
+        });
         assert_eq!(results.len(), 3);
         for (kind, r) in &results {
             assert!(r.is_clean(), "{} not clean", kind.name());
             assert_eq!(r.exited_tasks, 5, "{}", kind.name());
         }
         // Deterministic: re-running popcorn gives identical virtual time.
-        let again = rig.run(OsKind::Popcorn, micro::null_syscall_storm(4, 20));
+        let again = rig.run(OsKind::Popcorn, [micro::null_syscall_storm(4, 20)]);
         let first = &results
             .iter()
             .find(|(k, _)| *k == OsKind::Popcorn)
             .expect("popcorn ran")
             .1;
         assert_eq!(again.finished_at, first.finished_at);
+    }
+
+    #[test]
+    fn the_fault_plan_and_every_program_reach_popcorn() {
+        let pingpongs = || -> [Box<dyn Program>; 2] {
+            [
+                Box::new(micro::MigrationPingPong::new(20)),
+                Box::new(micro::MigrationPingPong::new(20)),
+            ]
+        };
+        let clean = Rig::small().run(OsKind::Popcorn, pingpongs());
+        let lossy = Rig {
+            faults: FaultPlan::uniform_drop(7, 0.05),
+            ..Rig::small()
+        }
+        .run(OsKind::Popcorn, pingpongs());
+        assert_eq!(clean.metric("retransmits"), 0.0);
+        assert!(lossy.metric("retransmits") > 0.0);
+        assert_eq!(clean.exited_tasks, 2);
+        assert_eq!(lossy.exited_tasks, 2);
     }
 
     #[test]
@@ -326,7 +366,7 @@ mod tests {
         let rig = Rig::small();
         let serial: Vec<u64> = popcorn_sim::with_event_sink(sink.clone(), || {
             parallel_map(vec![(); 4], |_| {
-                rig.run(OsKind::Popcorn, micro::null_syscall_storm(2, 5))
+                rig.run(OsKind::Popcorn, [micro::null_syscall_storm(2, 5)])
                     .events
             })
         });
@@ -390,6 +430,6 @@ mod tests {
             horizon: SimTime::from_millis(1),
             ..Rig::small()
         };
-        let _ = rig.run(OsKind::Smp, Box::new(Forever));
+        let _ = rig.run(OsKind::Smp, [Box::new(Forever) as Box<dyn Program>]);
     }
 }

@@ -332,15 +332,6 @@ impl Directory {
         self.entries.len()
     }
 
-    /// All holders across all pages of this directory (for group kill
-    /// bookkeeping).
-    pub fn all_holders(&self) -> BTreeSet<KernelId> {
-        self.entries
-            .values()
-            .flat_map(|e| e.copyset.iter().copied())
-            .collect()
-    }
-
     /// All tracked pages in ascending order (deterministic iteration over
     /// the backing hash map, for recovery and invariant checks).
     pub fn pages(&self) -> Vec<PageNo> {
@@ -766,18 +757,6 @@ mod tests {
         d.request(P, req(1, K0, true));
         assert!(d.done(P).is_none());
         assert!(!d.view(P).unwrap().busy);
-    }
-
-    #[test]
-    fn all_holders_unions_copysets() {
-        let mut d = Directory::new();
-        let p2 = PageNo(0x7f001);
-        d.request(P, req(1, K0, true));
-        d.done(P);
-        d.request(p2, req(2, K2, true));
-        d.done(p2);
-        let all: Vec<KernelId> = d.all_holders().into_iter().collect();
-        assert_eq!(all, vec![K0, K2]);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Core↔core and core↔memory latency model.
+//! Core↔core and page-table-walk latency model.
 //!
 //! Latency between cores is two-tier (same socket / cross socket), which is
 //! what the QPI-style interconnects of the paper era look like to software.
-//! Memory accesses are charged local or remote DRAM latency by socket.
 
 use popcorn_sim::SimTime;
 
 use crate::params::HwParams;
-use crate::topo::{CoreId, SocketId, Topology};
+use crate::topo::{CoreId, Topology};
 
 /// Precomputed latency tiers for a given topology and parameter set.
 ///
@@ -25,10 +24,6 @@ pub struct Interconnect {
     topology: Topology,
     same_socket: SimTime,
     cross_socket: SimTime,
-    dram_local: SimTime,
-    dram_remote: SimTime,
-    page_copy_same: SimTime,
-    page_copy_cross: SimTime,
     local_replica_walk: SimTime,
     remote_page_walk: SimTime,
     pt_replica_update: SimTime,
@@ -41,10 +36,6 @@ impl Interconnect {
             topology,
             same_socket: SimTime::from_nanos(params.line_transfer_same_socket_ns),
             cross_socket: SimTime::from_nanos(params.line_transfer_cross_socket_ns),
-            dram_local: SimTime::from_nanos(params.dram_local_ns),
-            dram_remote: SimTime::from_nanos(params.dram_remote_ns),
-            page_copy_same: SimTime::from_nanos(params.page_copy_same_socket_ns),
-            page_copy_cross: SimTime::from_nanos(params.page_copy_cross_socket_ns),
             local_replica_walk: SimTime::from_nanos(params.local_replica_walk_ns),
             remote_page_walk: SimTime::from_nanos(params.remote_page_walk_ns),
             pt_replica_update: SimTime::from_nanos(params.pt_replica_update_ns),
@@ -60,25 +51,6 @@ impl Interconnect {
             self.same_socket
         } else {
             self.cross_socket
-        }
-    }
-
-    /// DRAM access from `core` to memory homed on `home` socket.
-    pub fn dram_access(&self, core: CoreId, home: SocketId) -> SimTime {
-        if self.topology.socket_of(core) == home {
-            self.dram_local
-        } else {
-            self.dram_remote
-        }
-    }
-
-    /// Copying one 4 KiB page from memory homed on `from` to memory homed on
-    /// `to` (same-socket copies are cheaper).
-    pub fn page_copy(&self, from: SocketId, to: SocketId) -> SimTime {
-        if from == to {
-            self.page_copy_same
-        } else {
-            self.page_copy_cross
         }
     }
 
@@ -137,20 +109,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn dram_numa_penalty() {
-        let ic = ic();
-        let local = ic.dram_access(CoreId(0), SocketId(0));
-        let remote = ic.dram_access(CoreId(0), SocketId(1));
-        assert!(remote > local);
-    }
-
-    #[test]
-    fn page_copy_tiers() {
-        let ic = ic();
-        assert!(ic.page_copy(SocketId(0), SocketId(1)) > ic.page_copy(SocketId(0), SocketId(0)));
     }
 
     #[test]

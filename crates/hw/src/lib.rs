@@ -4,13 +4,12 @@
 //!
 //! The paper's evaluation ran on multi-socket x86 hardware; its results are
 //! dominated by a handful of hardware-mediated OS costs: cache-line transfer
-//! on contended kernel locks, NUMA-asymmetric memory latency,
-//! inter-processor interrupts (IPIs), and TLB shootdowns. This crate models
-//! exactly those, in virtual time:
+//! on contended kernel locks, inter-processor interrupts (IPIs), and TLB
+//! shootdowns. This crate models exactly those, in virtual time:
 //!
-//! - [`Topology`] — sockets × cores, NUMA distance ([`topo`]);
+//! - [`Topology`] — sockets × cores, optionally split into CCXs ([`topo`]);
 //! - [`HwParams`] — every latency constant, overridable per experiment ([`params`]);
-//! - [`Interconnect`] — core↔core and core↔memory latency ([`interconnect`]);
+//! - [`Interconnect`] — core↔core and page-table-walk latency ([`interconnect`]);
 //! - [`LockSite`] / [`RwLockSite`] — queuing models that turn concurrent
 //!   acquires of a simulated kernel lock into waiting time and cache-line
 //!   ping-pong cost ([`lock`]) — the mechanism behind the SMP baseline's

@@ -17,17 +17,13 @@ use popcorn_sim::SimTime;
 /// use popcorn_hw::HwParams;
 ///
 /// let mut p = HwParams::default();
-/// p.dram_remote_ns = 200; // slow remote memory for a NUMA-stress study
-/// assert!(p.dram_remote_ns > p.dram_local_ns);
+/// p.remote_page_walk_ns = 4_600; // slower remote walks for a replication study
+/// assert!(p.remote_page_walk_ns > p.local_replica_walk_ns);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct HwParams {
     /// Core clock in GHz; converts workload "cycles" to time.
     pub clock_ghz: f64,
-    /// Local-socket DRAM access.
-    pub dram_local_ns: u64,
-    /// Remote-socket DRAM access (NUMA penalty).
-    pub dram_remote_ns: u64,
     /// Last-level-cache hit (used for warm accesses).
     pub llc_hit_ns: u64,
     /// Transferring a modified cache line between cores on one socket.
@@ -47,10 +43,6 @@ pub struct HwParams {
     pub tlb_shootdown_base_ns: u64,
     /// Local TLB invalidation (`invlpg`).
     pub tlb_invalidate_local_ns: u64,
-    /// Copying one 4 KiB page between DRAM locations on the same socket.
-    pub page_copy_same_socket_ns: u64,
-    /// Copying one 4 KiB page across sockets.
-    pub page_copy_cross_socket_ns: u64,
     /// A page-table walk against a local replica of the tables (all four
     /// levels in local DRAM or cache). Only charged when the walk-locality
     /// model is on (`page_table_replication`).
@@ -72,8 +64,6 @@ impl Default for HwParams {
     fn default() -> Self {
         HwParams {
             clock_ghz: 2.4,
-            dram_local_ns: 90,
-            dram_remote_ns: 145,
             llc_hit_ns: 15,
             line_transfer_same_socket_ns: 45,
             line_transfer_cross_socket_ns: 130,
@@ -83,8 +73,6 @@ impl Default for HwParams {
             ipi_handler_ns: 450,
             tlb_shootdown_base_ns: 900,
             tlb_invalidate_local_ns: 120,
-            page_copy_same_socket_ns: 550,
-            page_copy_cross_socket_ns: 1_100,
             // ~4 levels of local DRAM/cache vs 4 dependent cross-fabric
             // round trips (~575 ns each: remote DRAM + cross-socket
             // transfer + coherence, serialized by the pointer chase).
@@ -108,22 +96,10 @@ impl HwParams {
                 self.clock_ghz
             ));
         }
-        if self.dram_remote_ns < self.dram_local_ns {
-            return Err(format!(
-                "remote DRAM ({}) faster than local ({})",
-                self.dram_remote_ns, self.dram_local_ns
-            ));
-        }
         if self.line_transfer_cross_socket_ns < self.line_transfer_same_socket_ns {
             return Err(format!(
                 "cross-socket line transfer ({}) faster than same-socket ({})",
                 self.line_transfer_cross_socket_ns, self.line_transfer_same_socket_ns
-            ));
-        }
-        if self.page_copy_cross_socket_ns < self.page_copy_same_socket_ns {
-            return Err(format!(
-                "cross-socket page copy ({}) faster than same-socket ({})",
-                self.page_copy_cross_socket_ns, self.page_copy_same_socket_ns
             ));
         }
         if self.remote_page_walk_ns < self.local_replica_walk_ns {
@@ -163,13 +139,6 @@ mod tests {
     #[test]
     fn defaults_validate() {
         assert_eq!(HwParams::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn validation_catches_inverted_numa() {
-        let mut p = HwParams::default();
-        p.dram_remote_ns = p.dram_local_ns - 1;
-        assert!(p.validate().is_err());
     }
 
     #[test]

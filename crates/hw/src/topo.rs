@@ -154,27 +154,9 @@ impl Topology {
         core.0 < self.num_cores()
     }
 
-    /// NUMA hop distance between two sockets (linear interconnect model:
-    /// the hop count is the socket-index gap, 0 on the same socket).
-    pub fn socket_distance(&self, a: SocketId, b: SocketId) -> u16 {
-        assert!(a.0 < self.sockets && b.0 < self.sockets, "socket range");
-        a.0.abs_diff(b.0)
-    }
-
     /// Iterates all cores in id order.
     pub fn cores(&self) -> impl Iterator<Item = CoreId> {
         (0..self.num_cores()).map(CoreId)
-    }
-
-    /// Iterates the cores of one socket in id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `socket` is out of range.
-    pub fn cores_of(&self, socket: SocketId) -> impl Iterator<Item = CoreId> {
-        assert!(socket.0 < self.sockets, "{socket} out of range");
-        let base = socket.0 * self.cores_per_socket;
-        (base..base + self.cores_per_socket).map(CoreId)
     }
 
     /// Splits the cores into `n` contiguous, near-equal partitions — how the
@@ -227,13 +209,6 @@ mod tests {
         assert_eq!(cores.len(), 6);
         assert_eq!(cores[0], CoreId(0));
         assert_eq!(cores[5], CoreId(5));
-    }
-
-    #[test]
-    fn cores_of_socket() {
-        let t = Topology::new(3, 2);
-        let s1: Vec<_> = t.cores_of(SocketId(1)).collect();
-        assert_eq!(s1, vec![CoreId(2), CoreId(3)]);
     }
 
     #[test]
@@ -309,13 +284,5 @@ mod tests {
         for (i, p) in parts.iter().enumerate() {
             assert!(p.iter().all(|&c| t.ccx_of(c) as usize == i));
         }
-    }
-
-    #[test]
-    fn socket_distance_is_linear_hops() {
-        let t = Topology::new(4, 2);
-        assert_eq!(t.socket_distance(SocketId(0), SocketId(0)), 0);
-        assert_eq!(t.socket_distance(SocketId(0), SocketId(3)), 3);
-        assert_eq!(t.socket_distance(SocketId(3), SocketId(1)), 2);
     }
 }

@@ -167,9 +167,6 @@ pub struct Fabric {
     locations: Vec<CoreId>,
     /// Hop latency between kernel pairs, precomputed from the interconnect.
     hop: Vec<SimTime>,
-    /// Minimum hop latency over all distinct kernel pairs, cached at
-    /// construction (single-kernel fabrics have no pairs: zero).
-    min_hop: SimTime,
     /// Receive-side notification cost: IPI latency plus the IPI handler
     /// (the message layer is interrupt-driven).
     notify: SimTime,
@@ -197,17 +194,10 @@ impl Fabric {
         }
         let n = locations.len();
         let mut hop = vec![SimTime::ZERO; n * n];
-        let mut min_hop = SimTime::MAX;
         for (i, &a) in locations.iter().enumerate() {
             for (j, &b) in locations.iter().enumerate() {
                 hop[i * n + j] = machine.interconnect().core_to_core(a, b);
-                if i != j {
-                    min_hop = min_hop.min(hop[i * n + j]);
-                }
             }
-        }
-        if n == 1 {
-            min_hop = SimTime::ZERO;
         }
         let notify = machine.shootdown().ipi_latency() + machine.shootdown().ipi_handler_cost();
         let faults = if params.faults.is_active() {
@@ -219,7 +209,6 @@ impl Fabric {
             params,
             locations,
             hop,
-            min_hop,
             notify,
             channels: FxHashMap::default(),
             total_sends: Counter::new(),
@@ -245,12 +234,6 @@ impl Fabric {
     fn hop_latency(&self, from: KernelId, to: KernelId) -> SimTime {
         let n = self.locations.len();
         self.hop[from.0 as usize * n + to.0 as usize]
-    }
-
-    /// Minimum hop latency over all distinct kernel pairs, cached at
-    /// construction. Zero for single-kernel fabrics (no pairs).
-    pub fn min_hop_latency(&self) -> SimTime {
-        self.min_hop
     }
 
     /// Sends `payload` from `from` to `to` at virtual time `now`; returns
@@ -717,34 +700,26 @@ mod tests {
     }
 
     #[test]
-    fn cached_min_hop_equals_brute_force_on_asymmetric_interconnect() {
-        // Three kernels spread unevenly over two sockets: 0 and 2 share a
-        // socket (short hop), 4 sits across the interconnect (long hop) —
-        // the hop matrix is non-uniform, so the cached minimum must be the
-        // true minimum over all ordered pairs, not just any entry.
+    fn sends_are_charged_the_hop_between_the_kernels_cores() {
+        // Kernel 1 (core 2) shares kernel 0's socket; kernel 2 (core 4)
+        // sits across the interconnect. Identical first sends on fresh
+        // channels differ by exactly the difference of the two hops.
         let machine = Machine::new(Topology::new(2, 4), HwParams::default());
-        let locs = vec![CoreId(0), CoreId(2), CoreId(4)];
-        let f = Fabric::new(&machine, locs.clone(), MsgParams::default());
-        let mut brute = SimTime::MAX;
-        let mut distinct = std::collections::BTreeSet::new();
-        for &a in &locs {
-            for &b in &locs {
-                if a != b {
-                    let h = machine.interconnect().core_to_core(a, b);
-                    brute = brute.min(h);
-                    distinct.insert(h.as_nanos());
-                }
-            }
-        }
-        assert!(distinct.len() > 1, "interconnect should be asymmetric");
-        assert_eq!(f.min_hop_latency(), brute);
-    }
-
-    #[test]
-    fn single_kernel_fabric_has_zero_min_hop() {
-        let machine = Machine::new(Topology::new(1, 2), HwParams::default());
-        let f = Fabric::new(&machine, vec![CoreId(0)], MsgParams::default());
-        assert_eq!(f.min_hop_latency(), SimTime::ZERO);
+        let mut f = Fabric::new(
+            &machine,
+            vec![CoreId(0), CoreId(2), CoreId(4)],
+            MsgParams::default(),
+        );
+        let near = f
+            .send(SimTime::ZERO, KernelId(0), KernelId(1), Blob(64))
+            .expect_delivered();
+        let far = f
+            .send(SimTime::ZERO, KernelId(0), KernelId(2), Blob(64))
+            .expect_delivered();
+        let ic = machine.interconnect();
+        let gap = ic.core_to_core(CoreId(0), CoreId(4)) - ic.core_to_core(CoreId(0), CoreId(2));
+        assert!(gap > SimTime::ZERO);
+        assert_eq!(far.deliver_at - near.deliver_at, gap);
     }
 
     #[test]

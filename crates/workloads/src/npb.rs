@@ -55,18 +55,6 @@ impl NpbConfig {
         }
     }
 
-    /// The workload class used by the reproduction's headline figures:
-    /// 12 iterations, 8 pages/thread, 1.2M cycles (~0.5 ms) per iteration.
-    pub fn class_a(threads: usize) -> Self {
-        NpbConfig {
-            threads,
-            iterations: 12,
-            pages_per_thread: 8,
-            compute_cycles: 1_200_000,
-            barrier_groups: 0,
-        }
-    }
-
     /// Total shared-data bytes the benchmark maps.
     pub fn data_bytes(&self) -> u64 {
         self.threads as u64 * self.pages_per_thread * VAddr::PAGE_SIZE
@@ -616,9 +604,6 @@ mod tests {
     #[test]
     fn configs_scale_sanely() {
         let s = NpbConfig::class_s(8);
-        let a = NpbConfig::class_a(8);
-        assert!(a.iterations > s.iterations);
-        assert!(a.compute_cycles > s.compute_cycles);
         assert_eq!(s.data_bytes(), 8 * 4 * 4096);
     }
 
