@@ -21,6 +21,17 @@
 //! Thread *creation* across kernels is supported (spawning a dispatcher on
 //! another core's kernel), shipping the current VMA layout so the new
 //! thread has the same address-space shape with private contents.
+//!
+//! Kernel-local syscalls, the affinity core move and wakeups are the
+//! shared [`osmodel::local_syscall`], [`Kernel::move_to_core`] and
+//! [`Kernel::wake_live`]. Group membership and exit are steps at the
+//! group's home, and each has one handler: `MultikernelMachine::post`
+//! runs a message's handler inline when it is addressed to the running
+//! kernel and sends it otherwise. An `exit_group` kills the caller's
+//! local members and reports to the home; the first report kills the
+//! home's members and sends one `GroupKill` to every other host, whose
+//! reply is another report. The local futex, RMW and clone fast paths
+//! are not posted: they charge different costs from the RPC path.
 
 use std::collections::BTreeMap;
 
@@ -126,14 +137,18 @@ pub enum MkMsg {
         /// The member.
         tid: Tid,
     },
-    /// Home orders a kernel to kill local members (exit_group).
+    /// Home orders a kernel to kill its local members (`exit_group`); the
+    /// kernel answers with a `GroupExitReq`.
     GroupKill {
         /// The group.
         group: GroupId,
         /// Exit status.
         code: i32,
     },
-    /// `exit_group` initiated away from home.
+    /// A kernel killed its members of an exiting group (the `exit_group`
+    /// caller's kernel, or one answering a `GroupKill`). The first report
+    /// to reach the home starts the exit there; later ones only account
+    /// for the dead.
     GroupExitReq {
         /// The group.
         group: GroupId,
@@ -160,6 +175,8 @@ type MkEvent = OsEvent<Delivery<MkMsg>>;
 struct MkGroup {
     live: usize,
     hosts: Vec<KernelId>,
+    /// The exit status, once an `exit_group` has reached the home.
+    exit: Option<i32>,
 }
 
 metric_table! {
@@ -216,6 +233,24 @@ impl MultikernelMachine {
         sched.at(delivery.deliver_at, OsEvent::Custom(delivery));
     }
 
+    /// Runs one protocol step from kernel `from`: addressed to `from`
+    /// itself, the message's handler runs inline at `at` (no fabric);
+    /// otherwise it is a send. A posted step has one handler either way.
+    fn post(
+        &mut self,
+        sched: &mut Scheduler<MkEvent>,
+        at: SimTime,
+        from: usize,
+        to: KernelId,
+        msg: MkMsg,
+    ) {
+        if to == self.kid(from) {
+            self.handle(sched, to, to, msg, at);
+        } else {
+            self.send(sched, at, from, to, msg);
+        }
+    }
+
     fn kick(&self, sched: &mut Scheduler<MkEvent>, ki: usize, core: CoreId, at: SimTime) {
         ensure_core_run(sched, ki as u16, core, at);
     }
@@ -235,15 +270,9 @@ impl MultikernelMachine {
         result: SysResult,
         at: SimTime,
     ) {
-        let Some(task) = self.kernels[ki].task_mut(tid) else {
-            return;
-        };
-        if task.is_exited() {
-            return;
+        if let Some(core) = self.kernels[ki].wake_live(tid, Some(Resume::Sys(result)), at) {
+            self.kick(sched, ki, core, at);
         }
-        task.resume = Resume::Sys(result);
-        let core = self.kernels[ki].wake(tid, at);
-        self.kick(sched, ki, core, at);
     }
 
     /// Serves a futex op at the home; returns `None` if the caller parked.
@@ -290,29 +319,30 @@ impl MultikernelMachine {
         }
     }
 
-    fn note_exit(
+    /// Reports the exit of `tid` on kernel `ki` to its group's home.
+    fn note_exit(&mut self, sched: &mut Scheduler<MkEvent>, ki: usize, tid: Tid, at: SimTime) {
+        let group = self.group_of(ki, tid);
+        let exited = MkMsg::TaskExited { group, tid };
+        self.post(sched, at, ki, group.home(), exited);
+    }
+
+    /// Kills `group`'s live members on kernel `ki` with status `code`;
+    /// returns how many it killed.
+    fn kill_local(
         &mut self,
         sched: &mut Scheduler<MkEvent>,
         ki: usize,
         group: GroupId,
-        tid: Tid,
+        code: i32,
         at: SimTime,
-    ) {
-        let home = group.home();
-        if self.kid(ki) == home {
-            let done = match self.groups.get_mut(&group) {
-                Some(g) => {
-                    g.live = g.live.saturating_sub(1);
-                    g.live == 0
-                }
-                None => false,
-            };
-            if done {
-                self.reap(group);
+    ) -> u64 {
+        let members = self.kernels[ki].group_members(group);
+        for &m in &members {
+            if let Some(c) = self.kernels[ki].kill_task(m, code, at) {
+                self.kick(sched, ki, c, at);
             }
-        } else {
-            self.send(sched, at, ki, home, MkMsg::TaskExited { group, tid });
         }
+        members.len() as u64
     }
 
     fn reap(&mut self, group: GroupId) {
@@ -334,13 +364,170 @@ impl MultikernelMachine {
         i
     }
 
-    fn kernel_of_core(&self, c: CoreId) -> usize {
-        for (i, k) in self.kernels.iter().enumerate() {
-            if k.cores().contains(&c) {
-                return i;
+    /// The per-message handler behind delivered messages and
+    /// [`MultikernelMachine::post`]: the step `msg` from `from`, run at
+    /// kernel `to`.
+    fn handle(
+        &mut self,
+        sched: &mut Scheduler<MkEvent>,
+        from: KernelId,
+        to: KernelId,
+        msg: MkMsg,
+        now: SimTime,
+    ) {
+        let ki = to.0 as usize;
+        match msg {
+            MkMsg::SpawnReq {
+                rpc,
+                origin,
+                group,
+                child,
+                layout,
+            } => {
+                if !self.kernels[ki].has_mm(group) {
+                    self.kernels[ki].adopt_mm(Mm::new(group));
+                }
+                for vma in layout {
+                    self.kernels[ki].mm_mut(group).install_vma(vma);
+                }
+                let child_tid = self.kernels[ki].alloc_tid();
+                let done = now
+                    + SimTime::from_nanos(
+                        self.kernels[ki].params().clone_base_ns + self.params.remote_spawn_ns,
+                    );
+                let child_core = self.kernels[ki].spawn(child_tid, group, child, None, done);
+                self.kick(sched, ki, child_core, done);
+                self.send(
+                    sched,
+                    done,
+                    ki,
+                    origin,
+                    MkMsg::SpawnResp {
+                        rpc,
+                        tid: child_tid,
+                    },
+                );
+                let joined = MkMsg::MemberJoined {
+                    group,
+                    tid: child_tid,
+                };
+                self.post(sched, done, ki, group.home(), joined);
+            }
+            MkMsg::SpawnResp { rpc, tid } => {
+                if let Some(parent) = self.rpcs[ki].complete(rpc) {
+                    self.wake_with(sched, ki, parent, SysResult::Val(tid.0 as u64), now);
+                }
+            }
+            MkMsg::RmwReq {
+                rpc,
+                origin,
+                group,
+                addr,
+                op,
+            } => {
+                let old = self.futex.rmw(group, addr, op);
+                let done = now + SimTime::from_nanos(self.params.service_ns);
+                self.send(sched, done, ki, origin, MkMsg::RmwResp { rpc, old });
+            }
+            MkMsg::RmwResp { rpc, old } => {
+                let Some(tid) = self.rpcs[ki].complete(rpc) else {
+                    return;
+                };
+                if let Some(core) = self.kernels[ki].wake_live(tid, Some(Resume::Value(old)), now) {
+                    self.kick(sched, ki, core, now);
+                }
+            }
+            MkMsg::FutexReq {
+                rpc,
+                origin,
+                group,
+                tid,
+                op,
+            } => {
+                let caller = Waiter {
+                    kernel: origin,
+                    tid,
+                };
+                let (result, done) = self.futex_at_home(sched, group, op, caller, now);
+                self.send(sched, done, ki, origin, MkMsg::FutexResp { rpc, result });
+            }
+            MkMsg::FutexResp { rpc, result } => {
+                if let Some(tid) = self.rpcs[ki].complete(rpc) {
+                    match result {
+                        None => {} // parked; FutexWakeTask will arrive
+                        Some(Ok(n)) => self.wake_with(sched, ki, tid, SysResult::Val(n), now),
+                        Some(Err(e)) => self.wake_with(sched, ki, tid, SysResult::Err(e), now),
+                    }
+                }
+            }
+            MkMsg::FutexWakeTask { group: _, tid } => {
+                if let Some(task) = self.kernels[ki].task(tid) {
+                    if matches!(task.state, popcorn_kernel::task::TaskState::Blocked(_)) {
+                        self.wake_with(sched, ki, tid, SysResult::Val(0), now);
+                    }
+                }
+            }
+            MkMsg::MemberJoined { group, .. } => {
+                let Some(g) = self.groups.get_mut(&group) else {
+                    return;
+                };
+                g.live += 1;
+                if !g.hosts.contains(&from) {
+                    g.hosts.push(from);
+                }
+                // A member that joins an exiting group dies with it.
+                if let Some(code) = g.exit {
+                    self.post(sched, now, ki, from, MkMsg::GroupKill { group, code });
+                }
+            }
+            MkMsg::TaskExited { group, .. } => {
+                let Some(g) = self.groups.get_mut(&group) else {
+                    return;
+                };
+                g.live = g.live.saturating_sub(1);
+                if g.live == 0 {
+                    self.reap(group);
+                }
+            }
+            MkMsg::GroupKill { group, code } => {
+                let killed = self.kill_local(sched, ki, group, code, now);
+                let req = MkMsg::GroupExitReq {
+                    group,
+                    code,
+                    killed,
+                };
+                self.post(sched, now, ki, group.home(), req);
+            }
+            MkMsg::GroupExitReq {
+                group,
+                code,
+                killed,
+            } => {
+                let Some(g) = self.groups.get_mut(&group) else {
+                    return;
+                };
+                g.live = g.live.saturating_sub(killed as usize);
+                // The first report starts the exit: the home kills its own
+                // members and orders every other host once. Later reports
+                // only account for what their host killed.
+                if g.exit.is_none() {
+                    g.exit = Some(code);
+                    let hosts = g.hosts.clone();
+                    let n = self.kill_local(sched, ki, group, code, now);
+                    if let Some(g) = self.groups.get_mut(&group) {
+                        g.live = g.live.saturating_sub(n as usize);
+                    }
+                    for h in hosts {
+                        if h != to && h != from {
+                            self.post(sched, now, ki, h, MkMsg::GroupKill { group, code });
+                        }
+                    }
+                }
+                if self.groups.get(&group).is_some_and(|g| g.live == 0) {
+                    self.reap(group);
+                }
             }
         }
-        panic!("{c} not owned by any kernel");
     }
 }
 
@@ -360,37 +547,15 @@ impl OsMachine for MultikernelMachine {
         req: SyscallReq,
         at: SimTime,
     ) {
+        let Some(req) =
+            osmodel::local_syscall(sched, &mut self.kernels[ki], ki, core, tid, req, at)
+        else {
+            return;
+        };
         let me = self.kid(ki);
         let group = self.group_of(ki, tid);
         let home = group.home();
         match req {
-            SyscallReq::GetPid => {
-                self.kernels[ki].finish_syscall(tid, SysResult::Val(group.pid() as u64), at);
-                self.kick(sched, ki, core, at);
-            }
-            SyscallReq::GetTid => {
-                self.kernels[ki].finish_syscall(tid, SysResult::Val(tid.0 as u64), at);
-                self.kick(sched, ki, core, at);
-            }
-            SyscallReq::GetKernel => {
-                self.kernels[ki].finish_syscall(tid, SysResult::Val(ki as u64), at);
-                self.kick(sched, ki, core, at);
-            }
-            SyscallReq::Yield => {
-                let c = self.kernels[ki].yield_current(tid, at);
-                self.kick(sched, ki, c, at);
-            }
-            SyscallReq::Nanosleep { ns } => {
-                let c = self.kernels[ki].block_current(tid, BlockReason::Sleep, at);
-                self.kick(sched, ki, c, at);
-                sched.at(
-                    at + SimTime::from_nanos(ns),
-                    OsEvent::TimerWake {
-                        kernel: ki as u16,
-                        tid,
-                    },
-                );
-            }
             // Memory management is entirely local: this is the
             // multikernel's structural advantage.
             SyscallReq::Mmap { len } => {
@@ -483,7 +648,7 @@ impl OsMachine for MultikernelMachine {
             SyscallReq::Clone { child, placement } => {
                 let target_ki = match placement {
                     Placement::Local => ki,
-                    Placement::Core(c) => self.kernel_of_core(c),
+                    Placement::Core(c) => osmodel::kernel_of_core(&self.kernels, c),
                     Placement::Auto => self.least_loaded_kernel(),
                 };
                 if target_ki == ki {
@@ -493,22 +658,11 @@ impl OsMachine for MultikernelMachine {
                     self.kernels[ki].finish_syscall(tid, SysResult::Val(child_tid.0 as u64), done);
                     self.kick(sched, ki, core, done);
                     self.kick(sched, ki, child_core, done);
-                    if me == home {
-                        if let Some(g) = self.groups.get_mut(&group) {
-                            g.live += 1;
-                        }
-                    } else {
-                        self.send(
-                            sched,
-                            done,
-                            ki,
-                            home,
-                            MkMsg::MemberJoined {
-                                group,
-                                tid: child_tid,
-                            },
-                        );
-                    }
+                    let joined = MkMsg::MemberJoined {
+                        group,
+                        tid: child_tid,
+                    };
+                    self.post(sched, done, ki, home, joined);
                 } else {
                     self.stats.remote_spawns.incr();
                     let rpc = self.rpcs[ki].register(tid);
@@ -532,16 +686,14 @@ impl OsMachine for MultikernelMachine {
                 }
             }
             SyscallReq::Migrate(target) => match target {
-                MigrateTarget::Core(c) if self.kernel_of_core(c) == ki => {
+                MigrateTarget::Core(c) if osmodel::kernel_of_core(&self.kernels, c) == ki => {
                     if c == core {
                         self.kernels[ki].finish_syscall(tid, SysResult::Val(0), at);
                         self.kick(sched, ki, core, at);
                     } else {
-                        let freed = self.kernels[ki].block_current(tid, BlockReason::Migrating, at);
+                        let (freed, target, resume_at) = self.kernels[ki].move_to_core(tid, c, at);
                         self.kick(sched, ki, freed, at);
-                        self.kernels[ki].reassign_core(tid, c);
-                        let done = at + self.kernels[ki].params().context_switch();
-                        self.wake_with(sched, ki, tid, SysResult::Val(0), done);
+                        self.kick(sched, ki, target, resume_at);
                     }
                 }
                 // No single-system image: threads cannot cross kernels.
@@ -551,45 +703,15 @@ impl OsMachine for MultikernelMachine {
                 }
             },
             SyscallReq::ExitGroup { code } => {
-                let members = self.kernels[ki].group_members(group);
-                let n = members.len() as u64;
-                for m in members {
-                    if let Some(c) = self.kernels[ki].kill_task(m, code, at) {
-                        self.kick(sched, ki, c, at);
-                    }
-                }
-                if me == home {
-                    let hosts = self
-                        .groups
-                        .get(&group)
-                        .map(|g| g.hosts.clone())
-                        .unwrap_or_default();
-                    if let Some(g) = self.groups.get_mut(&group) {
-                        g.live = g.live.saturating_sub(n as usize);
-                    }
-                    for h in hosts {
-                        if h != me {
-                            self.send(sched, at, ki, h, MkMsg::GroupKill { group, code });
-                        }
-                    }
-                    let empty = self.groups.get(&group).is_none_or(|g| g.live == 0);
-                    if empty {
-                        self.reap(group);
-                    }
-                } else {
-                    self.send(
-                        sched,
-                        at,
-                        ki,
-                        home,
-                        MkMsg::GroupExitReq {
-                            group,
-                            code,
-                            killed: n,
-                        },
-                    );
-                }
+                let killed = self.kill_local(sched, ki, group, code, at);
+                let req = MkMsg::GroupExitReq {
+                    group,
+                    code,
+                    killed,
+                };
+                self.post(sched, at, ki, home, req);
             }
+            _ => unreachable!("kernel-local syscalls are served above"),
         }
     }
 
@@ -648,7 +770,7 @@ impl OsMachine for MultikernelMachine {
         if no_vma {
             let c = self.kernels[ki].force_exit_current(tid, 139, at);
             self.kick(sched, ki, c, at);
-            self.note_exit(sched, ki, group, tid, at);
+            self.note_exit(sched, ki, tid, at);
             return;
         }
         // Always a private local zero-fill: no coherence in a multikernel.
@@ -674,8 +796,7 @@ impl OsMachine for MultikernelMachine {
         _code: i32,
         at: SimTime,
     ) {
-        let group = self.group_of(ki, tid);
-        self.note_exit(sched, ki, group, tid, at);
+        self.note_exit(sched, ki, tid, at);
     }
 
     fn handle_custom(
@@ -684,187 +805,7 @@ impl OsMachine for MultikernelMachine {
         msg: Delivery<MkMsg>,
         now: SimTime,
     ) {
-        let from = msg.from;
-        let to = msg.to;
-        let ki = to.0 as usize;
-        match msg.payload {
-            MkMsg::SpawnReq {
-                rpc,
-                origin,
-                group,
-                child,
-                layout,
-            } => {
-                if !self.kernels[ki].has_mm(group) {
-                    self.kernels[ki].adopt_mm(Mm::new(group));
-                }
-                for vma in layout {
-                    self.kernels[ki].mm_mut(group).install_vma(vma);
-                }
-                let child_tid = self.kernels[ki].alloc_tid();
-                let done = now
-                    + SimTime::from_nanos(
-                        self.kernels[ki].params().clone_base_ns + self.params.remote_spawn_ns,
-                    );
-                let child_core = self.kernels[ki].spawn(child_tid, group, child, None, done);
-                self.kick(sched, ki, child_core, done);
-                self.send(
-                    sched,
-                    done,
-                    ki,
-                    origin,
-                    MkMsg::SpawnResp {
-                        rpc,
-                        tid: child_tid,
-                    },
-                );
-                let home = group.home();
-                if to == home {
-                    if let Some(g) = self.groups.get_mut(&group) {
-                        g.live += 1;
-                        if !g.hosts.contains(&to) {
-                            g.hosts.push(to);
-                        }
-                    }
-                } else {
-                    self.send(
-                        sched,
-                        done,
-                        ki,
-                        home,
-                        MkMsg::MemberJoined {
-                            group,
-                            tid: child_tid,
-                        },
-                    );
-                }
-            }
-            MkMsg::SpawnResp { rpc, tid } => {
-                if let Some(parent) = self.rpcs[ki].complete(rpc) {
-                    self.wake_with(sched, ki, parent, SysResult::Val(tid.0 as u64), now);
-                }
-            }
-            MkMsg::RmwReq {
-                rpc,
-                origin,
-                group,
-                addr,
-                op,
-            } => {
-                let old = self.futex.rmw(group, addr, op);
-                let done = now + SimTime::from_nanos(self.params.service_ns);
-                self.send(sched, done, ki, origin, MkMsg::RmwResp { rpc, old });
-            }
-            MkMsg::RmwResp { rpc, old } => {
-                if let Some(tid) = self.rpcs[ki].complete(rpc) {
-                    if let Some(task) = self.kernels[ki].task_mut(tid) {
-                        if !task.is_exited() {
-                            task.resume = Resume::Value(old);
-                            let core = self.kernels[ki].wake(tid, now);
-                            self.kick(sched, ki, core, now);
-                        }
-                    }
-                }
-            }
-            MkMsg::FutexReq {
-                rpc,
-                origin,
-                group,
-                tid,
-                op,
-            } => {
-                let caller = Waiter {
-                    kernel: origin,
-                    tid,
-                };
-                let (result, done) = self.futex_at_home(sched, group, op, caller, now);
-                self.send(sched, done, ki, origin, MkMsg::FutexResp { rpc, result });
-            }
-            MkMsg::FutexResp { rpc, result } => {
-                if let Some(tid) = self.rpcs[ki].complete(rpc) {
-                    match result {
-                        None => {} // parked; FutexWakeTask will arrive
-                        Some(Ok(n)) => self.wake_with(sched, ki, tid, SysResult::Val(n), now),
-                        Some(Err(e)) => self.wake_with(sched, ki, tid, SysResult::Err(e), now),
-                    }
-                }
-            }
-            MkMsg::FutexWakeTask { group: _, tid } => {
-                if let Some(task) = self.kernels[ki].task(tid) {
-                    if matches!(task.state, popcorn_kernel::task::TaskState::Blocked(_)) {
-                        self.wake_with(sched, ki, tid, SysResult::Val(0), now);
-                    }
-                }
-            }
-            MkMsg::MemberJoined { group, .. } => {
-                if let Some(g) = self.groups.get_mut(&group) {
-                    g.live += 1;
-                    if !g.hosts.contains(&from) {
-                        g.hosts.push(from);
-                    }
-                }
-            }
-            MkMsg::TaskExited { group, tid } => {
-                self.note_exit(sched, ki, group, tid, now);
-            }
-            MkMsg::GroupKill { group, code } => {
-                let members = self.kernels[ki].group_members(group);
-                let n = members.len() as u64;
-                for m in members {
-                    if let Some(c) = self.kernels[ki].kill_task(m, code, now) {
-                        self.kick(sched, ki, c, now);
-                    }
-                }
-                let home = group.home();
-                self.send(
-                    sched,
-                    now,
-                    ki,
-                    home,
-                    MkMsg::GroupExitReq {
-                        group,
-                        code,
-                        killed: n,
-                    },
-                );
-            }
-            MkMsg::GroupExitReq {
-                group,
-                code,
-                killed,
-            } => {
-                // Home side: account the killed members; kill everywhere.
-                let hosts = self
-                    .groups
-                    .get(&group)
-                    .map(|g| g.hosts.clone())
-                    .unwrap_or_default();
-                if let Some(g) = self.groups.get_mut(&group) {
-                    g.live = g.live.saturating_sub(killed as usize);
-                }
-                // Kill local members too (first GroupExitReq only, but
-                // kill_task is idempotent so repeats are harmless).
-                let members = self.kernels[ki].group_members(group);
-                let n = members.len();
-                for m in members {
-                    if let Some(c) = self.kernels[ki].kill_task(m, code, now) {
-                        self.kick(sched, ki, c, now);
-                    }
-                }
-                if let Some(g) = self.groups.get_mut(&group) {
-                    g.live = g.live.saturating_sub(n);
-                }
-                for h in hosts {
-                    if h != to && h != from {
-                        self.send(sched, now, ki, h, MkMsg::GroupKill { group, code });
-                    }
-                }
-                let empty = self.groups.get(&group).is_none_or(|g| g.live == 0);
-                if empty {
-                    self.reap(group);
-                }
-            }
-        }
+        self.handle(sched, msg.from, msg.to, msg.payload, now);
     }
 }
 
@@ -1027,6 +968,7 @@ impl OsModel for MultikernelOs {
             MkGroup {
                 live: 1,
                 hosts: vec![KernelId(home as u16)],
+                exit: None,
             },
         );
         let core = self.machine.kernels[home].spawn(leader, group, program, None, self.sim.now());

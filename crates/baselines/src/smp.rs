@@ -15,6 +15,11 @@
 //!
 //! As core counts grow these sites saturate — the contention collapse the
 //! replicated-kernel design removes.
+//!
+//! Kernel-local syscalls and the affinity core move are the shared
+//! [`osmodel::local_syscall`] and [`Kernel::move_to_core`]; this file
+//! holds only the lock sites. A group is reaped when the one kernel has
+//! no live member of it left.
 
 use std::collections::BTreeMap;
 
@@ -44,7 +49,6 @@ type SmpEvent = OsEvent<SmpMsg>;
 /// Per-group state of the single kernel.
 #[derive(Debug)]
 struct SmpGroup {
-    live: usize,
     mmap_sem: RwLockSite,
     pt_lock: LockSite,
 }
@@ -119,43 +123,33 @@ impl SmpMachine {
         tid: Tid,
         at: SimTime,
     ) -> SimTime {
-        let Some(task) = self.kernels[0].task(tid) else {
+        let Some(task) = self.kernels[0].task(tid).filter(|t| !t.is_exited()) else {
             return at;
         };
-        if task.is_exited() {
-            return at;
-        }
         let target_core = task.core;
         let ic = self.machine.interconnect().clone();
         let hold = SimTime::from_nanos(self.params.rq_lock_hold_ns);
         let acq = self.rq_locks[target_core.0 as usize].acquire(at, waker_core, hold, &ic);
-        if let Some(t) = self.kernels[0].task_mut(tid) {
-            t.resume = Resume::Sys(SysResult::Val(0));
+        let resume = Some(Resume::Sys(SysResult::Val(0)));
+        if let Some(core) = self.kernels[0].wake_live(tid, resume, acq.released_at) {
+            self.kick(sched, core, acq.released_at);
         }
-        let core = self.kernels[0].wake(tid, acq.released_at);
-        self.kick(sched, core, acq.released_at);
         acq.released_at
     }
 
-    fn note_exit(&mut self, group: GroupId, tid: Tid) {
-        let _ = tid;
-        let done = match self.groups.get_mut(&group) {
-            Some(g) => {
-                g.live -= 1;
-                g.live == 0
-            }
-            None => false,
-        };
-        if done {
-            if let Some(g) = self.groups.get(&group) {
-                let acq = g.mmap_sem.write_acquires() + g.mmap_sem.read_acquires();
-                let wait = g.mmap_sem.write_wait_histogram().mean()
-                    * g.mmap_sem.write_acquires() as f64
-                    + g.mmap_sem.read_wait_histogram().mean() * g.mmap_sem.read_acquires() as f64;
-                self.retired_mmap.0 += acq;
-                self.retired_mmap.1 += wait;
-            }
-            self.groups.remove(&group);
+    /// Reaps `group` once it has no live member left (the one kernel
+    /// knows every member).
+    fn note_exit(&mut self, group: GroupId) {
+        if !self.kernels[0].group_members(group).is_empty() {
+            return;
+        }
+        if let Some(g) = self.groups.remove(&group) {
+            let acq = g.mmap_sem.write_acquires() + g.mmap_sem.read_acquires();
+            let wait = g.mmap_sem.write_wait_histogram().mean()
+                * g.mmap_sem.write_acquires() as f64
+                + g.mmap_sem.read_wait_histogram().mean() * g.mmap_sem.read_acquires() as f64;
+            self.retired_mmap.0 += acq;
+            self.retired_mmap.1 += wait;
             self.kernels[0].reap_group(group);
             self.kernels[0].drop_mm(group);
             self.futex.drop_group(group);
@@ -180,35 +174,13 @@ impl OsMachine for SmpMachine {
         req: SyscallReq,
         at: SimTime,
     ) {
+        let Some(req) = osmodel::local_syscall(sched, &mut self.kernels[0], 0, core, tid, req, at)
+        else {
+            return;
+        };
         let group = self.group_of(tid);
         let ic = self.machine.interconnect().clone();
         match req {
-            SyscallReq::GetPid => {
-                self.kernel()
-                    .finish_syscall(tid, SysResult::Val(group.pid() as u64), at);
-                self.kick(sched, core, at);
-            }
-            SyscallReq::GetTid => {
-                self.kernel()
-                    .finish_syscall(tid, SysResult::Val(tid.0 as u64), at);
-                self.kick(sched, core, at);
-            }
-            SyscallReq::GetKernel => {
-                self.kernel().finish_syscall(tid, SysResult::Val(0), at);
-                self.kick(sched, core, at);
-            }
-            SyscallReq::Yield => {
-                let c = self.kernel().yield_current(tid, at);
-                self.kick(sched, c, at);
-            }
-            SyscallReq::Nanosleep { ns } => {
-                let c = self.kernel().block_current(tid, BlockReason::Sleep, at);
-                self.kick(sched, c, at);
-                sched.at(
-                    at + SimTime::from_nanos(ns),
-                    OsEvent::TimerWake { kernel: 0, tid },
-                );
-            }
             SyscallReq::Mmap { len } => {
                 let hold = SimTime::from_nanos(self.params.mmap_write_hold_ns);
                 let g = self.groups.get_mut(&group).expect("group exists");
@@ -320,9 +292,6 @@ impl OsMachine for SmpMachine {
                 let child_core = self
                     .kernel()
                     .spawn(child_tid, group, child, core_hint, done);
-                if let Some(g) = self.groups.get_mut(&group) {
-                    g.live += 1;
-                }
                 self.kernel()
                     .finish_syscall(tid, SysResult::Val(child_tid.0 as u64), done);
                 self.kick(sched, core, done);
@@ -334,15 +303,9 @@ impl OsMachine for SmpMachine {
                         self.kernel().finish_syscall(tid, SysResult::Val(0), at);
                         self.kick(sched, core, at);
                     } else {
-                        let freed = self.kernel().block_current(tid, BlockReason::Migrating, at);
+                        let (freed, target, resume_at) = self.kernel().move_to_core(tid, c, at);
                         self.kick(sched, freed, at);
-                        self.kernel().reassign_core(tid, c);
-                        let done = at + self.kernels[0].params().context_switch();
-                        if let Some(t) = self.kernels[0].task_mut(tid) {
-                            t.resume = Resume::Sys(SysResult::Val(0));
-                        }
-                        let nc = self.kernel().wake(tid, done);
-                        self.kick(sched, nc, done);
+                        self.kick(sched, target, resume_at);
                     }
                 }
                 MigrateTarget::Kernel(_) => {
@@ -362,9 +325,10 @@ impl OsMachine for SmpMachine {
                     if let Some(c) = self.kernel().kill_task(m, code, done) {
                         self.kick(sched, c, done);
                     }
-                    self.note_exit(group, m);
                 }
+                self.note_exit(group);
             }
+            _ => unreachable!("kernel-local syscalls are served above"),
         }
     }
 
@@ -406,7 +370,7 @@ impl OsMachine for SmpMachine {
         if no_vma {
             let c = self.kernel().force_exit_current(tid, 139, at);
             self.kick(sched, c, at);
-            self.note_exit(group, tid);
+            self.note_exit(group);
             return;
         }
         let ic = self.machine.interconnect().clone();
@@ -439,7 +403,7 @@ impl OsMachine for SmpMachine {
         _at: SimTime,
     ) {
         let group = self.group_of(tid);
-        self.note_exit(group, tid);
+        self.note_exit(group);
     }
 
     fn handle_custom(&mut self, _sched: &mut Scheduler<SmpEvent>, msg: SmpMsg, _now: SimTime) {
@@ -632,7 +596,6 @@ impl OsModel for SmpOs {
         self.machine.groups.insert(
             group,
             SmpGroup {
-                live: 1,
                 mmap_sem: RwLockSite::new("mmap_sem", &hw),
                 pt_lock: LockSite::new("pt_lock", &hw),
             },

@@ -3,7 +3,7 @@
 
 use popcorn_baselines::{MultikernelOs, SmpOs};
 use popcorn_hw::Topology;
-use popcorn_kernel::osmodel::OsModel;
+use popcorn_kernel::osmodel::{OsModel, RunReport};
 use popcorn_kernel::program::{Op, Placement, ProgEnv, Program, Resume, SyscallReq};
 use popcorn_workloads::micro;
 use popcorn_workloads::team::{Team, TeamConfig};
@@ -52,8 +52,9 @@ fn smp_zone_lock_is_shared_across_processes() {
     );
 }
 
-#[test]
-fn multikernel_exit_group_reaches_remote_members() {
+/// Runs a 5-worker team spread over 4 kernels (home kernel 0) in which
+/// worker `killer` calls `exit_group` after 300 µs while the others spin.
+fn multikernel_exit_group_from(killer: usize) -> RunReport {
     #[derive(Debug)]
     struct Spinner;
     impl Program for Spinner {
@@ -82,20 +83,38 @@ fn multikernel_exit_group_reaches_remote_members() {
         .build();
     os.load(Team::boxed(
         cfg,
-        Box::new(|i, _| {
-            if i == 4 {
+        Box::new(move |i, _| {
+            if i == killer {
                 Box::new(Killer { slept: false }) as Box<dyn Program>
             } else {
                 Box::new(Spinner) as Box<dyn Program>
             }
         }),
     ));
-    let r = os.run_with(popcorn_sim::SimTime::from_secs(5), 20_000_000);
-    assert!(
-        r.stuck_tasks.is_empty(),
-        "exit_group left stuck tasks: {:?}",
-        r.stuck_tasks
-    );
+    os.run_with(popcorn_sim::SimTime::from_secs(5), 20_000_000)
+}
+
+#[test]
+fn multikernel_exit_group_reaches_remote_members() {
+    // Workers 0 and 4 share the home kernel 0 with the leader; workers 1-3
+    // are remote spawns on kernels 1-3, three messages each (`SpawnReq`,
+    // `SpawnResp`, `MemberJoined`). The exit then sends one `GroupKill` and
+    // gets one `GroupExitReq` back per host other than the home and the
+    // initiator, plus the initiator's own report when it is not the home.
+    for (killer, messages) in [(4, 3 * 3 + 2 * 3), (1, 3 * 3 + 1 + 2 * 2)] {
+        let r = multikernel_exit_group_from(killer);
+        assert!(
+            r.stuck_tasks.is_empty(),
+            "exit_group from worker {killer} left stuck tasks: {:?}",
+            r.stuck_tasks
+        );
+        assert_eq!(r.exited_tasks, 6, "exit_group from worker {killer}");
+        assert_eq!(
+            r.metric("messages"),
+            messages as f64,
+            "exit_group from worker {killer} sends each host one GroupKill"
+        );
+    }
 }
 
 #[test]

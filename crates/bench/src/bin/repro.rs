@@ -6,13 +6,13 @@
 //! repro list                # available ids
 //! repro all --json out/     # also dump each table as JSON
 //! repro all --jobs 8        # host threads for independent simulations
-//! repro all --serial        # force fully serial execution
+//! repro all --jobs 1        # fully serial execution
 //! ```
 //!
 //! All runs are deterministic and seeded, and each simulation runs on one
 //! host thread, so `--jobs N` (host threads across independent
 //! simulations) never changes a single virtual-time result — the tables
-//! (and `--json` files) are byte-identical to a `--serial` run. The
+//! (and `--json` files) are byte-identical to a `--jobs 1` run. The
 //! numbers printed here are the ones recorded in EXPERIMENTS.md.
 //!
 //! Each invocation that runs experiments also records simulator

@@ -22,7 +22,7 @@ pub struct Cli {
     /// Directory to dump per-experiment JSON into (`--json DIR`).
     pub json_dir: Option<String>,
     /// Host worker threads (`--jobs N` / `-j N`); `None` means the
-    /// default (available host parallelism). `--serial` forces 1.
+    /// default (available host parallelism). `--jobs 1` runs serially.
     pub jobs: Option<usize>,
 }
 
@@ -81,7 +81,6 @@ pub fn parse(args: &[String], known_ids: &[&str]) -> Result<Cli, String> {
                 }
                 cli.jobs = Some(n);
             }
-            "--serial" => cli.jobs = Some(1),
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             id => {
                 if !known_ids.contains(&id) {
@@ -94,7 +93,7 @@ pub fn parse(args: &[String], known_ids: &[&str]) -> Result<Cli, String> {
     dedup_preserving_order(&mut cli.selected);
     if cli.mode == Mode::Run && cli.selected.is_empty() {
         return Err(format!(
-            "usage: repro [all | list | check | <ids...>] [--json DIR] [--jobs N | --serial]\nids: {}",
+            "usage: repro [all | list | check | <ids...>] [--json DIR] [--jobs N]\nids: {}",
             known_ids.join(" ")
         ));
     }
@@ -143,7 +142,7 @@ mod tests {
         assert_eq!(cli.jobs_setting(), 4);
         let cli = parse(&argv(&["all", "-j", "2"]), &IDS).expect("parses");
         assert_eq!(cli.jobs, Some(2));
-        let cli = parse(&argv(&["all", "--serial"]), &IDS).expect("parses");
+        let cli = parse(&argv(&["all", "--jobs", "1"]), &IDS).expect("parses");
         assert_eq!(cli.jobs, Some(1));
         let cli = parse(&argv(&["all"]), &IDS).expect("parses");
         assert_eq!(cli.jobs, None);
@@ -164,6 +163,15 @@ mod tests {
                 Err(format!("unknown flag '{flag}'"))
             );
         }
+    }
+
+    #[test]
+    fn removed_serial_flag_is_unknown() {
+        // `--jobs 1` is the one way to run serially.
+        assert_eq!(
+            parse(&argv(&["all", "--serial"]), &IDS),
+            Err("unknown flag '--serial'".to_string())
+        );
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! cargo run --release -p popcorn-bench --bin repro -- all
 //! cargo run --release -p popcorn-bench --bin repro -- e5 e8 --json out/
 //! cargo run --release -p popcorn-bench --bin repro -- all --jobs 8
-//! cargo run --release -p popcorn-bench --bin repro -- check --serial
+//! cargo run --release -p popcorn-bench --bin repro -- check --jobs 1
 //! ```
 //!
 //! Every simulation is single-threaded and deterministic; `--jobs N`
 //! only spreads *independent* simulations over host threads, so results
-//! are byte-identical to `--serial` runs.
+//! are byte-identical to `--jobs 1` runs.
 //!
 //! `repro check` ([`check`]) regenerates each experiment a claim reads and
 //! asserts the claimed result *shapes* on its table — a regression suite

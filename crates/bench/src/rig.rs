@@ -16,7 +16,7 @@
 //! primitive everything uses: it maps a function over items on up to
 //! [`jobs`] worker threads and returns results **in input order**, so
 //! tables render byte-for-byte identically whether the sweep ran serially
-//! or in parallel. The `repro` binary's `--jobs N` / `--serial` flags feed
+//! or in parallel. The `repro` binary's `--jobs N` flag feeds
 //! [`set_jobs`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +36,7 @@ use popcorn_sim::SimTime;
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the number of host worker threads sweeps may use (the `repro`
-/// `--jobs` flag). `1` forces fully serial execution (`--serial`); `0`
+/// `--jobs` flag). `1` forces fully serial execution (`--jobs 1`); `0`
 /// resets to the default (available host parallelism).
 pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::Relaxed);

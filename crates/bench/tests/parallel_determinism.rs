@@ -33,7 +33,7 @@ fn parallel_runs_are_byte_identical_to_serial() {
         set_jobs(0);
         assert_eq!(
             serial, parallel,
-            "{id}: --jobs 4 output diverged from --serial"
+            "{id}: --jobs 4 output diverged from --jobs 1"
         );
         // Parallel runs are also stable run-to-run.
         set_jobs(4);

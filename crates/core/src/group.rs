@@ -266,11 +266,6 @@ impl GroupHome {
             .collect()
     }
 
-    /// Whether `kernel` holds a replica.
-    pub fn has_replica(&self, kernel: KernelId) -> bool {
-        self.replicas.contains(&kernel)
-    }
-
     /// Forgets `kernel`'s replica (crash recovery: the replica died with
     /// the kernel). Returns true if it was present.
     pub fn remove_replica(&mut self, kernel: KernelId) -> bool {
@@ -604,7 +599,7 @@ mod tests {
         h.member_joined(t3, KernelId(1));
         assert_eq!(h.members_at(KernelId(1)), vec![t2, t3]);
         assert_eq!(h.replicas_except(KernelId(1)), vec![KernelId(0)]);
-        assert!(h.has_replica(KernelId(1)));
+        assert!(h.replicas().any(|k| k == KernelId(1)));
         assert!(h.remove_replica(KernelId(1)));
         assert!(!h.remove_replica(KernelId(1)));
         // An unmap barrier waiting only on the dead kernel releases.

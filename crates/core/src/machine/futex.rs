@@ -410,13 +410,7 @@ impl KernelCtx<'_, '_> {
     /// `RmwResp` at the caller: resume with the old value.
     pub(super) fn on_rmw_resp(&mut self, ki: usize, rpc: RpcId, old: u64, now: SimTime) {
         if let Some(Pending::Futex(FutexPending::Rmw { tid })) = self.complete_rpc(ki, rpc) {
-            if self.task_alive(ki, tid) {
-                if let Some(task) = self.kernels[ki].task_mut(tid) {
-                    task.resume = Resume::Value(old);
-                }
-                let core = self.kernels[ki].wake(tid, now);
-                self.kick(ki, core, now);
-            }
+            self.wake_live(ki, tid, Some(Resume::Value(old)), now);
         }
     }
 }

@@ -7,9 +7,10 @@
 //! shadow in place and the migrate syscall fails with `EIO`.
 
 use popcorn_kernel::mm::Mm;
+use popcorn_kernel::osmodel;
 use popcorn_kernel::policy::PolicyView;
 use popcorn_kernel::program::{MigrateTarget, Op, Program, Resume, SysResult};
-use popcorn_kernel::task::{BlockReason, TaskStats};
+use popcorn_kernel::task::TaskStats;
 use popcorn_kernel::types::{CpuContext, Errno, GroupId, Tid};
 use popcorn_msg::KernelId;
 use popcorn_sim::SimTime;
@@ -54,11 +55,9 @@ impl KernelCtx<'_, '_> {
             match core_hint {
                 Some(c) if c != core => {
                     // Intra-kernel core move (sched_setaffinity).
-                    let freed = self.kernels[ki].block_current(tid, BlockReason::Migrating, at);
+                    let (freed, target, resume_at) = self.kernels[ki].move_to_core(tid, c, at);
                     self.kick(ki, freed, at);
-                    self.kernels[ki].reassign_core(tid, c);
-                    let done = at + self.kernels[ki].params().context_switch();
-                    self.wake_with(ki, tid, SysResult::Val(0), done);
+                    self.kick(ki, target, resume_at);
                 }
                 _ => {
                     self.kernels[ki].finish_syscall(tid, SysResult::Val(0), at);
@@ -258,12 +257,8 @@ impl KernelCtx<'_, '_> {
         match target {
             MigrateTarget::Kernel(k) => (k, None),
             MigrateTarget::Core(c) => {
-                for (i, k) in self.kernels.iter().enumerate() {
-                    if k.cores().contains(&c) {
-                        return (KernelId(i as u16), Some(c));
-                    }
-                }
-                panic!("{c} not owned by any kernel");
+                let ki = osmodel::kernel_of_core(self.kernels, c);
+                (self.kid(ki), Some(c))
             }
         }
     }

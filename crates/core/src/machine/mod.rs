@@ -85,10 +85,9 @@ use popcorn_hw::{CoreId, LockSite, Machine};
 use popcorn_kernel::futex::FutexTable;
 use popcorn_kernel::kernel::Kernel;
 use popcorn_kernel::mm::Mm;
-use popcorn_kernel::osmodel::{ensure_core_run, OsEvent, OsMachine};
+use popcorn_kernel::osmodel::{self, ensure_core_run, OsEvent, OsMachine};
 use popcorn_kernel::policy::MigrationPolicy;
 use popcorn_kernel::program::{Program, Resume, SysResult, SyscallReq};
-use popcorn_kernel::task::BlockReason;
 use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::{Delivery, Fabric, KernelId, ReliableFabric, RpcTable};
 use popcorn_sim::{Histogram, Scheduler, SimTime, TimeSeries};
@@ -493,52 +492,31 @@ impl KernelCtx<'_, '_> {
             .is_some_and(|t| !t.is_exited() && !t.is_shadow())
     }
 
-    /// Wakes a blocked task with a syscall result.
-    pub(super) fn wake_with(&mut self, ki: usize, tid: Tid, result: SysResult, at: SimTime) {
-        if !self.task_alive(ki, tid) {
-            return;
+    /// Wakes a blocked task (unless it is gone) at `at`, resuming it with
+    /// `with` when given.
+    pub(super) fn wake_live(&mut self, ki: usize, tid: Tid, with: Option<Resume>, at: SimTime) {
+        if let Some(core) = self.kernels[ki].wake_live(tid, with, at) {
+            self.kick(ki, core, at);
         }
-        let k = &mut self.kernels[ki];
-        if let Some(task) = k.task_mut(tid) {
-            task.resume = Resume::Sys(result);
-        }
-        let core = k.wake(tid, at);
-        self.kick(ki, core, at);
     }
 
-    /// The syscall dispatcher: local syscalls are served inline; protocol
-    /// syscalls route into their family's module.
+    /// Wakes a blocked task with a syscall result.
+    pub(super) fn wake_with(&mut self, ki: usize, tid: Tid, result: SysResult, at: SimTime) {
+        self.wake_live(ki, tid, Some(Resume::Sys(result)), at);
+    }
+
+    /// The syscall dispatcher: local syscalls are served by
+    /// [`osmodel::local_syscall`]; protocol syscalls route into their
+    /// family's module.
     pub fn syscall(&mut self, ki: usize, core: CoreId, tid: Tid, req: SyscallReq, at: SimTime) {
         self.note_activity(at);
+        let Some(req) =
+            osmodel::local_syscall(self.sched, &mut self.kernels[ki], ki, core, tid, req, at)
+        else {
+            return;
+        };
         let group = self.group_of(ki, tid);
         match req {
-            SyscallReq::GetPid => {
-                self.kernels[ki].finish_syscall(tid, SysResult::Val(group.pid() as u64), at);
-                self.kick(ki, core, at);
-            }
-            SyscallReq::GetTid => {
-                self.kernels[ki].finish_syscall(tid, SysResult::Val(tid.0 as u64), at);
-                self.kick(ki, core, at);
-            }
-            SyscallReq::GetKernel => {
-                self.kernels[ki].finish_syscall(tid, SysResult::Val(ki as u64), at);
-                self.kick(ki, core, at);
-            }
-            SyscallReq::Yield => {
-                let c = self.kernels[ki].yield_current(tid, at);
-                self.kick(ki, c, at);
-            }
-            SyscallReq::Nanosleep { ns } => {
-                let c = self.kernels[ki].block_current(tid, BlockReason::Sleep, at);
-                self.kick(ki, c, at);
-                self.sched.at(
-                    at + SimTime::from_nanos(ns),
-                    OsEvent::TimerWake {
-                        kernel: ki as u16,
-                        tid,
-                    },
-                );
-            }
             SyscallReq::Mmap { len } => {
                 self.start_vma_op(ki, tid, group, VmaOp::Map { len }, at);
             }
@@ -560,6 +538,7 @@ impl KernelCtx<'_, '_> {
             SyscallReq::ExitGroup { code } => {
                 self.exit_group_syscall(ki, group, code, at);
             }
+            _ => unreachable!("kernel-local syscalls are served above"),
         }
     }
 

@@ -260,10 +260,7 @@ impl KernelCtx<'_, '_> {
                     self.stats.fault_remote_read_lat.record_time(lat);
                 }
                 for (tid, _) in waiters {
-                    if self.task_alive(ki, tid) {
-                        let core = self.kernels[ki].wake(tid, done);
-                        self.kick(ki, core, done);
-                    }
+                    self.wake_live(ki, tid, None, done);
                 }
             }
         }

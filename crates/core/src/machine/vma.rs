@@ -327,10 +327,7 @@ impl KernelCtx<'_, '_> {
                     if self.kernels[ki].has_mm(group) {
                         self.kernels[ki].mm_mut(group).install_vma(vma);
                     }
-                    if self.task_alive(ki, tid) {
-                        let core = self.kernels[ki].wake(tid, now);
-                        self.kick(ki, core, now);
-                    }
+                    self.wake_live(ki, tid, None, now);
                 }
                 None => {
                     // Genuine segfault on a remote kernel.

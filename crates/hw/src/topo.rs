@@ -124,11 +124,6 @@ impl Topology {
         core.0 / self.cores_per_ccx()
     }
 
-    /// Whether two cores share a CCX.
-    pub fn same_ccx(&self, a: CoreId, b: CoreId) -> bool {
-        self.ccx_of(a) == self.ccx_of(b)
-    }
-
     /// Total core count.
     pub fn num_cores(&self) -> u16 {
         self.sockets * self.cores_per_socket
@@ -272,8 +267,8 @@ mod tests {
         assert_eq!(t.ccx_of(CoreId(7)), 0);
         assert_eq!(t.ccx_of(CoreId(8)), 1);
         assert_eq!(t.ccx_of(CoreId(64)), 8);
-        assert!(t.same_ccx(CoreId(0), CoreId(7)));
-        assert!(!t.same_ccx(CoreId(7), CoreId(8)));
+        assert_eq!(t.ccx_of(CoreId(0)), t.ccx_of(CoreId(7)));
+        assert_ne!(t.ccx_of(CoreId(7)), t.ccx_of(CoreId(8)));
         // Every CCX nests in exactly one socket.
         for c in t.cores() {
             let ccx = t.ccx_of(c);

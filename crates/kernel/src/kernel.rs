@@ -657,6 +657,49 @@ impl Kernel {
         core
     }
 
+    /// Wakes `tid` unless it has exited or is a shadow; with `with`, the
+    /// task resumes with that value. Returns the core to kick, or `None`
+    /// when the task is gone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a live task is not blocked.
+    pub fn wake_live(&mut self, tid: Tid, with: Option<Resume>, at: SimTime) -> Option<CoreId> {
+        let task = self.tasks.get_mut(&tid)?;
+        if task.is_exited() || task.is_shadow() {
+            return None;
+        }
+        if let Some(resume) = with {
+            task.resume = resume;
+        }
+        Some(self.wake(tid, at))
+    }
+
+    /// Moves the task that is current on its core, mid-syscall, to `core`
+    /// of this kernel (`sched_setaffinity`): the old core is freed at `at`
+    /// and the task resumes with `0` on `core` one context switch later.
+    /// Returns `(freed, target, resume_at)`; kick `freed` at `at`, then
+    /// `target` at `resume_at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task is not current on its core or `core` is not
+    /// owned by this kernel.
+    pub fn move_to_core(
+        &mut self,
+        tid: Tid,
+        core: CoreId,
+        at: SimTime,
+    ) -> (CoreId, CoreId, SimTime) {
+        let freed = self.block_current(tid, BlockReason::Migrating, at);
+        self.reassign_core(tid, core);
+        let resume_at = at + self.params.context_switch();
+        let target = self
+            .wake_live(tid, Some(Resume::Sys(SysResult::Val(0))), resume_at)
+            .expect("a moving task is live");
+        (freed, target, resume_at)
+    }
+
     /// Moves the current task of `core` to the back of its run queue
     /// (`sched_yield`). Returns the core to kick.
     pub fn yield_current(&mut self, tid: Tid, now: SimTime) -> CoreId {

@@ -12,6 +12,9 @@
 //! - [`OsMachine`] — the policy hooks a model implements;
 //! - [`dispatch`] — the common event-routing skeleton a model's
 //!   [`Handler`](popcorn_sim::Handler) impl delegates to;
+//! - [`local_syscall`] and [`kernel_of_core`] — the kernel-local syscalls
+//!   and the core-to-kernel lookup, written once for every model (with
+//!   [`Kernel::move_to_core`] and [`Kernel::wake_live`] on the kernel);
 //! - [`OsModel`] + [`RunReport`] — the harness-facing interface every model
 //!   (Popcorn, SMP, multikernel) exposes so experiments can treat them
 //!   uniformly;
@@ -27,6 +30,7 @@ use popcorn_sim::{Scheduler, SimTime, StopCondition};
 use crate::kernel::{Kernel, RunOutcome};
 use crate::params::OsParams;
 use crate::program::{Program, Resume, RmwOp, SysResult, SyscallReq};
+use crate::task::BlockReason;
 use crate::types::{GroupId, PageNo, Tid, VAddr};
 
 /// Default event budget for [`OsModel::run`]: generous enough for every
@@ -132,6 +136,60 @@ pub trait OsMachine {
     );
 }
 
+/// Serves the syscalls that touch no state beyond the calling kernel, the
+/// same way on every model: `getpid`, `gettid`, `getkernel`,
+/// `sched_yield` and `nanosleep` by `tid` on `core` of kernel `ki`. Any
+/// other request is handed back for the model to serve. Models call this
+/// first from [`OsMachine::handle_syscall`].
+pub fn local_syscall<X>(
+    sched: &mut Scheduler<OsEvent<X>>,
+    kernel: &mut Kernel,
+    ki: usize,
+    core: CoreId,
+    tid: Tid,
+    req: SyscallReq,
+    at: SimTime,
+) -> Option<SyscallReq> {
+    let value = match req {
+        SyscallReq::GetPid => kernel.task(tid).expect("caller exists").group.pid() as u64,
+        SyscallReq::GetTid => tid.0 as u64,
+        SyscallReq::GetKernel => ki as u64,
+        SyscallReq::Yield => {
+            let c = kernel.yield_current(tid, at);
+            ensure_core_run(sched, ki as u16, c, at);
+            return None;
+        }
+        SyscallReq::Nanosleep { ns } => {
+            let c = kernel.block_current(tid, BlockReason::Sleep, at);
+            ensure_core_run(sched, ki as u16, c, at);
+            sched.at(
+                at + SimTime::from_nanos(ns),
+                OsEvent::TimerWake {
+                    kernel: ki as u16,
+                    tid,
+                },
+            );
+            return None;
+        }
+        other => return Some(other),
+    };
+    kernel.finish_syscall(tid, SysResult::Val(value), at);
+    ensure_core_run(sched, ki as u16, core, at);
+    None
+}
+
+/// The index of the kernel in `kernels` that owns `core`.
+///
+/// # Panics
+///
+/// Panics if no kernel owns `core`.
+pub fn kernel_of_core(kernels: &[Kernel], core: CoreId) -> usize {
+    kernels
+        .iter()
+        .position(|k| k.cores().contains(&core))
+        .unwrap_or_else(|| panic!("{core} not owned by any kernel"))
+}
+
 /// Runs one core and routes the outcome to the model's hooks. OS models
 /// call this (and nothing else) from their `Handler::handle`.
 pub fn dispatch<M: OsMachine>(
@@ -168,10 +226,12 @@ pub fn dispatch<M: OsMachine>(
             }
         }
         OsEvent::TimerWake { kernel, tid } => {
-            let k = &mut m.kernels_mut()[kernel as usize];
-            if let Some(task) = k.task_mut(tid) {
-                task.resume = Resume::Sys(SysResult::Val(0));
-                let core = k.wake(tid, now);
+            let woken = m.kernels_mut()[kernel as usize].wake_live(
+                tid,
+                Some(Resume::Sys(SysResult::Val(0))),
+                now,
+            );
+            if let Some(core) = woken {
                 ensure_core_run(sched, kernel, core, now);
             }
         }

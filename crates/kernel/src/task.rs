@@ -105,11 +105,6 @@ impl Task {
         }
     }
 
-    /// Whether the task can be placed on a run queue.
-    pub fn is_ready(&self) -> bool {
-        matches!(self.state, TaskState::Ready)
-    }
-
     /// Whether the task has exited.
     pub fn is_exited(&self) -> bool {
         matches!(self.state, TaskState::Exited(_))
@@ -159,7 +154,7 @@ mod tests {
     #[test]
     fn new_task_is_ready_with_program() {
         let t = task();
-        assert!(t.is_ready());
+        assert!(matches!(t.state, TaskState::Ready));
         assert!(!t.is_exited());
         assert!(!t.is_shadow());
         assert!(t.program.is_some());
@@ -172,7 +167,7 @@ mod tests {
         t.state = TaskState::MigratedAway { to: KernelId(1) };
         t.program = None;
         assert!(t.is_shadow());
-        assert!(!t.is_ready());
+        assert!(!matches!(t.state, TaskState::Ready));
     }
 
     #[test]

@@ -53,5 +53,5 @@ pub use engine::{
 };
 pub use queue::CalendarQueue;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, Summary, TimeSeries};
+pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::SimTime;

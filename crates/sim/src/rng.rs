@@ -111,17 +111,6 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Exponentially distributed value with the given mean (for arrival
-    /// processes). Returns 0 for a non-positive mean.
-    pub fn exp(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        // Avoid ln(0) by nudging the uniform away from zero.
-        let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -193,15 +182,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.f64()).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn exp_mean_is_roughly_right() {
-        let mut r = SimRng::new(8);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| r.exp(25.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 25.0).abs() < 1.0, "mean {mean} too far from 25");
     }
 
     #[test]

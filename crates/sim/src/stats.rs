@@ -234,55 +234,6 @@ impl Histogram {
             self.max = self.max.max(other.max);
         }
     }
-
-    /// Condensed summary for reporting.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.count(),
-            mean: self.mean(),
-            min: self.min(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-            max: self.max(),
-            saturated: self.saturations(),
-        }
-    }
-}
-
-/// Condensed distribution summary produced by [`Histogram::summary`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample count.
-    pub count: u64,
-    /// Exact mean.
-    pub mean: f64,
-    /// Exact minimum.
-    pub min: u64,
-    /// Approximate median.
-    pub p50: u64,
-    /// Approximate 95th percentile.
-    pub p95: u64,
-    /// Approximate 99th percentile.
-    pub p99: u64,
-    /// Exact maximum.
-    pub max: u64,
-    /// Samples that overflowed the bucketed range (upper quantiles clamped).
-    pub saturated: u64,
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.0} min={} p50={} p95={} p99={} max={}",
-            self.count, self.mean, self.min, self.p50, self.p95, self.p99, self.max
-        )?;
-        if self.saturated > 0 {
-            write!(f, " sat={}", self.saturated)?;
-        }
-        Ok(())
-    }
 }
 
 /// A statistic a [`metric_table!`](crate::metric_table) exports as one
@@ -646,7 +597,6 @@ mod tests {
         h.record(1);
         debug_assert_eq!(h.saturations(), 0);
         assert_eq!(h.saturations(), 0);
-        assert_eq!(h.summary().saturated, 0);
     }
 
     #[test]
@@ -660,8 +610,6 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 3);
         assert_eq!(h.saturations(), 2);
-        assert_eq!(h.summary().saturated, 2);
-        assert!(h.summary().to_string().contains("sat=2"));
         // Exact stats are unaffected by bucketing.
         assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.min(), 100);
@@ -737,14 +685,6 @@ mod tests {
             let next = Histogram::bucket_floor(idx + 1);
             assert!(next > v, "next floor {next} <= value {v}");
         }
-    }
-
-    #[test]
-    fn summary_display_is_nonempty() {
-        let mut h = Histogram::new();
-        h.record(5);
-        let s = h.summary().to_string();
-        assert!(s.contains("n=1"));
     }
 
     #[test]

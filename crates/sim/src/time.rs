@@ -70,11 +70,6 @@ impl SimTime {
         self.0
     }
 
-    /// Time as floating-point microseconds (for reporting).
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Time as floating-point milliseconds (for reporting).
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0

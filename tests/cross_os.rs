@@ -114,3 +114,63 @@ fn facade_reexports_compose() {
     assert!(r.is_clean());
     assert_eq!(r.exited_tasks, 4);
 }
+
+#[test]
+fn kernel_local_syscalls_and_core_moves_match_on_every_model() {
+    // `getpid`, `gettid`, `getkernel`, `sched_yield`, `nanosleep` and an
+    // affinity move within the kernel touch no shared state, so all three
+    // designs run them the same way: same resumes, same positions, same
+    // finish time.
+    use std::sync::{Arc, Mutex};
+
+    use popcorn::hw::CoreId;
+    use popcorn::kernel::program::{MigrateTarget, Op, ProgEnv, Program, Resume, SyscallReq};
+    use popcorn::msg::KernelId;
+
+    type Trace = Arc<Mutex<Vec<(Resume, KernelId, CoreId)>>>;
+    #[derive(Debug)]
+    struct LocalOps {
+        step: usize,
+        trace: Trace,
+    }
+    impl Program for LocalOps {
+        fn step(&mut self, r: Resume, env: &ProgEnv) -> Op {
+            self.trace.lock().unwrap().push((r, env.kernel, env.core));
+            self.step += 1;
+            match self.step {
+                1 => Op::Syscall(SyscallReq::GetPid),
+                2 => Op::Syscall(SyscallReq::GetTid),
+                3 => Op::Syscall(SyscallReq::GetKernel),
+                4 => Op::Syscall(SyscallReq::Yield),
+                5 => Op::Syscall(SyscallReq::Nanosleep { ns: 10_000 }),
+                6 => Op::Syscall(SyscallReq::Migrate(MigrateTarget::Core(CoreId(1)))),
+                7 => Op::Compute(1_000),
+                _ => Op::Exit(0),
+            }
+        }
+    }
+
+    let runs: Vec<_> = all_three()
+        .into_iter()
+        .map(|mut os| {
+            let trace = Trace::default();
+            os.load(Box::new(LocalOps {
+                step: 0,
+                trace: trace.clone(),
+            }));
+            let r = os.run();
+            assert!(r.is_clean(), "{} stuck: {:?}", r.os, r.stuck_tasks);
+            let trace = trace.lock().unwrap().clone();
+            assert_eq!(trace.len(), 8, "{}", r.os);
+            assert_eq!(trace.last().unwrap().2, CoreId(1), "{} moved", r.os);
+            (r.os, r.finished_at, trace)
+        })
+        .collect();
+    let (_, finished_at, trace) = &runs[0];
+    // Pinned so that a cost all three models share cannot drift unseen.
+    assert_eq!(*finished_at, popcorn::sim::SimTime::from_nanos(25_257));
+    for (os, at, t) in &runs[1..] {
+        assert_eq!(at, finished_at, "{os} finishes with {}", runs[0].0);
+        assert_eq!(t, trace, "{os} sees what {} sees", runs[0].0);
+    }
+}
