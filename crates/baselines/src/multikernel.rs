@@ -820,10 +820,6 @@ impl Handler<MkEvent> for MultikernelMachine {
 pub struct MultikernelOsBuilder {
     topology: Topology,
     kernels: u16,
-    hw: HwParams,
-    os: OsParams,
-    msg: MsgParams,
-    mk: MultikernelParams,
 }
 
 impl Default for MultikernelOsBuilder {
@@ -831,10 +827,6 @@ impl Default for MultikernelOsBuilder {
         MultikernelOsBuilder {
             topology: Topology::paper_default(),
             kernels: 4,
-            hw: HwParams::default(),
-            os: OsParams::default(),
-            msg: MsgParams::default(),
-            mk: MultikernelParams::default(),
         }
     }
 }
@@ -853,38 +845,20 @@ impl MultikernelOsBuilder {
         self
     }
 
-    /// Overrides hardware parameters.
-    pub fn hw_params(mut self, p: HwParams) -> Self {
-        self.hw = p;
-        self
-    }
-
-    /// Overrides kernel software parameters.
-    pub fn os_params(mut self, p: OsParams) -> Self {
-        self.os = p;
-        self
-    }
-
-    /// Overrides message-layer parameters.
-    pub fn msg_params(mut self, p: MsgParams) -> Self {
-        self.msg = p;
-        self
-    }
-
-    /// Overrides multikernel service parameters.
-    pub fn mk_params(mut self, p: MultikernelParams) -> Self {
-        self.mk = p;
-        self
-    }
-
-    /// Builds the OS model.
+    /// Builds the OS model on the default hardware, kernel, message and
+    /// multikernel service parameters.
     ///
     /// # Panics
     ///
-    /// Panics if parameters fail validation or kernels exceed cores.
+    /// Panics if kernels exceed cores.
     pub fn build(self) -> MultikernelOs {
-        let (machine, kernels, fabric) =
-            osmodel::partition_machine(self.topology, self.kernels, self.hw, self.os, self.msg);
+        let (machine, kernels, fabric) = osmodel::partition_machine(
+            self.topology,
+            self.kernels,
+            HwParams::default(),
+            OsParams::default(),
+            MsgParams::default(),
+        );
         let n = kernels.len();
         MultikernelOs {
             sim: Simulator::new(),
@@ -895,7 +869,7 @@ impl MultikernelOsBuilder {
                     .map(|_| popcorn_hw::LockSite::new("zone_lock", machine.params()))
                     .collect(),
                 machine,
-                params: self.mk,
+                params: MultikernelParams::default(),
                 futex: FutexTable::new(),
                 groups: FxHashMap::default(),
                 rpcs: (0..n).map(|_| RpcTable::new()).collect(),

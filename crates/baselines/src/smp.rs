@@ -421,18 +421,12 @@ impl Handler<SmpEvent> for SmpMachine {
 #[derive(Debug, Clone)]
 pub struct SmpOsBuilder {
     topology: Topology,
-    hw: HwParams,
-    os: OsParams,
-    smp: SmpParams,
 }
 
 impl Default for SmpOsBuilder {
     fn default() -> Self {
         SmpOsBuilder {
             topology: Topology::paper_default(),
-            hw: HwParams::default(),
-            os: OsParams::default(),
-            smp: SmpParams::default(),
         }
     }
 }
@@ -444,39 +438,15 @@ impl SmpOsBuilder {
         self
     }
 
-    /// Overrides hardware parameters.
-    pub fn hw_params(mut self, p: HwParams) -> Self {
-        self.hw = p;
-        self
-    }
-
-    /// Overrides kernel software parameters.
-    pub fn os_params(mut self, p: OsParams) -> Self {
-        self.os = p;
-        self
-    }
-
-    /// Overrides SMP lock-hold parameters.
-    pub fn smp_params(mut self, p: SmpParams) -> Self {
-        self.smp = p;
-        self
-    }
-
-    /// Builds the OS model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter set fails validation.
+    /// Builds the OS model on the default hardware, kernel and SMP
+    /// lock-hold parameters.
     pub fn build(self) -> SmpOs {
-        self.hw.validate().expect("invalid hardware parameters");
-        self.os.validate().expect("invalid OS parameters");
-        self.smp.validate().expect("invalid SMP parameters");
-        let machine = Machine::new(self.topology, self.hw);
+        let machine = Machine::new(self.topology, HwParams::default());
         let cores: Vec<CoreId> = self.topology.cores().collect();
-        let kernel = Kernel::new(KernelId(0), cores, self.os, machine.clone());
+        let kernel = Kernel::new(KernelId(0), cores, OsParams::default(), machine.clone());
         SmpOs {
             sim: Simulator::new(),
-            machine: SmpMachine::new(kernel, machine, self.smp),
+            machine: SmpMachine::new(kernel, machine, SmpParams::default()),
             topology: self.topology,
         }
     }

@@ -9,7 +9,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use popcorn_bench::{parallel_map, set_jobs, OsKind, Rig};
+use popcorn_bench::rig::{host_parallelism, parallel_map};
+use popcorn_bench::{OsKind, Rig};
 use popcorn_hw::{HwParams, Machine, Topology};
 use popcorn_kernel::program::Program;
 use popcorn_msg::{Fabric, KernelId, MsgParams, Wire};
@@ -167,27 +168,28 @@ fn bench_npb(c: &mut Criterion) {
 /// Sweep harness: the same 6-cell sweep through [`parallel_map`] serially
 /// and at full host parallelism. The wall-clock gap is the speedup the
 /// `repro --jobs` machinery buys; the results are asserted identical.
+#[allow(clippy::disallowed_methods)]
 fn bench_parallel_sweep(c: &mut Criterion) {
-    let run_sweep = || {
+    let run_sweep = |jobs: usize| {
         let rig = small_rig();
-        parallel_map(vec![2usize, 4, 6, 8, 12, 16], |n| {
+        parallel_map(jobs, vec![2usize, 4, 6, 8, 12, 16], |n| {
             rig.run(OsKind::Popcorn, [micro::null_syscall_storm(n, 300)])
                 .finished_at
         })
     };
-    set_jobs(1);
-    let serial = run_sweep();
-    set_jobs(0);
-    assert_eq!(serial, run_sweep(), "parallel sweep must match serial");
+    let host = host_parallelism();
+    assert_eq!(
+        run_sweep(1),
+        run_sweep(host),
+        "parallel sweep must match serial"
+    );
 
     let mut g = c.benchmark_group("sweep");
     g.bench_function("6pt_syscall_storm/serial", |b| {
-        set_jobs(1);
-        b.iter(|| black_box(run_sweep()));
-        set_jobs(0);
+        b.iter(|| black_box(run_sweep(1)))
     });
     g.bench_function("6pt_syscall_storm/parallel", |b| {
-        b.iter(|| black_box(run_sweep()))
+        b.iter(|| black_box(run_sweep(host)))
     });
     g.finish();
 }

@@ -16,19 +16,17 @@
 //! numbers printed here are the ones recorded in EXPERIMENTS.md.
 //!
 //! Each invocation that runs experiments also records simulator
-//! self-metrics (host wall-clock, events processed, events/sec per
-//! experiment) to `BENCH_repro.json` in the current directory.
+//! self-metrics (host time summed over each experiment's cells, events
+//! processed, events/sec per experiment) to `BENCH_repro.json` in the
+//! current directory.
 
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
+use popcorn_bench::check::run_all_checks;
 use popcorn_bench::cli::{self, Mode};
 use popcorn_bench::experiments::all_experiments;
-use popcorn_bench::rig::{perf_json, ExperimentPerf};
-use popcorn_bench::{parallel_map, set_jobs, Table};
-use popcorn_sim::with_event_sink;
+use popcorn_bench::rig::{perf_json, run, ExperimentPerf};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,7 +40,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    set_jobs(cli.jobs_setting());
 
     match cli.mode {
         Mode::List => {
@@ -53,7 +50,7 @@ fn main() {
             return;
         }
         Mode::Check => {
-            let results = popcorn_bench::check::run_all_checks();
+            let results = run_all_checks(cli.jobs);
             let mut failed = false;
             for r in &results {
                 let mark = if r.passed { "PASS" } else { "FAIL" };
@@ -77,33 +74,20 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create json dir");
     }
 
-    // Run the selected experiments on parallel host threads; each gets
-    // its own event sink, so events stay attributed per experiment even
-    // while several run concurrently. Results are collected by index and
-    // rendered in request order — identical output to a serial run.
-    let work: Vec<(String, fn() -> Table)> = cli
+    // Every cell of every selected experiment goes through one parallel
+    // map; tables render in request order, identical to a serial run.
+    let selected: Vec<_> = cli
         .selected
         .iter()
         .map(|id| {
-            let (_, f) = experiments
+            *experiments
                 .iter()
                 .find(|(i, _)| i == id)
-                .expect("ids validated by cli::parse");
-            (id.clone(), *f)
+                .expect("ids validated by cli::parse")
         })
         .collect();
     let run_started = Instant::now();
-    let runs: Vec<(Table, ExperimentPerf)> = parallel_map(work, |(id, f)| {
-        let sink = Arc::new(AtomicU64::new(0));
-        let started = Instant::now();
-        let table = with_event_sink(sink.clone(), f);
-        let perf = ExperimentPerf {
-            id,
-            wall: started.elapsed(),
-            events: sink.load(Ordering::Relaxed),
-        };
-        (table, perf)
-    });
+    let runs = run(cli.jobs, &selected);
     let total_wall = run_started.elapsed();
 
     for (table, p) in &runs {
@@ -125,15 +109,11 @@ fn main() {
 
     let perfs: Vec<ExperimentPerf> = runs.into_iter().map(|(_, p)| p).collect();
     let perf_path = "BENCH_repro.json";
-    std::fs::write(
-        perf_path,
-        perf_json(popcorn_bench::jobs(), total_wall, &perfs),
-    )
-    .expect("write perf json");
+    std::fs::write(perf_path, perf_json(cli.jobs, total_wall, &perfs)).expect("write perf json");
     println!(
         "({} experiments in {:.1}s host time at --jobs {}; self-metrics in {perf_path})",
         perfs.len(),
         total_wall.as_secs_f64(),
-        popcorn_bench::jobs()
+        cli.jobs
     );
 }

@@ -9,8 +9,8 @@
 //! claim can only pass on the numbers that are published. A violated shape
 //! is a science regression even when every unit test passes.
 
-use crate::experiments::{all_experiments, Experiment};
-use crate::rig::parallel_map;
+use crate::experiments::all_experiments;
+use crate::rig::run;
 use crate::table::Table;
 
 /// One evaluated claim: pass/fail with the cells it read.
@@ -259,7 +259,7 @@ const E14_CRASHES: [[&str; 2]; 4] = [
 /// completes at the ack-silence deadline plus the modeled recovery work,
 /// orphans are killed, and goodput degrades without ever wedging. The
 /// mechanism counters that have no column (declarations, aborts, page
-/// promotions, futex sweeps) are asserted by `e14_crash_recovery` itself.
+/// promotions, futex sweeps) are asserted by E14's render itself.
 fn recovery(t: &Table) -> (bool, String) {
     let mut holds = true;
     let (mut units, mut recovery_ms) = (Vec::new(), Vec::new());
@@ -396,22 +396,15 @@ fn sharding(t: &Table) -> (bool, String) {
     )
 }
 
-/// The experiments the claims read, each once.
-fn claimed_experiments() -> Vec<&'static str> {
-    let mut ids: Vec<&'static str> = CLAIMS.iter().map(|c| c.experiment).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
-/// Regenerates the experiments `ids` through the same functions `repro all`
-/// runs, on parallel host threads up to the configured job count.
-fn regenerate(ids: &[&str]) -> Vec<(&'static str, Table)> {
-    let work: Vec<Experiment> = all_experiments()
-        .into_iter()
-        .filter(|(id, _)| ids.contains(id))
-        .collect();
-    parallel_map(work, |(id, f)| (id, f()))
+/// Regenerates the experiments `ids` (each once, however often it is
+/// named) through the runner `repro all` uses, on `jobs` host threads.
+fn regenerate(jobs: usize, ids: &[&str]) -> Vec<(&'static str, Table)> {
+    let mut selected = all_experiments();
+    selected.retain(|(id, _)| ids.contains(id));
+    let runs = run(jobs, &selected);
+    runs.into_iter()
+        .map(|(table, perf)| (perf.id, table))
+        .collect()
 }
 
 /// Evaluates every claim on its experiment's table in `tables`.
@@ -436,10 +429,12 @@ fn evaluate(tables: &[(&str, Table)]) -> Vec<ShapeResult> {
     CLAIMS.iter().map(eval).collect()
 }
 
-/// Regenerates each claimed experiment once and evaluates every claim on
-/// it; returns the results in claim order (all must pass).
-pub fn run_all_checks() -> Vec<ShapeResult> {
-    evaluate(&regenerate(&claimed_experiments()))
+/// Regenerates each claimed experiment once, on `jobs` host threads, and
+/// evaluates every claim on it; returns the results in claim order (all
+/// must pass).
+pub fn run_all_checks(jobs: usize) -> Vec<ShapeResult> {
+    let ids: Vec<&str> = CLAIMS.iter().map(|c| c.experiment).collect();
+    evaluate(&regenerate(jobs, &ids))
 }
 
 #[cfg(test)]
@@ -448,7 +443,7 @@ mod tests {
 
     /// Experiments that take seconds each in debug; CI's full `repro all`
     /// diff covers them.
-    const SLOW_IN_DEBUG: [&str; 4] = ["e5b", "e7", "e10", "e11"];
+    const SLOW_IN_DEBUG: [&str; 3] = ["e5b", "e10", "e11"];
 
     /// The published tables are what the code produces, and the paper's
     /// claims hold on them: every claimed experiment (and every other one
@@ -461,7 +456,7 @@ mod tests {
             .map(|(id, _)| id)
             .filter(|id| !SLOW_IN_DEBUG.contains(id))
             .collect();
-        let tables = regenerate(&ids);
+        let tables = regenerate(crate::rig::host_parallelism(), &ids);
         for (id, table) in &tables {
             let path = format!("{}/../../results/{id}.json", env!("CARGO_MANIFEST_DIR"));
             let published =

@@ -21,17 +21,10 @@ pub struct Cli {
     pub selected: Vec<String>,
     /// Directory to dump per-experiment JSON into (`--json DIR`).
     pub json_dir: Option<String>,
-    /// Host worker threads (`--jobs N` / `-j N`); `None` means the
-    /// default (available host parallelism). `--jobs 1` runs serially.
-    pub jobs: Option<usize>,
-}
-
-impl Cli {
-    /// The value to hand to [`crate::rig::set_jobs`]: an explicit count,
-    /// or 0 for "use the host's available parallelism".
-    pub fn jobs_setting(&self) -> usize {
-        self.jobs.unwrap_or(0)
-    }
+    /// Host worker threads the runner may use (`--jobs N` / `-j N`;
+    /// default: the host's available parallelism). `--jobs 1` runs
+    /// serially.
+    pub jobs: usize,
 }
 
 /// Removes duplicates from `ids` while keeping the first occurrence of
@@ -52,7 +45,7 @@ pub fn parse(args: &[String], known_ids: &[&str]) -> Result<Cli, String> {
         mode: Mode::Run,
         selected: Vec::new(),
         json_dir: None,
-        jobs: None,
+        jobs: crate::rig::host_parallelism(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -79,7 +72,7 @@ pub fn parse(args: &[String], known_ids: &[&str]) -> Result<Cli, String> {
                 if n == 0 {
                     return Err(format!("{a} expects a positive integer, got '0'"));
                 }
-                cli.jobs = Some(n);
+                cli.jobs = n;
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             id => {
@@ -138,15 +131,13 @@ mod tests {
     #[test]
     fn jobs_and_serial_flags() {
         let cli = parse(&argv(&["all", "--jobs", "4"]), &IDS).expect("parses");
-        assert_eq!(cli.jobs, Some(4));
-        assert_eq!(cli.jobs_setting(), 4);
+        assert_eq!(cli.jobs, 4);
         let cli = parse(&argv(&["all", "-j", "2"]), &IDS).expect("parses");
-        assert_eq!(cli.jobs, Some(2));
+        assert_eq!(cli.jobs, 2);
         let cli = parse(&argv(&["all", "--jobs", "1"]), &IDS).expect("parses");
-        assert_eq!(cli.jobs, Some(1));
+        assert_eq!(cli.jobs, 1);
         let cli = parse(&argv(&["all"]), &IDS).expect("parses");
-        assert_eq!(cli.jobs, None);
-        assert_eq!(cli.jobs_setting(), 0);
+        assert_eq!(cli.jobs, crate::rig::host_parallelism());
         assert!(parse(&argv(&["all", "--jobs", "0"]), &IDS).is_err());
         assert!(parse(&argv(&["all", "--jobs"]), &IDS).is_err());
         assert!(parse(&argv(&["all", "--jobs", "x"]), &IDS).is_err());
@@ -190,6 +181,6 @@ mod tests {
         );
         let cli = parse(&argv(&["check", "--jobs", "3"]), &IDS).expect("parses");
         assert_eq!(cli.mode, Mode::Check);
-        assert_eq!(cli.jobs, Some(3));
+        assert_eq!(cli.jobs, 3);
     }
 }

@@ -33,7 +33,7 @@ use popcorn_kernel::types::{Errno, VAddr};
 use popcorn_msg::{FaultPlan, KernelId};
 use popcorn_sim::SimTime;
 
-use crate::rig::{parallel_map, OsKind, Rig};
+use crate::rig::{Cell, CellOut, OsKind, Plan, Rig};
 use crate::table::Table;
 
 /// Host-side progress counter shared between the harness and the
@@ -579,63 +579,37 @@ impl Scenario {
     }
 }
 
-/// One E14 cell reduced to its table columns plus the recovery-mechanism
-/// counters the table build asserts. A returned result ran clean and
-/// passed the invariant audit: either failing panics the cell.
-#[derive(Debug, Clone)]
-struct CellResult {
-    /// Workload completion, virtual ms.
-    ms: f64,
-    /// Mean crash-to-recovery-complete latency at the successor, ms (0
-    /// with no crash): the detection window plus the modeled cost of the
-    /// recovery work actually performed (orphan kills, directory scans,
-    /// futex sweeps, RPC failovers).
-    recovery_ms: f64,
-    /// Progress units the workload completed.
-    units: u64,
-    /// Tasks recovery killed: orphans on the dead kernel plus survivors
-    /// hitting unrecoverable state (lost pages, dead-home VMA fetches).
-    killed: f64,
-    /// Crash declarations recorded (survivors × victims).
-    declared: f64,
-    /// Migrations aborted back to their origin.
-    aborted: f64,
-    /// Directory entries re-owned from a surviving copy.
-    promoted: f64,
-    /// Directory entries whose only copy died.
-    lost: f64,
-    /// Futex waiters swept with `EOWNERDEAD`.
-    futex_recovered: f64,
+/// E14 — the crash-timing sweep table: each scenario fault-free, then
+/// with its planned crash, keyed `e14/<scenario>/<none|crash>`. A cell
+/// that returns ran clean and passed the invariant audit (either failing
+/// panics it), and adds the progress units its workload completed.
+pub fn e14_crash_recovery() -> Plan {
+    let mut cells = Vec::new();
+    for scenario in Scenario::ALL {
+        for crash in [false, true] {
+            let name = format!("{scenario:?}").to_lowercase();
+            let fault = if crash { "crash" } else { "none" };
+            cells.push(Cell::new(format!("e14/{name}/{fault}"), move || {
+                let faults = if crash {
+                    FaultPlan::none().with_crash(scenario.victim(), scenario.crash_at())
+                } else {
+                    FaultPlan::none()
+                };
+                let (leader, progress) = scenario.program();
+                let rig = Rig {
+                    faults,
+                    ..Rig::paper()
+                };
+                CellOut::from(rig.run(OsKind::Popcorn, [leader]))
+                    .with("units", progress.load(Ordering::Relaxed) as f64)
+            }));
+        }
+    }
+    Plan::new(cells, render)
 }
 
-/// Runs one scenario, with or without its planned crash.
-fn run_cell(scenario: Scenario, crash: bool) -> CellResult {
-    let faults = if crash {
-        FaultPlan::none().with_crash(scenario.victim(), scenario.crash_at())
-    } else {
-        FaultPlan::none()
-    };
-    let (leader, progress) = scenario.program();
-    let r = Rig {
-        faults,
-        ..Rig::paper()
-    }
-    .run(OsKind::Popcorn, [leader]);
-    CellResult {
-        ms: r.finished_at.as_millis_f64(),
-        recovery_ms: r.metric("recovery_ms_mean"),
-        units: progress.load(Ordering::Relaxed),
-        killed: r.metric("orphans_killed") + r.metric("fault_kills"),
-        declared: r.metric("kernels_declared_dead"),
-        aborted: r.metric("migrations_aborted"),
-        promoted: r.metric("pages_promoted"),
-        lost: r.metric("pages_lost"),
-        futex_recovered: r.metric("futex_recovered"),
-    }
-}
-
-/// E14 — the crash-timing sweep table.
-pub fn e14_crash_recovery() -> Table {
+/// Renders E14's table from its cells, baseline then crash per scenario.
+fn render(outs: &[CellOut]) -> Table {
     let mut t = Table::new(
         "E14",
         "kernel-crash failover: recovery latency, work lost, and goodput per crash window",
@@ -651,41 +625,42 @@ pub fn e14_crash_recovery() -> Table {
             "killed",
         ],
     );
-    let cells: Vec<(Scenario, bool)> = Scenario::ALL
-        .iter()
-        .flat_map(|&s| [(s, false), (s, true)])
-        .collect();
-    let results = parallel_map(cells.clone(), |(s, crash)| run_cell(s, crash));
-    for (i, &s) in Scenario::ALL.iter().enumerate() {
-        let base = &results[2 * i];
-        let crashed = &results[2 * i + 1];
+    // Tasks recovery killed: orphans on the dead kernel plus survivors
+    // hitting unrecoverable state (lost pages, dead-home VMA fetches).
+    let killed = |o: &CellOut| o.metric("orphans_killed") + o.metric("fault_kills");
+    for (&s, runs) in Scenario::ALL.iter().zip(outs.chunks(2)) {
+        let (base, crashed) = (&runs[0], &runs[1]);
         // The recovery mechanisms have no column of their own, so every
         // regeneration asserts them: the fault-free baseline never
         // declares a death, all three survivors declare the victim, and
-        // each window's own mechanism fires.
-        assert_eq!(base.declared, 0.0, "E14 {}: baseline declared", s.name());
-        assert_eq!(crashed.declared, 3.0, "E14 {}: declarations", s.name());
-        let fired = match s {
-            Scenario::Handoff => crashed.aborted >= 1.0,
-            Scenario::Pages => crashed.promoted + crashed.lost >= 1.0,
-            Scenario::Futex | Scenario::Barrier => crashed.futex_recovered >= 1.0,
+        // each window's own mechanism fires (migrations aborted back to
+        // their origin, directory entries re-owned from a surviving copy
+        // or lost with their only one, futex waiters swept with
+        // `EOWNERDEAD`).
+        let declared = |o: &CellOut| o.metric("kernels_declared_dead");
+        assert_eq!(declared(base), 0.0, "E14 {}: baseline declared", s.name());
+        assert_eq!(declared(crashed), 3.0, "E14 {}: declarations", s.name());
+        let mechanisms: &[&str] = match s {
+            Scenario::Handoff => &["migrations_aborted"],
+            Scenario::Pages => &["pages_promoted", "pages_lost"],
+            Scenario::Futex | Scenario::Barrier => &["futex_recovered"],
         };
-        assert!(fired, "E14 {}: recovery never fired: {crashed:?}", s.name());
+        let fired: f64 = mechanisms.iter().map(|m| crashed.metric(m)).sum();
+        assert!(fired >= 1.0, "E14 {}: {mechanisms:?} never fired", s.name());
+        let (units, crashed_units) = (base.metric("units"), crashed.metric("units"));
         t.row([
             s.name().to_string(),
             "none".to_string(),
-            // `Rig::run` panics on an unclean run.
-            true.to_string(),
-            format!("{:.3}", base.ms),
+            base.clean.to_string(),
+            format!("{:.3}", base.ms()),
             "-".to_string(),
-            base.units.to_string(),
+            format!("{units:.0}"),
             "0".to_string(),
             "100.0".to_string(),
-            format!("{:.0}", base.killed),
+            format!("{:.0}", killed(base)),
         ]);
-        let lost = base.units.saturating_sub(crashed.units);
-        let goodput = if base.units > 0 {
-            100.0 * crashed.units as f64 / base.units as f64
+        let goodput = if units > 0.0 {
+            100.0 * crashed_units / units
         } else {
             0.0
         };
@@ -696,13 +671,17 @@ pub fn e14_crash_recovery() -> Table {
                 s.victim().0,
                 s.crash_at().as_millis_f64()
             ),
-            true.to_string(),
-            format!("{:.3}", crashed.ms),
-            format!("{:.3}", crashed.recovery_ms),
-            crashed.units.to_string(),
-            lost.to_string(),
+            crashed.clean.to_string(),
+            format!("{:.3}", crashed.ms()),
+            // Mean crash-to-recovery-complete latency at the successor:
+            // the detection window plus the modeled cost of the recovery
+            // work actually performed (orphan kills, directory scans,
+            // futex sweeps, RPC failovers).
+            format!("{:.3}", crashed.metric("recovery_ms_mean")),
+            format!("{crashed_units:.0}"),
+            format!("{:.0}", (units - crashed_units).max(0.0)),
             format!("{goodput:.1}"),
-            format!("{:.0}", crashed.killed),
+            format!("{:.0}", killed(crashed)),
         ]);
     }
     t.note("expected: every cell completes cleanly and passes the global invariant audit; recovery_ms spans the ack-silence detection window (12 ms) plus the modeled cost of the recovery work itself, so it varies by scenario; goodput degrades by roughly the dead kernel's share of threads plus work stranded behind the detection window; the home-death cell (pages) additionally exercises successor adoption and directory rebuild");

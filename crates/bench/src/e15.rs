@@ -33,7 +33,7 @@ use popcorn_core::PopcornParams;
 use popcorn_kernel::policy::PolicyKind;
 use popcorn_workloads::adversarial;
 
-use crate::rig::{parallel_map, OsKind, Rig};
+use crate::rig::{Cell, OsKind, Plan, Rig};
 use crate::table::Table;
 
 /// The two adversarial memory scenarios E15 sweeps.
@@ -114,68 +114,72 @@ impl Config {
     }
 }
 
-/// Runs one scenario under one replication configuration; returns its
-/// table row. The run must drain cleanly and pass the invariant audit,
-/// which cross-checks every holder's shadow against the directory.
-fn run_cell(sc: Scenario, cfg: Config) -> [String; 9] {
-    let rig = Rig {
-        popcorn: cfg.params(),
-        ..Rig::paper()
-    };
-    let program = match sc {
-        Scenario::PingPong => adversarial::migrating_writers(6, 16, 4, 2, 20_000),
-        Scenario::HotPages => adversarial::hot_page_skew(8, 4, 120),
-    };
-    let r = rig.run(OsKind::Popcorn, [program]);
-    let count = |metric: &str| format!("{:.0}", r.metric(metric));
-    [
-        sc.name().to_string(),
-        cfg.name().to_string(),
-        // `Rig::run` panics on an unclean run.
-        true.to_string(),
-        format!("{:.3}", r.finished_at.as_millis_f64()),
-        // Faults whose walk hit a local replica (home or holder), and
-        // faults that walked the home's tables remotely.
-        count("replica_local_walks"),
-        count("replica_remote_walks"),
-        // Replica seedings (eager first-fault or policy-requested), and
-        // per-PTE update pushes applied at holders.
-        count("replica_installs"),
-        count("replica_updates"),
-        // Migrations: scripted hops plus policy-driven moves.
-        format!(
-            "{:.0}",
-            r.metric("migrations_first")
-                + r.metric("migrations_back")
-                + r.metric("policy_migrations")
-        ),
-    ]
-}
-
-/// E15 — the replication ablation table.
-pub fn e15_replication() -> Table {
-    let mut t = Table::new(
-        "E15",
-        "page-table replication ablation: walk locality, maintenance traffic, completion",
-        [
-            "scenario",
-            "replication",
-            "clean",
-            "completion_ms",
-            "local_walks",
-            "remote_walks",
-            "installs",
-            "updates",
-            "migrations",
-        ],
-    );
-    let cells: Vec<(Scenario, Config)> = Scenario::ALL
-        .iter()
-        .flat_map(|&sc| Config::ALL.map(|cfg| (sc, cfg)))
-        .collect();
-    for row in parallel_map(cells, |(sc, cfg)| run_cell(sc, cfg)) {
-        t.row(row);
+/// E15 — the replication ablation table. Cells are keyed
+/// `e15/<scenario>/<config>`; each run must drain cleanly and pass the
+/// invariant audit, which cross-checks every holder's shadow against the
+/// directory.
+pub fn e15_replication() -> Plan {
+    let mut cells = Vec::new();
+    for sc in Scenario::ALL {
+        for cfg in Config::ALL {
+            let key = format!("e15/{sc:?}/{cfg:?}").to_lowercase();
+            cells.push(Cell::new(key, move || {
+                let rig = Rig {
+                    popcorn: cfg.params(),
+                    ..Rig::paper()
+                };
+                let program = match sc {
+                    Scenario::PingPong => adversarial::migrating_writers(6, 16, 4, 2, 20_000),
+                    Scenario::HotPages => adversarial::hot_page_skew(8, 4, 120),
+                };
+                rig.run(OsKind::Popcorn, [program]).into()
+            }));
+        }
     }
-    t.note("expected: the off rows charge no walks at all (byte-identity baseline); with the gate on but no replicas, most faults walk remotely and completion pays for it; eager seeding converts the walk stream to local and wins back most of that time, though its per-update pushes (the updates column) erode the margin where version churn is heavy (hot pages); the replica-aware policy lands between the two, replicating toward persistent faulters instead of unconditionally");
-    t
+    Plan::new(cells, |outs| {
+        let mut t = Table::new(
+            "E15",
+            "page-table replication ablation: walk locality, maintenance traffic, completion",
+            [
+                "scenario",
+                "replication",
+                "clean",
+                "completion_ms",
+                "local_walks",
+                "remote_walks",
+                "installs",
+                "updates",
+                "migrations",
+            ],
+        );
+        let grid = Scenario::ALL
+            .iter()
+            .flat_map(|sc| Config::ALL.map(|cfg| (sc, cfg)));
+        for ((sc, cfg), o) in grid.zip(outs) {
+            let count = |metric: &str| format!("{:.0}", o.metric(metric));
+            t.row([
+                sc.name().to_string(),
+                cfg.name().to_string(),
+                o.clean.to_string(),
+                format!("{:.3}", o.ms()),
+                // Faults whose walk hit a local replica (home or holder), and
+                // faults that walked the home's tables remotely.
+                count("replica_local_walks"),
+                count("replica_remote_walks"),
+                // Replica seedings (eager first-fault or policy-requested), and
+                // per-PTE update pushes applied at holders.
+                count("replica_installs"),
+                count("replica_updates"),
+                // Migrations: scripted hops plus policy-driven moves.
+                format!(
+                    "{:.0}",
+                    o.metric("migrations_first")
+                        + o.metric("migrations_back")
+                        + o.metric("policy_migrations")
+                ),
+            ]);
+        }
+        t.note("expected: the off rows charge no walks at all (byte-identity baseline); with the gate on but no replicas, most faults walk remotely and completion pays for it; eager seeding converts the walk stream to local and wins back most of that time, though its per-update pushes (the updates column) erode the margin where version churn is heavy (hot pages); the replica-aware policy lands between the two, replicating toward persistent faulters instead of unconditionally");
+        t
+    })
 }

@@ -39,7 +39,7 @@ use popcorn_kernel::osmodel::KernelClustering;
 use popcorn_msg::KernelId;
 use popcorn_workloads::adversarial;
 
-use crate::rig::{parallel_map, OsKind, Rig};
+use crate::rig::{Cell, OsKind, Plan, Rig};
 use crate::table::Table;
 
 /// The E16 machine: 4 sockets × 8 CCXs × 8 cores = 256 cores.
@@ -81,79 +81,84 @@ fn bounce_pairs(clustering: KernelClustering) -> Vec<(KernelId, KernelId)> {
     pairs
 }
 
-/// Runs one clustering with the flat home (`sharded = false`) or
-/// per-socket delegates (`sharded = true`); returns its table row. The run
-/// must drain cleanly and pass the invariant audit, including the
-/// shard-map/delegate agreement check.
-fn run_cell(sharded: bool, clustering: KernelClustering) -> [String; 12] {
-    let rig = Rig {
-        topology: e16_topology(),
-        kernels: clustering.kernel_count(e16_topology()),
-        popcorn: PopcornParams {
-            home_sharding: sharded,
-            ..PopcornParams::default()
-        },
-        ..Rig::paper()
-    };
-    let r = rig.run(
-        OsKind::Popcorn,
-        [adversarial::kernel_pair_bouncers(
-            bounce_pairs(clustering),
-            PAGES_EACH,
-            ROUNDS,
-            COMPUTE_NS,
-        )],
-    );
-    [
-        if sharded { "delegates" } else { "flat" }.to_string(),
-        clustering.name().to_string(),
-        rig.kernels.to_string(),
-        // `Rig::run` panics on an unclean run.
-        true.to_string(),
-        format!("{:.3}", r.finished_at.as_millis_f64()),
-        // Directory servers that did any work (root + active delegates),
-        // the deepest backlog any one reached, and the worst per-server
-        // time-weighted mean depth.
-        format!("{:.0}", r.metric("home_servers")),
-        format!("{:.0}", r.metric("home_peak_depth")),
-        format!("{:.2}", r.metric("home_depth_tw_mean_max")),
-        format!("{:.2}", r.metric("fault_remote_write_us_mean")),
-        // Pages delegated to a socket lead on first touch, delegated pages
-        // escalated back to the root after cross-socket traffic, and
-        // requests forwarded because their entry moved in flight.
-        format!("{:.0}", r.metric("shard_delegated_pages")),
-        format!("{:.0}", r.metric("shard_escalations")),
-        format!("{:.0}", r.metric("shard_forwards")),
-    ]
-}
-
-/// E16 — the cluster-scale home-sharding sweep.
-pub fn e16_hierarchical_homes() -> Table {
-    let mut t = Table::new(
-        "E16",
-        "hierarchical home sharding on 4x64 cores: directory queue depth vs kernel clustering",
-        [
-            "home",
-            "clustering",
-            "kernels",
-            "clean",
-            "completion_ms",
-            "servers",
-            "peak_depth",
-            "depth_tw_mean",
-            "remote_write_us",
-            "delegated",
-            "escalated",
-            "forwards",
-        ],
-    );
-    let cells: Vec<(bool, KernelClustering)> = [false, true]
-        .iter()
-        .flat_map(|&sharded| KernelClustering::ALL.map(|c| (sharded, c)))
-        .collect();
-    for row in parallel_map(cells, |(sharded, c)| run_cell(sharded, c)) {
-        t.row(row);
+/// E16 — the cluster-scale home-sharding sweep: the flat home, then
+/// per-socket delegates, each over every clustering. Cells are keyed
+/// `e16/<home>/<clustering>`; each run must drain cleanly and pass the
+/// invariant audit, including the shard-map/delegate agreement check.
+pub fn e16_hierarchical_homes() -> Plan {
+    let mut points = Vec::new();
+    for (home, sharded) in [("flat", false), ("delegates", true)] {
+        for clustering in KernelClustering::ALL {
+            points.push((home, sharded, clustering));
+        }
     }
-    t.note("expected: with the flat home every bounce in the group serializes at one root server, so peak queue depth grows with the machine-wide pair count; per-socket delegates split the same traffic over one server per socket (servers 1 -> 4, peak depth and worst time-weighted depth collapse, completion and remote-write latency follow) wherever same-socket pairs exist (per-ccx, per-core). Per-socket clustering has no same-socket pairs, so it exercises the escalation path instead: every delegated page sees cross-socket traffic and moves back to the root (escalated == delegated), leaving steady state root-served like the flat rows");
-    t
+    let cells = points
+        .iter()
+        .map(|&(home, sharded, clustering)| {
+            Cell::new(format!("e16/{home}/{}", clustering.name()), move || {
+                let rig = Rig {
+                    topology: e16_topology(),
+                    kernels: clustering.kernel_count(e16_topology()),
+                    popcorn: PopcornParams {
+                        home_sharding: sharded,
+                        ..PopcornParams::default()
+                    },
+                    ..Rig::paper()
+                };
+                let bouncers = adversarial::kernel_pair_bouncers(
+                    bounce_pairs(clustering),
+                    PAGES_EACH,
+                    ROUNDS,
+                    COMPUTE_NS,
+                );
+                rig.run(OsKind::Popcorn, [bouncers]).into()
+            })
+        })
+        .collect();
+    Plan::new(cells, move |outs| {
+        let mut t = Table::new(
+            "E16",
+            "hierarchical home sharding on 4x64 cores: directory queue depth vs kernel clustering",
+            [
+                "home",
+                "clustering",
+                "kernels",
+                "clean",
+                "completion_ms",
+                "servers",
+                "peak_depth",
+                "depth_tw_mean",
+                "remote_write_us",
+                "delegated",
+                "escalated",
+                "forwards",
+            ],
+        );
+        for ((home, _, clustering), o) in points.iter().zip(outs) {
+            let count = |metric: &str| format!("{:.0}", o.metric(metric));
+            t.row([
+                home.to_string(),
+                clustering.name().to_string(),
+                clustering.kernel_count(e16_topology()).to_string(),
+                o.clean.to_string(),
+                format!("{:.3}", o.ms()),
+                // Directory servers that did any work (root + active
+                // delegates), the deepest backlog any one reached, and the
+                // worst per-server time-weighted mean depth.
+                count("home_servers"),
+                count("home_peak_depth"),
+                format!("{:.2}", o.metric("home_depth_tw_mean_max")),
+                format!("{:.2}", o.metric("fault_remote_write_us_mean")),
+                // Pages delegated to a socket lead on first touch, delegated
+                // pages escalated back to the root after cross-socket
+                // traffic, and requests forwarded because their entry moved
+                // in flight.
+                count("shard_delegated_pages"),
+                count("shard_escalations"),
+                count("shard_forwards"),
+            ]);
+        }
+        t.note("expected: with the flat home every bounce in the group serializes at one root server, so peak queue depth grows with the machine-wide pair count; per-socket delegates split the same traffic over one server per socket (servers 1 -> 4, peak depth and worst time-weighted depth collapse, completion and remote-write latency follow) wherever same-socket pairs exist (per-ccx, per-core). Per-socket clustering has no same-socket pairs, so it exercises the escalation path instead: every delegated page sees cross-socket traffic and moves back to the root (escalated == delegated), leaving steady state root-served like the flat rows");
+        t
+    })
 }

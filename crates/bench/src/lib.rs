@@ -3,11 +3,15 @@
 //!
 //! - [`table`] — result tables (text + JSON rendering);
 //! - [`rig`] — [`Rig`], the only code in this crate that builds an OS
-//!   model (its fault plan applies to Popcorn only), plus the deterministic
-//!   parallel-sweep machinery ([`rig::parallel_map`]);
-//! - [`experiments`] — E1–E13 and the ablations, one function per
-//!   reconstructed table/figure of the paper's evaluation, plus
-//!   [`experiments::all_experiments`], the id → function list `repro` runs;
+//!   model (its fault plan applies to Popcorn only); the experiment data
+//!   model ([`rig::Experiment`], [`rig::Plan`], [`rig::Cell`],
+//!   [`rig::CellOut`]); and [`rig::run`], the one runner, which sends every
+//!   cell of the selected experiments through a single deterministic
+//!   [`rig::parallel_map`];
+//! - [`experiments`] — E1–E13 and the ablations, one plan-building
+//!   function per reconstructed table/figure of the paper's evaluation,
+//!   plus [`experiments::all_experiments`], the id → plan list `repro`
+//!   runs;
 //! - [`e14`], [`e15`], [`e16`] — the crash-failover, page-table
 //!   replication and hierarchical-home experiments, one module each;
 //! - [`check`] — the claims, as predicates over those experiments' tables;
@@ -23,8 +27,9 @@
 //! ```
 //!
 //! Every simulation is single-threaded and deterministic; `--jobs N`
-//! only spreads *independent* simulations over host threads, so results
-//! are byte-identical to `--jobs 1` runs.
+//! only spreads *independent* cells over N host threads (never more
+//! simulations at once than that), so results are byte-identical to
+//! `--jobs 1` runs.
 //!
 //! `repro check` ([`check`]) regenerates each experiment a claim reads and
 //! asserts the claimed result *shapes* on its table — a regression suite
@@ -39,5 +44,5 @@ pub mod experiments;
 pub mod rig;
 pub mod table;
 
-pub use rig::{jobs, parallel_map, set_jobs, OsKind, Rig};
+pub use rig::{OsKind, Rig};
 pub use table::Table;

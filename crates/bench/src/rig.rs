@@ -1,5 +1,6 @@
-//! Experiment rigs: uniform construction and execution of the three OS
-//! models, plus the parallel sweep machinery shared by every experiment.
+//! Experiment rigs and the runner: uniform construction and execution of
+//! the three OS models, experiments as lists of cells, and the one
+//! parallel map that runs them.
 //!
 //! [`Rig`] is the only code in this crate that builds an OS model (a
 //! `clippy.toml` lint holds every other caller off the model builders), so
@@ -7,21 +8,29 @@
 //! structs' defaults. The rig's fault plan applies to Popcorn only; the
 //! baselines always run on a fault-free fabric.
 //!
+//! # Experiments as cells
+//!
+//! An [`Experiment`] is data: an id and a function that builds its
+//! [`Plan`] without running anything — the list of its [`Cell`]s and a
+//! pure `render` that folds the cells' [`CellOut`]s, in list order, into
+//! its [`Table`]. A cell is one configured run under a stable key such as
+//! `e5/32/smp`.
+//!
 //! # Parallel deterministic sweeps
 //!
 //! Every simulation in the suite is single-threaded and seeded, so
-//! *independent* simulations (different experiments, different sweep
-//! points, different OS models) can run on parallel host threads without
-//! changing a single virtual-time result. [`parallel_map`] is the one
-//! primitive everything uses: it maps a function over items on up to
-//! [`jobs`] worker threads and returns results **in input order**, so
-//! tables render byte-for-byte identically whether the sweep ran serially
-//! or in parallel. The `repro` binary's `--jobs N` flag feeds
-//! [`set_jobs`].
+//! independent cells can run on parallel host threads without changing a
+//! single virtual-time result. [`run`] gathers every cell of the selected
+//! experiments and maps them through one [`parallel_map`] on `jobs`
+//! threads (the `repro` binary's `--jobs N`), so at most `jobs`
+//! simulations run at once. Results come back **in input order**, so
+//! tables render byte for byte identically at any `jobs`. A `clippy.toml`
+//! lint keeps [`run`] the only caller of [`parallel_map`] outside tests.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use popcorn_baselines::{MultikernelOs, SmpOs};
 use popcorn_core::{PopcornOs, PopcornParams};
@@ -31,86 +40,195 @@ use popcorn_kernel::program::Program;
 use popcorn_msg::{FaultPlan, MsgParams};
 use popcorn_sim::SimTime;
 
-/// Configured host-parallelism level; 0 means "not set, use the host's
-/// available parallelism".
-static JOBS: AtomicUsize = AtomicUsize::new(0);
+use crate::table::Table;
 
-/// Sets the number of host worker threads sweeps may use (the `repro`
-/// `--jobs` flag). `1` forces fully serial execution (`--jobs 1`); `0`
-/// resets to the default (available host parallelism).
-pub fn set_jobs(n: usize) {
-    JOBS.store(n, Ordering::Relaxed);
+/// The host's available parallelism: the `--jobs` default.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
-/// The effective host-parallelism level: the value set by [`set_jobs`], or
-/// the host's available parallelism when unset.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
-/// Maps `f` over `items` on up to [`jobs`] scoped worker threads,
-/// returning results in input order.
+/// Maps `f` over `items` on up to `jobs` scoped worker threads, returning
+/// results in input order.
 ///
 /// Determinism: each item is processed exactly once by exactly one worker,
 /// simulations own their seeded RNGs, and results are collected by index —
 /// so the output is identical to `items.into_iter().map(f).collect()`
-/// regardless of the parallelism level or scheduling. With `jobs() == 1`
-/// (or a single item) no threads are spawned at all.
-///
-/// An installed event sink ([`popcorn_sim::current_event_sink`]) is
-/// propagated into the workers, so events processed by nested simulations
-/// stay credited to the calling scope's experiment.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// regardless of `jobs` or scheduling. With `jobs == 1` (or a single item)
+/// no threads are spawned at all. A worker's panic reaches the caller with
+/// its own message.
+pub fn parallel_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = jobs().min(n);
+    let workers = jobs.min(items.len());
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let sink = popcorn_sim::current_event_sink();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let (slots, results, next, f) = (&slots, &results, &next, &f);
-            let sink = sink.clone();
-            s.spawn(move || {
-                let work = || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("item queue poisoned").next();
+                        let Some((i, item)) = next else { return mine };
+                        mine.push((i, f(item)));
                     }
-                    let item = slots[i]
-                        .lock()
-                        .expect("item slot poisoned")
-                        .take()
-                        .expect("each item claimed exactly once");
-                    let r = f(item);
-                    *results[i].lock().expect("result slot poisoned") = Some(r);
-                };
-                match sink {
-                    Some(sink) => popcorn_sim::with_event_sink(sink, work),
-                    None => work(),
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
     });
-    results
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// What one cell measured: the typed values its experiment's `render`
+/// reads.
+#[derive(Debug, Clone, Default)]
+pub struct CellOut {
+    /// Simulation events the cell's run processed (0 for a cell that runs
+    /// no simulator).
+    pub events: u64,
+    /// Virtual time the run finished.
+    pub finished: SimTime,
+    /// Whether every loaded thread ran to completion ([`Rig::run`] panics
+    /// otherwise, so only cells that run a model themselves see `false`).
+    pub clean: bool,
+    /// The run's report metrics plus any value the cell adds with
+    /// [`CellOut::with`].
+    metrics: BTreeMap<String, f64>,
+}
+
+impl CellOut {
+    /// Adds (or replaces) the named value.
+    pub fn with(mut self, name: &str, value: f64) -> Self {
+        self.metrics.insert(name.to_string(), value);
+        self
+    }
+
+    /// A value by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell recorded no value `name`, so a misspelled name
+    /// fails loudly instead of reading as zero.
+    pub fn metric(&self, name: &str) -> f64 {
+        match self.metrics.get(name) {
+            Some(&v) => v,
+            None => panic!("cell recorded no value {name:?}"),
+        }
+    }
+
+    /// [`CellOut::finished`] in virtual milliseconds.
+    pub fn ms(&self) -> f64 {
+        self.finished.as_millis_f64()
+    }
+}
+
+impl From<RunReport> for CellOut {
+    fn from(r: RunReport) -> Self {
+        CellOut {
+            events: r.events,
+            finished: r.finished_at,
+            clean: r.is_clean(),
+            metrics: r.metrics,
+        }
+    }
+}
+
+/// One configured run of an experiment.
+pub struct Cell {
+    /// Stable key: the experiment id, then the cell's sweep coordinates
+    /// (`e5/32/smp`, `e14/pages/crash`).
+    pub key: String,
+    /// Runs the cell.
+    pub run: Box<dyn Fn() -> CellOut + Send + Sync>,
+}
+
+impl Cell {
+    /// The cell `key` that runs `run`.
+    pub fn new(key: String, run: impl Fn() -> CellOut + Send + Sync + 'static) -> Self {
+        Cell {
+            key,
+            run: Box::new(run),
+        }
+    }
+}
+
+/// A pure function that folds an experiment's cell outputs, in cell
+/// order, into its table.
+pub type Render = Box<dyn Fn(&[CellOut]) -> Table>;
+
+/// What an experiment regenerates: its cells and their [`Render`].
+pub struct Plan {
+    /// The cells, each not yet run.
+    pub cells: Vec<Cell>,
+    /// Renders the table from the cells' outputs.
+    pub render: Render,
+}
+
+impl Plan {
+    /// The plan that runs `cells` and renders their outputs with `render`.
+    pub fn new(cells: Vec<Cell>, render: impl Fn(&[CellOut]) -> Table + 'static) -> Self {
+        Plan {
+            cells,
+            render: Box::new(render),
+        }
+    }
+}
+
+/// One experiment of the evaluation: its `repro` id (`e5`, `ablate-vma`,
+/// …, the `results/<id>.json` name) and the function that builds its
+/// [`Plan`] without running any cell.
+pub type Experiment = (&'static str, fn() -> Plan);
+
+/// Runs `cell`, timing it; a panic inside it is re-raised under its key.
+fn run_cell(cell: &Cell) -> (CellOut, Duration) {
+    let started = Instant::now();
+    match catch_unwind(AssertUnwindSafe(&cell.run)) {
+        Ok(out) => (out, started.elapsed()),
+        Err(panic) => {
+            let msg = (panic.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            panic!("cell {}: {msg}", cell.key)
+        }
+    }
+}
+
+/// Runs every cell of `experiments` through one [`parallel_map`] on
+/// `jobs` host threads and renders each experiment's table from its
+/// cells, in order. Each experiment's [`ExperimentPerf`] sums its cells'
+/// host time and events.
+#[allow(clippy::disallowed_methods)]
+pub fn run(jobs: usize, experiments: &[Experiment]) -> Vec<(Table, ExperimentPerf)> {
+    let mut cells = Vec::new();
+    let mut renders = Vec::new();
+    for &(id, plan) in experiments {
+        let plan = plan();
+        renders.push((id, plan.cells.len(), plan.render));
+        cells.extend(plan.cells);
+    }
+    let mut done = parallel_map(jobs, cells, |cell| run_cell(&cell)).into_iter();
+    renders
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every slot")
+        .map(|(id, n, render)| {
+            let (outs, walls): (Vec<CellOut>, Vec<Duration>) = done.by_ref().take(n).unzip();
+            let perf = ExperimentPerf {
+                id,
+                wall: walls.iter().sum(),
+                events: outs.iter().map(|o| o.events).sum(),
+            };
+            (render(&outs), perf)
         })
         .collect()
 }
@@ -120,11 +238,12 @@ where
 #[derive(Debug, Clone)]
 pub struct ExperimentPerf {
     /// Experiment id as selected on the command line (`e5`, `ablate-vma`, …).
-    pub id: String,
-    /// Host wall-clock time spent regenerating the experiment, at full
-    /// [`Duration`] resolution.
+    pub id: &'static str,
+    /// Host time summed over the experiment's cells, at full [`Duration`]
+    /// resolution. Cells of different experiments run interleaved, so
+    /// this is work, not a span of wall-clock time.
     pub wall: Duration,
-    /// Simulation events processed across every run of the experiment.
+    /// Simulation events processed across every cell of the experiment.
     pub events: u64,
 }
 
@@ -150,9 +269,6 @@ impl ExperimentPerf {
 /// to the human-friendly millisecond-rounded `wall_secs`; `events_per_sec`
 /// is always computed from the unrounded duration.
 pub fn perf_json(jobs: usize, total_wall: Duration, perfs: &[ExperimentPerf]) -> String {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let total_events: u64 = perfs.iter().map(|p| p.events).sum();
     let entries: Vec<String> = perfs
         .iter()
@@ -170,7 +286,7 @@ pub fn perf_json(jobs: usize, total_wall: Duration, perfs: &[ExperimentPerf]) ->
     format!(
         "{{\n  \"bench\": \"repro\",\n  \"jobs\": {},\n  \"host_parallelism\": {},\n  \"total_wall_secs\": {:.3},\n  \"total_wall_nanos\": {},\n  \"total_events\": {},\n  \"experiments\": [\n{}\n  ]\n}}",
         jobs,
-        host,
+        host_parallelism(),
         total_wall.as_secs_f64(),
         total_wall.as_nanos(),
         total_events,
@@ -307,13 +423,13 @@ impl Rig {
 mod tests {
     use super::*;
     use popcorn_workloads::micro;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn all_three_models_run_the_same_workload() {
         let rig = Rig::small();
-        let results = parallel_map(OsKind::ALL.to_vec(), |kind| {
-            (kind, rig.run(kind, [micro::null_syscall_storm(4, 20)]))
-        });
+        let results =
+            OsKind::ALL.map(|kind| (kind, rig.run(kind, [micro::null_syscall_storm(4, 20)])));
         assert_eq!(results.len(), 3);
         for (kind, r) in &results {
             assert!(r.is_clean(), "{} not clean", kind.name());
@@ -350,29 +466,64 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn parallel_map_preserves_input_order() {
-        let doubled = parallel_map((0..64).collect::<Vec<u64>>(), |x| x * 2);
+        let doubled = parallel_map(4, (0..64).collect::<Vec<u64>>(), |x| x * 2);
         assert_eq!(doubled, (0..64).map(|x| x * 2).collect::<Vec<u64>>());
         // Degenerate inputs.
-        assert_eq!(parallel_map(Vec::<u64>::new(), |x| x), Vec::<u64>::new());
-        assert_eq!(parallel_map(vec![7u64], |x| x + 1), vec![8]);
+        assert_eq!(parallel_map(4, Vec::<u64>::new(), |x| x), Vec::<u64>::new());
+        assert_eq!(parallel_map(4, vec![7u64], |x| x + 1), vec![8]);
+    }
+
+    /// Cells of `max_in_flight`'s experiments currently running, and the
+    /// most that ever ran at once.
+    static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+    static MAX_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
+    /// Six synthetic cells that each hold a slot of `IN_FLIGHT` for a
+    /// millisecond and report one event.
+    fn six_sleepers() -> Vec<Cell> {
+        (0..6)
+            .map(|i| {
+                Cell::new(format!("sleepers/{i}"), || {
+                    let now = IN_FLIGHT.fetch_add(1, Ordering::SeqCst) + 1;
+                    MAX_IN_FLIGHT.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(1));
+                    IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
+                    CellOut {
+                        events: 1,
+                        ..CellOut::default()
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Runs three six-cell experiments at `jobs`; returns the most cells
+    /// that ran at once.
+    fn max_in_flight(jobs: usize) -> usize {
+        let sleepers: Experiment = ("sleepers", || {
+            Plan::new(six_sleepers(), |outs| {
+                Table::new("S", "sleepers", [outs.len().to_string()])
+            })
+        });
+        MAX_IN_FLIGHT.store(0, Ordering::SeqCst);
+        let runs = run(jobs, &[sleepers; 3]);
+        for (table, perf) in &runs {
+            assert_eq!(table.columns, ["6"]);
+            assert_eq!(perf.events, 6);
+        }
+        MAX_IN_FLIGHT.load(Ordering::SeqCst)
     }
 
     #[test]
-    fn parallel_map_propagates_event_sink_to_workers() {
-        use std::sync::atomic::Ordering;
-        use std::sync::Arc;
-        let sink = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let rig = Rig::small();
-        let serial: Vec<u64> = popcorn_sim::with_event_sink(sink.clone(), || {
-            parallel_map(vec![(); 4], |_| {
-                rig.run(OsKind::Popcorn, [micro::null_syscall_storm(2, 5)])
-                    .events
-            })
-        });
-        let expected: u64 = serial.iter().sum();
-        assert!(expected > 0);
-        assert_eq!(sink.load(Ordering::Relaxed), expected);
+    fn the_runner_never_runs_more_than_jobs_cells_at_once() {
+        // Experiments used to fan their cells out inside a fan-out over
+        // experiments, so `--jobs N` ran up to N² simulations at once.
+        for jobs in [1, 2] {
+            let max = max_in_flight(jobs);
+            assert!(max <= jobs, "{max} cells in flight at jobs {jobs}");
+        }
     }
 
     #[test]
@@ -380,7 +531,7 @@ mod tests {
         // 2308 events in 361.4 µs — rounds to 0.000 s in the JSON, which
         // used to make the recorded rate 0. The unrounded rate is ~6.4M/s.
         let p = ExperimentPerf {
-            id: "e2".into(),
+            id: "e2",
             wall: Duration::from_nanos(361_400),
             events: 2308,
         };
@@ -388,7 +539,7 @@ mod tests {
         assert!((rate - 6_386_275.594).abs() < 1.0, "rate = {rate}");
         // Degenerate zero-duration measurement stays finite.
         let z = ExperimentPerf {
-            id: "z".into(),
+            id: "z",
             wall: Duration::ZERO,
             events: 10,
         };
@@ -398,7 +549,7 @@ mod tests {
     #[test]
     fn perf_json_records_exact_nanos_next_to_rounded_secs() {
         let perfs = vec![ExperimentPerf {
-            id: "e1".into(),
+            id: "e1",
             wall: Duration::from_nanos(412_345),
             events: 1000,
         }];
@@ -413,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not clean")]
+    #[should_panic(expected = "cell forever/smp: smp run was not clean")]
     fn unclean_runs_panic_loudly() {
         #[derive(Debug)]
         struct Forever;
@@ -426,10 +577,20 @@ mod tests {
                 popcorn_kernel::program::Op::Compute(1_000_000)
             }
         }
-        let rig = Rig {
-            horizon: SimTime::from_millis(1),
-            ..Rig::small()
-        };
-        let _ = rig.run(OsKind::Smp, [Box::new(Forever) as Box<dyn Program>]);
+        // Through the runner on two workers, beside a clean cell, so the
+        // panic that reaches the caller names the unclean cell.
+        let forever: Experiment = ("forever", || {
+            let unclean = Cell::new("forever/smp".to_string(), || {
+                let rig = Rig {
+                    horizon: SimTime::from_millis(1),
+                    ..Rig::small()
+                };
+                rig.run(OsKind::Smp, [Box::new(Forever) as Box<dyn Program>])
+                    .into()
+            });
+            let clean = Cell::new("forever/none".to_string(), CellOut::default);
+            Plan::new(vec![clean, unclean], |_| unreachable!("a cell panics"))
+        });
+        let _ = run(2, &[forever]);
     }
 }

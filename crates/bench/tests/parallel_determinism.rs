@@ -1,14 +1,20 @@
-//! The guarantee of the parallel harness: running experiments with
-//! host-thread parallelism across simulations (`--jobs`) produces
-//! byte-identical table JSON to a fully serial run. One test function
-//! (not several) because the knob is process-global and tests in one
-//! binary run concurrently.
+//! The guarantee of the parallel harness: running experiments' cells on
+//! parallel host threads (`--jobs`) produces byte-identical table JSON to
+//! a fully serial run.
 
-use popcorn_bench::experiments;
-use popcorn_bench::{set_jobs, Table};
+use popcorn_bench::experiments::all_experiments;
+use popcorn_bench::rig::run;
 
-/// A named experiment entry point.
-type Case = (&'static str, fn() -> Table);
+/// Each table of `ids`, as JSON, regenerated through the runner at `jobs`.
+fn tables(jobs: usize, ids: &[&str]) -> Vec<String> {
+    let mut selected = all_experiments();
+    selected.retain(|(id, _)| ids.contains(id));
+    assert_eq!(selected.len(), ids.len(), "unknown id in {ids:?}");
+    let runs = run(jobs, &selected);
+    runs.iter()
+        .map(|(table, _)| table.to_json_pretty())
+        .collect()
+}
 
 #[test]
 fn parallel_runs_are_byte_identical_to_serial() {
@@ -18,27 +24,14 @@ fn parallel_runs_are_byte_identical_to_serial() {
     // machinery — telemetry ticks, steals, wake chases — must be exactly
     // as deterministic as the scripted paths), and E15 sweeps the
     // page-table replication ablation (walk charges, update pushes and
-    // the replica-aware policy included).
-    let cases: [Case; 4] = [
-        ("e1", experiments::e1_messaging),
-        ("e4", experiments::e4_page_protocol),
-        ("e13", experiments::e13_policies),
-        ("e15", popcorn_bench::e15::e15_replication),
-    ];
-    for (id, f) in cases {
-        set_jobs(1);
-        let serial = f().to_json_pretty();
-        set_jobs(4);
-        let parallel = f().to_json_pretty();
-        set_jobs(0);
-        assert_eq!(
-            serial, parallel,
-            "{id}: --jobs 4 output diverged from --jobs 1"
-        );
-        // Parallel runs are also stable run-to-run.
-        set_jobs(4);
-        let again = f().to_json_pretty();
-        set_jobs(0);
-        assert_eq!(parallel, again, "{id}: parallel run not reproducible");
+    // the replica-aware policy included). Run together, their cells
+    // interleave on the workers.
+    let ids = ["e1", "e4", "e13", "e15"];
+    let serial = tables(1, &ids);
+    let parallel = tables(2, &ids);
+    for ((id, s), p) in ids.iter().zip(&serial).zip(&parallel) {
+        assert_eq!(s, p, "{id}: --jobs 2 output diverged from --jobs 1");
     }
+    // Parallel runs are also stable run-to-run.
+    assert_eq!(parallel, tables(2, &ids), "parallel run not reproducible");
 }

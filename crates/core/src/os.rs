@@ -42,7 +42,6 @@ pub struct PopcornOsBuilder {
     topology: Topology,
     kernels: u16,
     hw: HwParams,
-    os: OsParams,
     msg: MsgParams,
     pop: PopcornParams,
 }
@@ -53,7 +52,6 @@ impl Default for PopcornOsBuilder {
             topology: Topology::paper_default(),
             kernels: 4,
             hw: HwParams::default(),
-            os: OsParams::default(),
             msg: MsgParams::default(),
             pop: PopcornParams::default(),
         }
@@ -77,12 +75,6 @@ impl PopcornOsBuilder {
     /// Overrides the hardware cost parameters.
     pub fn hw_params(mut self, p: HwParams) -> Self {
         self.hw = p;
-        self
-    }
-
-    /// Overrides the kernel software cost parameters.
-    pub fn os_params(mut self, p: OsParams) -> Self {
-        self.os = p;
         self
     }
 
@@ -118,8 +110,13 @@ impl PopcornOsBuilder {
                 self.pop.worst_retx_chain_ns()
             );
         }
-        let (machine, kernels, fabric) =
-            osmodel::partition_machine(self.topology, self.kernels, self.hw, self.os, self.msg);
+        let (machine, kernels, fabric) = osmodel::partition_machine(
+            self.topology,
+            self.kernels,
+            self.hw,
+            OsParams::default(),
+            self.msg,
+        );
         PopcornOs {
             sim: Simulator::new(),
             machine: PopcornMachine::new(kernels, fabric, machine, self.pop),

@@ -9,69 +9,8 @@
 //! exchange events through the queue, exactly like kernels on real hardware
 //! exchange interrupts and shared-memory messages.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use crate::queue::CalendarQueue;
 use crate::time::SimTime;
-
-thread_local! {
-    /// The per-thread event-count sink, if one is installed. See
-    /// [`with_event_sink`].
-    static EVENT_SINK: RefCell<Option<Arc<AtomicU64>>> = const { RefCell::new(None) };
-}
-
-/// Restores the previously installed sink when dropped, so nested scopes
-/// and panics unwind cleanly.
-struct SinkGuard(Option<Arc<AtomicU64>>);
-
-impl Drop for SinkGuard {
-    fn drop(&mut self) {
-        EVENT_SINK.with(|s| *s.borrow_mut() = self.0.take());
-    }
-}
-
-/// Runs `f` with `sink` installed as this thread's event-count sink.
-///
-/// While a sink is installed, every [`Simulator::run_until`] (and
-/// [`Simulator::run`]) on this thread adds the number of events it
-/// processed to the sink when it returns — one relaxed atomic add per
-/// simulation run, so the accounting is effectively free and never
-/// perturbs virtual time. The benchmark harness uses this to attribute
-/// simulator throughput (events/second of host time) to each experiment,
-/// even when many independent simulations run on parallel host threads:
-/// each experiment installs its own sink and propagates it to the worker
-/// threads it spawns (see [`current_event_sink`]).
-///
-/// Scopes nest: the previous sink (if any) is restored when `f` returns.
-pub fn with_event_sink<T>(sink: Arc<AtomicU64>, f: impl FnOnce() -> T) -> T {
-    let prev = EVENT_SINK.with(|s| s.borrow_mut().replace(sink));
-    let _guard = SinkGuard(prev);
-    f()
-}
-
-/// The sink currently installed on this thread, if any.
-///
-/// Code that spawns worker threads on behalf of a metered scope should
-/// capture this before spawning and re-install it inside each worker via
-/// [`with_event_sink`], so events processed by child threads are credited
-/// to the same scope.
-pub fn current_event_sink() -> Option<Arc<AtomicU64>> {
-    EVENT_SINK.with(|s| s.borrow().clone())
-}
-
-/// Credits `events` to this thread's installed sink (no-op without one).
-fn credit_event_sink(events: u64) {
-    if events == 0 {
-        return;
-    }
-    EVENT_SINK.with(|s| {
-        if let Some(sink) = &*s.borrow() {
-            sink.fetch_add(events, Ordering::Relaxed);
-        }
-    });
-}
 
 /// Scheduling interface handed to a [`Handler`] while it processes an event.
 ///
@@ -262,18 +201,6 @@ impl<E> Simulator<E> {
     /// than the current time never rewinds the clock: the run stops
     /// immediately and `now` is unchanged.
     pub fn run_until<H: Handler<E>>(
-        &mut self,
-        handler: &mut H,
-        horizon: SimTime,
-        event_budget: u64,
-    ) -> StopCondition {
-        let before = self.events_processed;
-        let stop = self.run_until_inner(handler, horizon, event_budget);
-        credit_event_sink(self.events_processed - before);
-        stop
-    }
-
-    fn run_until_inner<H: Handler<E>>(
         &mut self,
         handler: &mut H,
         horizon: SimTime,
@@ -480,43 +407,6 @@ mod tests {
         let st = sim.run_until(&mut Livelock, SimTime::MAX, 1000);
         assert_eq!(st, StopCondition::EventBudgetExhausted);
         assert_eq!(sim.events_processed(), 1000);
-    }
-
-    #[test]
-    fn event_sink_credits_processed_events() {
-        let sink = Arc::new(AtomicU64::new(0));
-        with_event_sink(sink.clone(), || {
-            let mut sim = Simulator::new();
-            sim.schedule(SimTime::ZERO, Ev::Tag(0));
-            let mut r = Recorder::new();
-            r.chain = 9;
-            sim.run(&mut r);
-        });
-        assert_eq!(sink.load(Ordering::Relaxed), 10);
-        // Outside the scope, runs are no longer credited.
-        let mut sim = Simulator::new();
-        sim.schedule(SimTime::ZERO, Ev::Tag(0));
-        sim.run(&mut Recorder::new());
-        assert_eq!(sink.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn event_sinks_nest_and_restore() {
-        let outer = Arc::new(AtomicU64::new(0));
-        let inner = Arc::new(AtomicU64::new(0));
-        let run_one = || {
-            let mut sim = Simulator::new();
-            sim.schedule(SimTime::ZERO, Ev::Tag(0));
-            sim.run(&mut Recorder::new());
-        };
-        with_event_sink(outer.clone(), || {
-            run_one();
-            with_event_sink(inner.clone(), run_one);
-            run_one();
-        });
-        assert_eq!(outer.load(Ordering::Relaxed), 2);
-        assert_eq!(inner.load(Ordering::Relaxed), 1);
-        assert!(current_event_sink().is_none());
     }
 
     #[test]

@@ -48,9 +48,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{
-    current_event_sink, with_event_sink, Handler, Scheduler, Simulator, StopCondition,
-};
+pub use engine::{Handler, Scheduler, Simulator, StopCondition};
 pub use queue::CalendarQueue;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, TimeSeries};
