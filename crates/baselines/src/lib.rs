@@ -19,6 +19,6 @@ pub mod multikernel;
 pub mod params;
 pub mod smp;
 
-pub use multikernel::{MultikernelOs, MultikernelOsBuilder};
+pub use multikernel::MultikernelOs;
 pub use params::{MultikernelParams, SmpParams};
-pub use smp::{SmpOs, SmpOsBuilder};
+pub use smp::SmpOs;

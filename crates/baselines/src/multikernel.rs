@@ -815,46 +815,42 @@ impl Handler<MkEvent> for MultikernelMachine {
     }
 }
 
-/// Builder for [`MultikernelOs`].
-#[derive(Debug, Clone)]
-pub struct MultikernelOsBuilder {
+/// The Barrelfish-like multikernel OS model.
+///
+/// # Example
+///
+/// ```
+/// use popcorn_baselines::MultikernelOs;
+/// use popcorn_hw::Topology;
+/// use popcorn_kernel::osmodel::OsModel;
+/// use popcorn_workloads::micro::null_syscall_storm;
+///
+/// let mut os = MultikernelOs::new(Topology::new(2, 2), 4);
+/// os.load(null_syscall_storm(4, 50));
+/// let report = os.run();
+/// assert!(report.is_clean());
+/// ```
+#[derive(Debug)]
+pub struct MultikernelOs {
+    sim: Simulator<MkEvent>,
+    machine: MultikernelMachine,
     topology: Topology,
-    kernels: u16,
+    next_home: usize,
 }
 
-impl Default for MultikernelOsBuilder {
-    fn default() -> Self {
-        MultikernelOsBuilder {
-            topology: Topology::paper_default(),
-            kernels: 4,
-        }
-    }
-}
-
-impl MultikernelOsBuilder {
-    /// Sets the machine topology.
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = t;
-        self
-    }
-
-    /// Sets the kernel count (Barrelfish runs one CPU driver per core;
-    /// coarser partitions are allowed for comparability).
-    pub fn kernels(mut self, n: u16) -> Self {
-        self.kernels = n;
-        self
-    }
-
-    /// Builds the OS model on the default hardware, kernel, message and
-    /// multikernel service parameters.
+impl MultikernelOs {
+    /// A multikernel OS of `kernels` kernel instances on contiguous core
+    /// partitions of `topology` (Barrelfish runs one CPU driver per core;
+    /// coarser partitions are allowed for comparability), with the default
+    /// hardware, kernel, message and multikernel service parameters.
     ///
     /// # Panics
     ///
     /// Panics if kernels exceed cores.
-    pub fn build(self) -> MultikernelOs {
+    pub fn new(topology: Topology, kernels: u16) -> Self {
         let (machine, kernels, fabric) = osmodel::partition_machine(
-            self.topology,
-            self.kernels,
+            topology,
+            kernels,
             HwParams::default(),
             OsParams::default(),
             MsgParams::default(),
@@ -876,42 +872,9 @@ impl MultikernelOsBuilder {
                 auto_cursor: 0,
                 stats: MkStats::default(),
             },
-            topology: self.topology,
+            topology,
             next_home: 0,
         }
-    }
-}
-
-/// The Barrelfish-like multikernel OS model.
-///
-/// # Example
-///
-/// ```
-/// use popcorn_baselines::MultikernelOs;
-/// use popcorn_hw::Topology;
-/// use popcorn_kernel::osmodel::OsModel;
-/// use popcorn_workloads::micro::null_syscall_storm;
-///
-/// let mut os = MultikernelOs::builder()
-///     .topology(Topology::new(2, 2))
-///     .kernels(4)
-///     .build();
-/// os.load(null_syscall_storm(4, 50));
-/// let report = os.run();
-/// assert!(report.is_clean());
-/// ```
-#[derive(Debug)]
-pub struct MultikernelOs {
-    sim: Simulator<MkEvent>,
-    machine: MultikernelMachine,
-    topology: Topology,
-    next_home: usize,
-}
-
-impl MultikernelOs {
-    /// Starts configuring a multikernel OS.
-    pub fn builder() -> MultikernelOsBuilder {
-        MultikernelOsBuilder::default()
     }
 
     /// Number of kernel instances.
@@ -978,10 +941,7 @@ mod tests {
     use popcorn_kernel::program::{Op, ProgEnv};
 
     fn small() -> MultikernelOs {
-        MultikernelOs::builder()
-            .topology(Topology::new(2, 2))
-            .kernels(2)
-            .build()
+        MultikernelOs::new(Topology::new(2, 2), 2)
     }
 
     #[test]

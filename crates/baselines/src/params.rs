@@ -22,12 +22,9 @@ pub struct SmpParams {
     pub futex_buckets: usize,
     /// Run-queue lock hold when waking a task onto another core.
     pub rq_lock_hold_ns: u64,
-    /// Global page-allocator (buddy/zone) lock hold per page allocation —
-    /// taken on every anonymous fault. This machine-wide lock is the
-    /// structural bottleneck a replicated kernel's per-kernel memory
-    /// partitions remove.
-    pub zone_lock_hold_ns: u64,
-    /// Zone lock hold per page freed on munmap.
+    /// Zone lock hold per page freed on munmap. (The hold per page
+    /// allocation is the kernel's `OsParams::zone_lock_hold_ns`; on SMP its
+    /// one zone lock is machine-wide.)
     pub zone_free_per_page_ns: u64,
 }
 
@@ -42,23 +39,8 @@ impl Default for SmpParams {
             futex_bucket_hold_ns: 380,
             futex_buckets: 256,
             rq_lock_hold_ns: 320,
-            zone_lock_hold_ns: 230,
             zone_free_per_page_ns: 110,
         }
-    }
-}
-
-impl SmpParams {
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.futex_buckets == 0 {
-            return Err("need at least one futex bucket".into());
-        }
-        Ok(())
     }
 }
 
@@ -77,24 +59,5 @@ impl Default for MultikernelParams {
             remote_spawn_ns: 9_000,
             service_ns: 420,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_validate() {
-        assert_eq!(SmpParams::default().validate(), Ok(()));
-    }
-
-    #[test]
-    fn zero_buckets_rejected() {
-        let p = SmpParams {
-            futex_buckets: 0,
-            ..SmpParams::default()
-        };
-        assert!(p.validate().is_err());
     }
 }

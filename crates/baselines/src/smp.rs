@@ -380,7 +380,7 @@ impl OsMachine for SmpMachine {
         let sem = g.mmap_sem.read_acquire(at, core, read_hold, &ic);
         let pt = g.pt_lock.acquire(sem.released_at, core, pt_hold, &ic);
         // Allocating the backing page takes the global zone lock.
-        let zone_hold = SimTime::from_nanos(self.params.zone_lock_hold_ns);
+        let zone_hold = SimTime::from_nanos(self.kernels[0].params().zone_lock_hold_ns);
         let zone = self.zone_lock.acquire(pt.released_at, core, zone_hold, &ic);
         let service = SimTime::from_nanos(self.kernels[0].params().fault_service_ns);
         let done = zone.released_at + service;
@@ -417,41 +417,6 @@ impl Handler<SmpEvent> for SmpMachine {
     }
 }
 
-/// Builder for [`SmpOs`].
-#[derive(Debug, Clone)]
-pub struct SmpOsBuilder {
-    topology: Topology,
-}
-
-impl Default for SmpOsBuilder {
-    fn default() -> Self {
-        SmpOsBuilder {
-            topology: Topology::paper_default(),
-        }
-    }
-}
-
-impl SmpOsBuilder {
-    /// Sets the machine topology.
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = t;
-        self
-    }
-
-    /// Builds the OS model on the default hardware, kernel and SMP
-    /// lock-hold parameters.
-    pub fn build(self) -> SmpOs {
-        let machine = Machine::new(self.topology, HwParams::default());
-        let cores: Vec<CoreId> = self.topology.cores().collect();
-        let kernel = Kernel::new(KernelId(0), cores, OsParams::default(), machine.clone());
-        SmpOs {
-            sim: Simulator::new(),
-            machine: SmpMachine::new(kernel, machine, SmpParams::default()),
-            topology: self.topology,
-        }
-    }
-}
-
 /// The SMP Linux-like OS model.
 ///
 /// # Example
@@ -462,7 +427,7 @@ impl SmpOsBuilder {
 /// use popcorn_kernel::osmodel::OsModel;
 /// use popcorn_workloads::micro::null_syscall_storm;
 ///
-/// let mut os = SmpOs::builder().topology(Topology::new(1, 4)).build();
+/// let mut os = SmpOs::new(Topology::new(1, 4));
 /// os.load(null_syscall_storm(4, 100));
 /// let report = os.run();
 /// assert!(report.is_clean());
@@ -476,9 +441,17 @@ pub struct SmpOs {
 }
 
 impl SmpOs {
-    /// Starts configuring an SMP OS.
-    pub fn builder() -> SmpOsBuilder {
-        SmpOsBuilder::default()
+    /// An SMP OS on `topology`, with the default hardware, kernel and SMP
+    /// lock-hold parameters.
+    pub fn new(topology: Topology) -> Self {
+        let machine = Machine::new(topology, HwParams::default());
+        let cores: Vec<CoreId> = topology.cores().collect();
+        let kernel = Kernel::new(KernelId(0), cores, OsParams::default(), machine.clone());
+        SmpOs {
+            sim: Simulator::new(),
+            machine: SmpMachine::new(kernel, machine, SmpParams::default()),
+            topology,
+        }
     }
 
     /// Acquisition, mean-wait and contention metrics of the lock sites:
@@ -603,7 +576,7 @@ mod tests {
     }
 
     fn small() -> SmpOs {
-        SmpOs::builder().topology(Topology::new(1, 4)).build()
+        SmpOs::new(Topology::new(1, 4))
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn smp_mmap_contention_grows_with_threads() {
     // Fixed total work split across more threads on a single process:
     // wait time per mmap_sem acquire must grow with concurrency.
     let run = |threads: usize| {
-        let mut os = SmpOs::builder().topology(Topology::paper_default()).build();
+        let mut os = SmpOs::new(Topology::paper_default());
         os.load(micro::mmap_storm(threads, 240 / threads as u32, 16384));
         let r = os.run();
         assert!(r.is_clean());
@@ -31,7 +31,7 @@ fn smp_mmap_contention_grows_with_threads() {
 fn smp_zone_lock_is_shared_across_processes() {
     // Two unrelated processes still contend on the one page allocator.
     let run = |procs: usize| {
-        let mut os = SmpOs::builder().topology(Topology::paper_default()).build();
+        let mut os = SmpOs::new(Topology::paper_default());
         for _ in 0..procs {
             let mut cfg = TeamConfig::new(8, 0);
             cfg.placement = Placement::Local;
@@ -77,10 +77,7 @@ fn multikernel_exit_group_from(killer: usize) -> RunReport {
     }
     let mut cfg = TeamConfig::new(5, 0);
     cfg.placement = Placement::Auto; // spread across kernels
-    let mut os = MultikernelOs::builder()
-        .topology(Topology::new(2, 4))
-        .kernels(4)
-        .build();
+    let mut os = MultikernelOs::new(Topology::new(2, 4), 4);
     os.load(Team::boxed(
         cfg,
         Box::new(move |i, _| {
@@ -121,10 +118,7 @@ fn multikernel_exit_group_reaches_remote_members() {
 fn multikernel_local_mmap_needs_no_messages() {
     let mut cfg = TeamConfig::new(4, 0);
     cfg.placement = Placement::Local;
-    let mut os = MultikernelOs::builder()
-        .topology(Topology::new(2, 4))
-        .kernels(2)
-        .build();
+    let mut os = MultikernelOs::new(Topology::new(2, 4), 2);
     os.load(Team::boxed(
         cfg,
         Box::new(|_, _| Box::new(micro::MmapWorker::new(10, 16384))),
@@ -142,10 +136,7 @@ fn multikernel_local_mmap_needs_no_messages() {
 fn multikernel_remote_futex_goes_through_home_service() {
     let mut cfg = TeamConfig::new(4, 0);
     cfg.placement = Placement::Auto;
-    let mut os = MultikernelOs::builder()
-        .topology(Topology::new(2, 4))
-        .kernels(4)
-        .build();
+    let mut os = MultikernelOs::new(Topology::new(2, 4), 4);
     os.load(Team::boxed(
         cfg,
         Box::new(|_, shared| Box::new(micro::MutexWorker::new(shared.sync_slot(1), 5, 500))),

@@ -170,12 +170,10 @@ pub fn e15_replication() -> Plan {
                 // per-PTE update pushes applied at holders.
                 count("replica_installs"),
                 count("replica_updates"),
-                // Migrations: scripted hops plus policy-driven moves.
+                // Migrations: every arrival, scripted hop or policy move.
                 format!(
                     "{:.0}",
-                    o.metric("migrations_first")
-                        + o.metric("migrations_back")
-                        + o.metric("policy_migrations")
+                    o.metric("migrations_first") + o.metric("migrations_back")
                 ),
             ]);
         }

@@ -3,9 +3,9 @@
 //! parallel map that runs them.
 //!
 //! [`Rig`] is the only code in this crate that builds an OS model (a
-//! `clippy.toml` lint holds every other caller off the model builders), so
-//! the inputs of an experiment cell are its [`Rig`] plus the parameter
-//! structs' defaults. The rig's fault plan applies to Popcorn only; the
+//! `clippy.toml` lint holds every other caller off the model
+//! constructors), so the inputs of an experiment cell are its [`Rig`] plus
+//! the parameter structs' defaults. The rig's fault plan applies to Popcorn only; the
 //! baselines always run on a fault-free fabric.
 //!
 //! # Experiments as cells
@@ -385,13 +385,8 @@ impl Rig {
     pub fn build(&self, kind: OsKind) -> Box<dyn OsModel> {
         match kind {
             OsKind::Popcorn => Box::new(self.popcorn()),
-            OsKind::Smp => Box::new(SmpOs::builder().topology(self.topology).build()),
-            OsKind::Multikernel => Box::new(
-                MultikernelOs::builder()
-                    .topology(self.topology)
-                    .kernels(self.kernels)
-                    .build(),
-            ),
+            OsKind::Smp => Box::new(SmpOs::new(self.topology)),
+            OsKind::Multikernel => Box::new(MultikernelOs::new(self.topology, self.kernels)),
         }
     }
 

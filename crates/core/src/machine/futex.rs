@@ -318,7 +318,7 @@ impl KernelCtx<'_, '_> {
                 }
                 FutexOutcome::Woken(n) => {
                     // A remote waker is parked `Blocked(Remote)`; a chase
-                    // moves it unscheduled, carrying `Val(n)` as its
+                    // moves it from there, carrying `Val(n)` as its
                     // in-flight resume so it returns from the syscall at
                     // the destination.
                     if self.chase_wake(ki, tid, hint, n, now) {
@@ -364,27 +364,17 @@ impl KernelCtx<'_, '_> {
         if target == me {
             return false;
         }
-        let resume = Resume::Sys(SysResult::Val(n));
-        let migrated = match self.kernels[ki].task(tid).map(|t| &t.state) {
-            // Still on a core inside its futex syscall (local fast path).
-            Some(popcorn_kernel::task::TaskState::InSyscall) => {
-                let at = at + SimTime::from_nanos(self.params.policy_eval_ns);
-                self.migrate_out(ki, tid, target, Some(resume), at);
-                true
-            }
-            // Parked waiting for the remote futex server's response.
-            Some(popcorn_kernel::task::TaskState::Blocked(_)) => {
-                if let Some(task) = self.kernels[ki].task_mut(tid) {
-                    task.resume = resume;
-                }
-                self.policy_migrate_out(ki, tid, target, at)
-            }
-            _ => false,
-        };
-        if migrated {
+        // The waker returns from its futex syscall at the destination,
+        // whether it is still on its core or parked awaiting the remote
+        // server's response.
+        if let Some(task) = self.kernels[ki].task_mut(tid) {
+            task.resume = Resume::Sys(SysResult::Val(n));
+        }
+        let moved = self.migrate_out(ki, tid, target, true, at);
+        if moved {
             self.stats.wake_chases.incr();
         }
-        migrated
+        moved
     }
 
     /// `RmwReq` at the serving kernel: acquire the word's contention site,

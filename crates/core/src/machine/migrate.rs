@@ -1,17 +1,19 @@
 //! Thread migration: context marshalling, shadow tasks, back-migration.
 //!
-//! A migrating thread is marshalled into a `TaskMigrate` message, leaving
-//! a dormant shadow on the origin kernel. The target either revives its
-//! own shadow (back-migration, the paper's cheap path) or creates a fresh
-//! task. If the message can never be delivered, the origin revives the
-//! shadow in place and the migrate syscall fails with `EIO`.
+//! Every move between kernels — the `migrate` syscall, a policy's balance,
+//! steal or co-placement move, a wake chase — goes out through the one
+//! `migrate_out`: the thread is marshalled into a `TaskMigrate` message,
+//! leaving a dormant shadow on the origin kernel. The target either
+//! revives its own shadow (back-migration, the paper's cheap path) or
+//! creates a fresh task. If the message can never be delivered, the
+//! origin revives the shadow in place: a scripted migrate syscall fails
+//! with `EIO`, a policy move resumes as it was.
 
 use popcorn_kernel::mm::Mm;
 use popcorn_kernel::osmodel;
 use popcorn_kernel::policy::PolicyView;
-use popcorn_kernel::program::{MigrateTarget, Op, Program, Resume, SysResult};
-use popcorn_kernel::task::TaskStats;
-use popcorn_kernel::types::{CpuContext, Errno, GroupId, Tid};
+use popcorn_kernel::program::{MigrateTarget, Resume, SysResult};
+use popcorn_kernel::types::{Errno, Tid};
 use popcorn_msg::KernelId;
 use popcorn_sim::SimTime;
 
@@ -65,109 +67,62 @@ impl KernelCtx<'_, '_> {
                 }
             }
         } else {
-            self.migrate_out(ki, tid, tk, None, at);
+            self.migrate_out(ki, tid, tk, false, at);
         }
     }
 
-    /// Marshals a thread's context into a `TaskMigrate` message, leaving a
-    /// shadow task behind. `resume` is `None` for the scripted syscall
-    /// path (the thread resumes with the migrate syscall's result); a
-    /// policy-initiated move of a thread that is mid-operation carries its
-    /// in-flight resume value here instead.
+    /// Moves thread `tid` from kernel `ki` to `target`: extracts it,
+    /// leaving a dormant shadow behind, and sends its context in a
+    /// `TaskMigrate` message stamped `started = at`. The message leaves
+    /// once the context is marshalled — after the policy's own evaluation
+    /// too for a policy move — and a core the thread was current on is
+    /// kicked then.
+    ///
+    /// A scripted move (`by_policy == false`: the thread called `migrate`)
+    /// resumes with the syscall's result at the destination. A policy move
+    /// (balance, steal, co-placement or wake chase) shifts a thread that
+    /// never asked to move, so its own resume value and parked op travel
+    /// with it. A no-op returning `false` when the thread cannot leave
+    /// from its state (see `Kernel::extract_for_migration`) — a policy's
+    /// decision is advisory. Callers rule out `target` being this kernel.
     pub(super) fn migrate_out(
         &mut self,
         ki: usize,
         tid: Tid,
         target: KernelId,
-        resume: Option<Resume>,
+        by_policy: bool,
         at: SimTime,
-    ) {
+    ) -> bool {
+        let Some(d) = self.kernels[ki].extract_for_migration(tid, target, at) else {
+            return false;
+        };
         let group = self.group_of(ki, tid);
-        let (program, ctx, stats, pending) =
-            self.kernels[ki].extract_for_migration(tid, target, at);
-        // The old core is free once the context is marshalled.
-        let marshal = SimTime::from_nanos(self.params.migration_marshal_ns);
-        let freed_at = at + marshal;
-        let core = self.kernels[ki].task(tid).expect("shadow remains").core;
-        self.kick(ki, core, freed_at);
-        let msg = self.task_migrate_msg(ki, tid, group, program, ctx, stats, at, resume, pending);
-        self.send(freed_at, ki, target, msg);
-    }
-
-    /// Builds the `TaskMigrate` message for a thread extracted at kernel
-    /// `ki`, carrying the group's whole layout under eager VMA
-    /// replication.
-    fn task_migrate_msg(
-        &self,
-        ki: usize,
-        tid: Tid,
-        group: GroupId,
-        program: Box<dyn Program>,
-        ctx: CpuContext,
-        stats: TaskStats,
-        started: SimTime,
-        resume: Option<Resume>,
-        pending: Option<Op>,
-    ) -> ProtoMsg {
+        let mut cost = self.params.migration_marshal_ns;
+        if by_policy {
+            cost += self.params.policy_eval_ns;
+        }
+        let send_at = at + SimTime::from_nanos(cost);
+        if let Some(core) = d.freed {
+            self.kick(ki, core, send_at);
+        }
+        self.note_activity(at);
         let vmas = if self.params.eager_vma_replication {
             self.kernels[ki].mm(group).vmas()
         } else {
             Vec::new()
         };
-        ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
+        let msg = ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
             tid,
             group,
-            program,
-            ctx,
-            stats,
-            started,
+            program: d.program,
+            ctx: d.ctx,
+            stats: d.stats,
+            started: at,
             vmas,
-            resume,
-            pending,
-        }))
-    }
-
-    /// Policy-initiated migration of a thread that is *not* on a core (a
-    /// queued ready thread, or one parked on a remote operation whose
-    /// completion the caller intercepts). Unlike [`Self::migrate_out`] the
-    /// thread never asked to move, so its in-flight resume value and any
-    /// parked pending op travel with it. A no-op when the thread cannot be
-    /// extracted (already running, exited, or racing another move) — the
-    /// policy's decision was advisory. Returns whether the thread moved.
-    pub(super) fn policy_migrate_out(
-        &mut self,
-        ki: usize,
-        tid: Tid,
-        target: KernelId,
-        at: SimTime,
-    ) -> bool {
-        if target == self.kid(ki) || !self.task_alive(ki, tid) {
-            return false;
-        }
-        let group = self.group_of(ki, tid);
-        let Some((program, ctx, stats, resume, pending)) =
-            self.kernels[ki].extract_unscheduled_for_migration(tid, target)
-        else {
-            return false;
-        };
-        self.stats.policy_migrations.incr();
-        self.note_activity(at);
-        // Marshalling plus the policy's own evaluation cost; no core to
-        // free — the thread was not running.
-        let cost =
-            SimTime::from_nanos(self.params.migration_marshal_ns + self.params.policy_eval_ns);
-        let msg = self.task_migrate_msg(
-            ki,
-            tid,
-            group,
-            program,
-            ctx,
-            stats,
-            at,
-            Some(resume),
-            pending,
-        );
-        self.send(at + cost, ki, target, msg);
+            resume: by_policy.then_some(d.resume),
+            pending: d.pending,
+        }));
+        self.send(send_at, ki, target, msg);
         true
     }
 
@@ -198,8 +153,8 @@ impl KernelCtx<'_, '_> {
             self.kernels[ki].mm_mut(group).install_vma(vma);
         }
         let resume = resume.unwrap_or(Resume::Sys(SysResult::Val(0)));
-        let (core, was_back) = self.kernels[ki]
-            .attach_migrated_with(tid, group, program, ctx, stats, resume, pending, now);
+        let (core, was_back) =
+            self.kernels[ki].attach_migrated(tid, group, program, ctx, stats, resume, pending, now);
         let attach = if was_back && self.params.shadow_task_reuse {
             SimTime::from_nanos(self.params.migration_revive_ns)
         } else {
@@ -247,7 +202,7 @@ impl KernelCtx<'_, '_> {
         // error it has no code to handle.
         let revived = resume.unwrap_or(Resume::Sys(SysResult::Err(Errno::Io)));
         let (core, _back) = self.kernels[from]
-            .attach_migrated_with(tid, group, program, ctx, stats, revived, pending, at);
+            .attach_migrated(tid, group, program, ctx, stats, revived, pending, at);
         let ready = at + SimTime::from_nanos(self.params.migration_revive_ns);
         self.kick(from, core, ready);
     }

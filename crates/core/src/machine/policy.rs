@@ -195,7 +195,9 @@ impl KernelCtx<'_, '_> {
         if let Decision::Migrate(target) = self.policy.balance(&view) {
             if target != me {
                 if let Some(tid) = self.kernels[ki].pick_queued_task() {
-                    self.policy_migrate_out(ki, tid, target, now);
+                    if self.migrate_out(ki, tid, target, true, now) {
+                        self.stats.policy_migrations.incr();
+                    }
                 }
             }
         }
@@ -235,7 +237,9 @@ impl KernelCtx<'_, '_> {
                     ReplicaDecision::MigrateToward(k) => {
                         if k != me {
                             if let Some(tid) = self.kernels[ki].pick_queued_task_in(g) {
-                                self.policy_migrate_out(ki, tid, k, now);
+                                if self.migrate_out(ki, tid, k, true, now) {
+                                    self.stats.policy_migrations.incr();
+                                }
                             }
                         }
                     }
@@ -276,7 +280,8 @@ impl KernelCtx<'_, '_> {
         let Some(tid) = self.kernels[ki].pick_queued_task() else {
             return;
         };
-        if self.policy_migrate_out(ki, tid, thief, now) {
+        if self.migrate_out(ki, tid, thief, true, now) {
+            self.stats.policy_migrations.incr();
             self.stats.policy_steals.incr();
         }
     }

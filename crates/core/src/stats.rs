@@ -123,14 +123,16 @@ metric_table! {
         fault_kills: Counter,
 
         // --- Migration policy (only non-zero when a policy is active) ---
-        /// Policy-initiated migrations (balance moves and granted steals).
+        /// Policy-initiated migrations: balance moves, granted steals and
+        /// co-placement moves (wake chases count only in `wake_chases`).
         policy_migrations: Counter,
         /// Steal requests sent by an idle kernel's policy.
         steal_reqs: Counter,
         /// Steal requests granted by the victim (subset of
         /// `policy_migrations`).
         policy_steals: Counter,
-        /// Wakers migrated toward the waiters they woke (futex locality).
+        /// Wakers migrated toward the waiters they woke (futex locality;
+        /// not part of `policy_migrations`).
         wake_chases: Counter,
         /// Scripted migration targets overridden by the policy's redirect
         /// hook (e.g. `FaultAware` steering around a crashed kernel).

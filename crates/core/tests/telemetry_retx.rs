@@ -8,7 +8,8 @@
 //! path, so it cannot re-increment `telemetry_reports`; a duplicated
 //! delivery is suppressed by the channel sequence check before dispatch,
 //! so it cannot double-apply the load sample either. These tests pin both
-//! properties with counters instead of trusting the code path.
+//! properties with counters instead of trusting the code path, and pin
+//! that each policy-initiated move is counted once.
 
 use popcorn_core::{PopcornOs, PopcornParams};
 use popcorn_hw::Topology;
@@ -125,4 +126,29 @@ fn retransmitted_reports_count_once_per_tick() {
          double-counting reports"
     );
     assert!(reports >= 1.0, "the policy must have reported at all");
+}
+
+/// Every policy move is counted once, under exactly one counter: a wake
+/// chase counts in `wake_chases` only, whether the waker was still on its
+/// core or parked on the remote futex server's reply, and balance, steal
+/// and co-placement moves in `policy_migrations`. So on the E13 herd the
+/// arrivals equal the two counters' sum.
+#[test]
+fn each_policy_move_is_counted_once() {
+    let mut os = PopcornOs::builder()
+        .topology(Topology::paper_default())
+        .kernels(4)
+        .popcorn_params(PopcornParams {
+            policy: PolicyKind::FutexWakeLocality,
+            ..PopcornParams::default()
+        })
+        .build();
+    os.load(adversarial::thundering_herd(10, 8, 800_000));
+    let r = os.run();
+    assert!(r.is_clean(), "stuck: {:?}", r.stuck_tasks);
+    assert!(r.metric("wake_chases") >= 1.0, "the herd must be chased");
+    assert_eq!(
+        r.metric("migrations_first") + r.metric("migrations_back"),
+        r.metric("policy_migrations") + r.metric("wake_chases"),
+    );
 }

@@ -7,7 +7,10 @@
 //! in `popcorn-core` and `popcorn-baselines`. The OS model drives each core
 //! by calling [`Kernel::run_core`], which executes the current thread's
 //! operations in virtual time until something needs OS attention and
-//! reports a [`RunOutcome`].
+//! reports a [`RunOutcome`]. A thread moving between kernels leaves
+//! through [`Kernel::extract_for_migration`], which leaves a dormant
+//! shadow behind, and arrives through [`Kernel::attach_migrated`]; the
+//! OS model carries the [`Departure`] between them.
 
 use std::collections::VecDeque;
 
@@ -131,6 +134,25 @@ pub enum RunOutcome {
         /// Completion time of exit teardown.
         at: SimTime,
     },
+}
+
+/// A thread taken off its kernel by [`Kernel::extract_for_migration`]:
+/// everything the destination needs to resume it.
+#[derive(Debug)]
+pub struct Departure {
+    /// The user program state.
+    pub program: Box<dyn crate::program::Program>,
+    /// Architectural context.
+    pub ctx: crate::types::CpuContext,
+    /// Accounting carried across kernels.
+    pub stats: TaskStats,
+    /// The resume value the thread held when it left.
+    pub resume: Resume,
+    /// Its parked pending op (e.g. the rest of a preempted compute burst).
+    pub pending: Option<Op>,
+    /// The core it was current on, now free; `None` for a queued or
+    /// blocked thread.
+    pub freed: Option<CoreId>,
 }
 
 metric_table! {
@@ -744,44 +766,56 @@ impl Kernel {
         }
     }
 
-    /// Extracts a thread for migration: takes its program, context and
-    /// pending op, and leaves a dormant shadow behind (the paper's
-    /// mechanism for cheap back-migration). The task must be `InSyscall`
-    /// (it called `migrate`) and current on its core.
+    /// Extracts a thread for migration to kernel `to`: takes its program,
+    /// context, resume value and parked op, and leaves a dormant shadow
+    /// behind (the paper's mechanism for cheap back-migration). A thread
+    /// leaves from one of three states:
     ///
-    /// Returns `(program, context, stats, pending_op)`. The pending op (if
-    /// any) travels with the thread so an aborted migration can reinstate
-    /// it verbatim at the origin — same carry mechanism as
-    /// [`Kernel::extract_unscheduled_for_migration`].
-    #[allow(clippy::type_complexity)]
+    /// - `InSyscall`, current on its core (it called `migrate`, or a waker
+    ///   is chased while still inside its futex syscall): the core is freed
+    ///   and reported in [`Departure::freed`];
+    /// - `Ready`: it is dequeued;
+    /// - `Blocked` on a remote operation whose completion the caller is
+    ///   intercepting.
+    ///
+    /// Returns `None` in every other state (running, parked on a futex
+    /// word — whose wait-queue entry pins it here — sleeping, a shadow,
+    /// exited, or unknown), which callers treat as "don't migrate after
+    /// all".
     pub fn extract_for_migration(
         &mut self,
         tid: Tid,
         to: KernelId,
         now: SimTime,
-    ) -> (
-        Box<dyn crate::program::Program>,
-        crate::types::CpuContext,
-        TaskStats,
-        Option<Op>,
-    ) {
-        let task = self.tasks.get_mut(&tid).expect("task exists");
-        assert!(
-            matches!(task.state, TaskState::InSyscall),
-            "migration outside syscall"
-        );
-        let program = task.program.take().expect("migrating shadow");
-        let ctx = task.ctx.clone();
+    ) -> Option<Departure> {
+        let task = self.tasks.get_mut(&tid)?;
+        let cs = &mut self.cores[self.core_index[&task.core]];
+        let freed = match task.state {
+            TaskState::InSyscall => {
+                assert_eq!(cs.current, Some(tid));
+                cs.current = None;
+                cs.busy_until = cs.busy_until.max(now);
+                Some(task.core)
+            }
+            TaskState::Ready => {
+                let pos = cs.runqueue.iter().position(|&t| t == tid)?;
+                cs.runqueue.remove(pos);
+                None
+            }
+            TaskState::Blocked(BlockReason::Remote(_)) => None,
+            _ => return None,
+        };
         task.stats.migrations += 1;
-        let stats = task.stats;
         task.state = TaskState::MigratedAway { to };
-        let pending = task.pending_op.take();
-        let core = task.core;
-        let cs = self.core_state_mut(core);
-        assert_eq!(cs.current, Some(tid));
-        cs.current = None;
-        cs.busy_until = cs.busy_until.max(now);
-        (program, ctx, stats, pending)
+        task.woke_at = None;
+        Some(Departure {
+            program: task.program.take().expect("migrating shadow"),
+            ctx: task.ctx.clone(),
+            stats: task.stats,
+            resume: std::mem::replace(&mut task.resume, Resume::Start),
+            pending: task.pending_op.take(),
+            freed,
+        })
     }
 
     /// A queued (ready, not running) thread suitable for policy-initiated
@@ -795,88 +829,18 @@ impl Kernel {
             .and_then(|cs| cs.runqueue.back().copied())
     }
 
-    /// Extracts a thread that is *not* on a core for policy-initiated
-    /// migration: a queued ready thread, or one blocked on a remote
-    /// operation whose completion the caller is intercepting. Unlike
-    /// [`Kernel::extract_for_migration`] the thread did not ask to move, so
-    /// its in-flight resume value and parked pending op travel with it and
-    /// are reinstated verbatim at the destination.
-    ///
-    /// Returns `None` when the task is in any other state (running, in a
-    /// syscall, parked on a futex word — whose wait-queue entry pins it
-    /// here — or sleeping with a timer due), which callers treat as "don't
-    /// migrate after all".
-    #[allow(clippy::type_complexity)]
-    pub fn extract_unscheduled_for_migration(
-        &mut self,
-        tid: Tid,
-        to: KernelId,
-    ) -> Option<(
-        Box<dyn crate::program::Program>,
-        crate::types::CpuContext,
-        TaskStats,
-        Resume,
-        Option<Op>,
-    )> {
-        let task = self.tasks.get_mut(&tid)?;
-        match task.state {
-            TaskState::Ready => {
-                let core = task.core;
-                let ci = self.core_index[&core];
-                let pos = self.cores[ci].runqueue.iter().position(|&t| t == tid)?;
-                self.cores[ci].runqueue.remove(pos);
-            }
-            TaskState::Blocked(BlockReason::Remote(_)) => {}
-            _ => return None,
-        }
-        let task = self.tasks.get_mut(&tid).expect("task exists");
-        let program = task.program.take().expect("migrating shadow");
-        let ctx = task.ctx.clone();
-        task.stats.migrations += 1;
-        let stats = task.stats;
-        task.state = TaskState::MigratedAway { to };
-        let resume = std::mem::replace(&mut task.resume, Resume::Start);
-        let pending = task.pending_op.take();
-        task.woke_at = None;
-        Some((program, ctx, stats, resume, pending))
-    }
-
-    /// Installs an arriving migrated thread. If a dormant shadow for `tid`
-    /// exists (back-migration), it is revived in place — the cheap path the
-    /// paper measures; otherwise a fresh task is created. The thread
-    /// resumes with the migrate syscall's success result. Returns
-    /// `(core_to_kick, was_back_migration)`.
+    /// Installs an arriving migrated thread, resuming with `resume` and
+    /// `pending` (the migrate syscall's result for a scripted move; the
+    /// thread's own values for a policy move, which it never asked for). If
+    /// a dormant shadow for `tid` exists (back-migration), it is revived in
+    /// place — the cheap path the paper measures; otherwise a fresh task is
+    /// created. Returns `(core_to_kick, was_back_migration)`.
     ///
     /// # Panics
     ///
     /// Panics if the group has no mm replica here yet.
-    pub fn attach_migrated(
-        &mut self,
-        tid: Tid,
-        group: GroupId,
-        program: Box<dyn crate::program::Program>,
-        ctx: crate::types::CpuContext,
-        stats: TaskStats,
-        now: SimTime,
-    ) -> (CoreId, bool) {
-        self.attach_migrated_with(
-            tid,
-            group,
-            program,
-            ctx,
-            stats,
-            Resume::Sys(SysResult::Val(0)),
-            None,
-            now,
-        )
-    }
-
-    /// [`Kernel::attach_migrated`] with an explicit resume value and pending
-    /// op: policy-initiated migrations move threads that never called
-    /// `migrate`, so they resume exactly where they left off instead of
-    /// with the migrate syscall's result.
     #[allow(clippy::too_many_arguments)]
-    pub fn attach_migrated_with(
+    pub fn attach_migrated(
         &mut self,
         tid: Tid,
         group: GroupId,
@@ -1466,23 +1430,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn migration_extract_leaves_shadow_and_attach_revives() {
-        #[derive(Debug)]
-        struct Migrator {
-            asked: bool,
-        }
-        impl Program for Migrator {
-            fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
-                if !self.asked {
-                    self.asked = true;
-                    return Op::Syscall(SyscallReq::Migrate(
-                        crate::program::MigrateTarget::Kernel(KernelId(1)),
-                    ));
-                }
-                Op::Exit(0)
+    #[derive(Debug)]
+    struct Migrator {
+        asked: bool,
+    }
+    impl Program for Migrator {
+        fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
+            if !self.asked {
+                self.asked = true;
+                return Op::Syscall(SyscallReq::Migrate(crate::program::MigrateTarget::Kernel(
+                    KernelId(1),
+                )));
             }
+            Op::Exit(0)
         }
+    }
+
+    /// A fresh kernel with one `Migrator` run into its migrate syscall:
+    /// `(kernel, group, thread, its core, syscall time)`.
+    fn in_migrate_syscall() -> (Kernel, GroupId, Tid, CoreId, SimTime) {
         let mut k = kernel();
         let g = group(&mut k);
         let tid = k.alloc_tid();
@@ -1497,18 +1463,105 @@ mod tests {
             RunOutcome::Syscall { at, .. } => at,
             other => panic!("expected syscall, got {other:?}"),
         };
-        let (program, ctx, stats, pending) = k.extract_for_migration(tid, KernelId(1), at);
-        assert!(pending.is_none(), "a plain migrate carries no parked op");
+        (k, g, tid, core, at)
+    }
+
+    #[test]
+    fn migration_extract_leaves_shadow_and_attach_revives() {
+        let (mut k, g, tid, core, at) = in_migrate_syscall();
+        let d = k
+            .extract_for_migration(tid, KernelId(1), at)
+            .expect("a thread in its syscall leaves");
+        assert_eq!(d.freed, Some(core));
+        assert!(d.pending.is_none(), "a plain migrate carries no parked op");
         assert!(k.task(tid).unwrap().is_shadow());
         assert_eq!(k.live_tasks(), 0);
         // Back-migration revives the shadow in place.
-        let (kick, was_back) = k.attach_migrated(tid, g, program, ctx, stats, at);
+        let (kick, was_back) = k.attach_migrated(
+            tid,
+            g,
+            d.program,
+            d.ctx,
+            d.stats,
+            Resume::Sys(SysResult::Val(0)),
+            None,
+            at,
+        );
         assert!(was_back);
         assert_eq!(kick, core);
         match k.run_core(at, core) {
             RunOutcome::Exited { code, .. } => assert_eq!(code, 0),
             other => panic!("expected exit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn extracting_a_ready_thread_dequeues_it_with_its_resume() {
+        let mut k = kernel();
+        let g = group(&mut k);
+        let tid = k.alloc_tid();
+        let core = k.spawn(tid, g, Box::new(Spin { chunks: 1 }), None, SimTime::ZERO);
+        k.task_mut(tid).unwrap().resume = Resume::Value(7);
+        let d = k
+            .extract_for_migration(tid, KernelId(1), SimTime::ZERO)
+            .expect("a queued thread leaves");
+        assert_eq!(d.freed, None);
+        assert_eq!(d.resume, Resume::Value(7));
+        assert_eq!(k.core_load(core), 0, "dequeued");
+        assert!(k.task(tid).unwrap().is_shadow());
+    }
+
+    #[test]
+    fn extracting_a_remote_blocked_thread_frees_no_core() {
+        let (mut k, _g, tid, _core, at) = in_migrate_syscall();
+        k.block_current(tid, BlockReason::Remote("futex"), at);
+        let d = k
+            .extract_for_migration(tid, KernelId(1), at)
+            .expect("a thread parked on a remote op leaves");
+        assert_eq!(d.freed, None);
+        assert!(k.task(tid).unwrap().is_shadow());
+    }
+
+    #[test]
+    fn threads_in_other_states_stay_put() {
+        fn stays(k: &mut Kernel, tid: Tid, at: SimTime) {
+            let before = format!("{:?}", k.task(tid));
+            assert!(k.extract_for_migration(tid, KernelId(1), at).is_none());
+            assert_eq!(format!("{:?}", k.task(tid)), before);
+        }
+        // Running: mid-compute on its core.
+        let mut k = kernel();
+        let g = group(&mut k);
+        let tid = k.alloc_tid();
+        let core = k.spawn(
+            tid,
+            g,
+            Box::new(Spin { chunks: 1_000_000 }),
+            None,
+            SimTime::ZERO,
+        );
+        k.run_core(SimTime::ZERO, core);
+        assert!(matches!(k.task(tid).unwrap().state, TaskState::Running));
+        stays(&mut k, tid, SimTime::ZERO);
+        assert_eq!(k.core_load(core), 1, "still current");
+        // Parked on a futex word.
+        let (mut k, _g, tid, _core, at) = in_migrate_syscall();
+        k.block_current(tid, BlockReason::Futex(VAddr(0x1000)), at);
+        stays(&mut k, tid, at);
+        // A shadow: the thread already left.
+        let (mut k, _g, tid, _core, at) = in_migrate_syscall();
+        assert!(k.extract_for_migration(tid, KernelId(2), at).is_some());
+        stays(&mut k, tid, at);
+        // Exited.
+        let mut k = kernel();
+        let g = group(&mut k);
+        let tid = k.alloc_tid();
+        let core = k.spawn(tid, g, Box::new(Spin { chunks: 0 }), None, SimTime::ZERO);
+        assert!(matches!(
+            k.run_core(SimTime::ZERO, core),
+            RunOutcome::Exited { .. }
+        ));
+        stays(&mut k, tid, SimTime::ZERO);
     }
 
     #[test]
@@ -1522,6 +1575,8 @@ mod tests {
             Box::new(Spin { chunks: 0 }),
             Default::default(),
             TaskStats::default(),
+            Resume::Sys(SysResult::Val(0)),
+            None,
             SimTime::ZERO,
         );
         assert!(!was_back);

@@ -363,8 +363,8 @@ impl KernelClustering {
 ///
 /// # Panics
 ///
-/// Panics if a parameter set fails validation or there are more kernels
-/// than cores.
+/// Panics if a parameter set fails validation (`os` in `Kernel::new`) or
+/// there are more kernels than cores.
 pub fn partition_machine(
     topology: Topology,
     kernels: u16,
@@ -373,7 +373,6 @@ pub fn partition_machine(
     msg: MsgParams,
 ) -> (Machine, Vec<Kernel>, Fabric) {
     hw.validate().expect("invalid hardware parameters");
-    os.validate().expect("invalid OS parameters");
     let machine = Machine::new(topology, hw);
     let parts = topology.partition(kernels);
     let fabric = Fabric::new(&machine, parts.iter().map(|p| p[0]).collect(), msg);

@@ -30,9 +30,10 @@ pub struct OsParams {
     pub futex_base_ns: u64,
     /// Waking a task: scheduler enqueue (plus an IPI if its core idles).
     pub wakeup_ns: u64,
-    /// Page-allocator lock hold per page allocated/freed. On SMP this lock
-    /// is machine-global (see `SmpParams`); on the partitioned kernels each
-    /// kernel has its own allocator, contended only by its own cores.
+    /// Page-allocator lock hold per page allocated/freed, in all three
+    /// models. On SMP this lock is machine-global (and a freed page holds
+    /// it `SmpParams::zone_free_per_page_ns`); on the partitioned kernels
+    /// each kernel has its own allocator, contended only by its own cores.
     pub zone_lock_hold_ns: u64,
     /// Maximum user ops executed per scheduler interaction (simulation
     /// batching bound; does not affect modelled time).

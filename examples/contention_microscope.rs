@@ -45,7 +45,7 @@ fn main() {
         let rp = pop.run();
         assert!(rp.is_clean());
 
-        let mut smp = SmpOs::builder().topology(topo).build();
+        let mut smp = SmpOs::new(topo);
         for _ in 0..procs {
             smp.load(storm(per_proc, iters));
         }

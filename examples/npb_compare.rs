@@ -35,11 +35,8 @@ fn main() {
         Box::new(PopcornOs::builder().topology(topo).kernels(2).build()),
         cfg,
     );
-    let smp = run(Box::new(SmpOs::builder().topology(topo).build()), cfg);
-    let mk = run(
-        Box::new(MultikernelOs::builder().topology(topo).kernels(2).build()),
-        cfg,
-    );
+    let smp = run(Box::new(SmpOs::new(topo)), cfg);
+    let mk = run(Box::new(MultikernelOs::new(topo, 2)), cfg);
 
     println!(
         "{:<14} {:>12} {:>10} {:>10}",

@@ -13,8 +13,8 @@ fn all_three() -> Vec<Box<dyn OsModel>> {
     let topo = Topology::new(2, 4);
     vec![
         Box::new(PopcornOs::builder().topology(topo).kernels(2).build()),
-        Box::new(SmpOs::builder().topology(topo).build()),
-        Box::new(MultikernelOs::builder().topology(topo).kernels(2).build()),
+        Box::new(SmpOs::new(topo)),
+        Box::new(MultikernelOs::new(topo, 2)),
     ]
 }
 
@@ -51,7 +51,7 @@ fn contention_metrics_exist_only_where_the_structures_do() {
     // without the structure does not report its metric at all.
     let topo = Topology::new(2, 4);
 
-    let mut smp = SmpOs::builder().topology(topo).build();
+    let mut smp = SmpOs::new(topo);
     smp.load(micro::mmap_storm(6, 10, 16384));
     let rs = smp.run();
     assert!(rs.is_clean());
@@ -65,7 +65,7 @@ fn contention_metrics_exist_only_where_the_structures_do() {
     assert!(rp.metric("page_transfers") > 0.0);
     assert!(!rp.metrics.contains_key("zone_lock_acquires"));
 
-    let mut mk = MultikernelOs::builder().topology(topo).kernels(2).build();
+    let mut mk = MultikernelOs::new(topo, 2);
     mk.load(micro::futex_contention(6, 8, 1_000));
     let rm = mk.run();
     assert!(rm.is_clean());
@@ -87,10 +87,8 @@ fn virtual_time_orders_the_designs_plausibly_under_mmap_load() {
     let pop = run(Box::new(
         PopcornOs::builder().topology(topo).kernels(2).build(),
     ));
-    let smp = run(Box::new(SmpOs::builder().topology(topo).build()));
-    let mk = run(Box::new(
-        MultikernelOs::builder().topology(topo).kernels(2).build(),
-    ));
+    let smp = run(Box::new(SmpOs::new(topo)));
+    let mk = run(Box::new(MultikernelOs::new(topo, 2)));
     assert!(
         pop > smp,
         "cross-kernel address space should cost more than SMP here (pop {pop}, smp {smp})"

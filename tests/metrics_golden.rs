@@ -87,16 +87,8 @@ fn runs() -> Vec<Run> {
         ..PopcornParams::default()
     };
     let dflt = PopcornParams::default;
-    let smp =
-        || -> Box<dyn OsModel> { Box::new(SmpOs::builder().topology(Topology::new(2, 4)).build()) };
-    let mk = || -> Box<dyn OsModel> {
-        Box::new(
-            MultikernelOs::builder()
-                .topology(Topology::new(2, 4))
-                .kernels(4)
-                .build(),
-        )
-    };
+    let smp = || -> Box<dyn OsModel> { Box::new(SmpOs::new(Topology::new(2, 4))) };
+    let mk = || -> Box<dyn OsModel> { Box::new(MultikernelOs::new(Topology::new(2, 4), 4)) };
     vec![
         (
             "popcorn page_bounce",

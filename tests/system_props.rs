@@ -24,16 +24,13 @@ fn run_popcorn(kernels: u16, program: Box<dyn Program>) -> RunReport {
 }
 
 fn run_smp(program: Box<dyn Program>) -> RunReport {
-    let mut os = SmpOs::builder().topology(Topology::new(2, 4)).build();
+    let mut os = SmpOs::new(Topology::new(2, 4));
     os.load(program);
     os.run()
 }
 
 fn run_mk(kernels: u16, program: Box<dyn Program>) -> RunReport {
-    let mut os = MultikernelOs::builder()
-        .topology(Topology::new(2, 4))
-        .kernels(kernels)
-        .build();
+    let mut os = MultikernelOs::new(Topology::new(2, 4), kernels);
     os.load(program);
     os.run()
 }
