@@ -27,17 +27,6 @@ struct UnmapPending {
     awaiting: BTreeSet<KernelId>,
 }
 
-/// Group-exit progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitPhase {
-    /// Group alive.
-    Running,
-    /// `exit_group` in progress; waiting for replica kill acks.
-    Killing,
-    /// All members gone; state reaped.
-    Reaped,
-}
-
 /// Home-kernel state of one distributed thread group.
 #[derive(Debug)]
 pub struct GroupHome {
@@ -96,9 +85,10 @@ pub struct GroupHome {
     pub(crate) sync_sites: BTreeMap<u64, LockSite>,
     next_token: u64,
     pending_unmaps: BTreeMap<u64, UnmapPending>,
-    phase: ExitPhase,
-    kill_acks_awaiting: BTreeSet<KernelId>,
-    exit_code: i32,
+    /// The exit status, once an `exit_group` report has reached the home.
+    exit: Option<i32>,
+    /// Replicas ordered to kill whose report has not arrived yet.
+    kill_reports_awaiting: BTreeSet<KernelId>,
 }
 
 impl GroupHome {
@@ -130,9 +120,8 @@ impl GroupHome {
             sync_sites: BTreeMap::new(),
             next_token: 1,
             pending_unmaps: BTreeMap::new(),
-            phase: ExitPhase::Running,
-            kill_acks_awaiting: BTreeSet::new(),
-            exit_code: 0,
+            exit: None,
+            kill_reports_awaiting: BTreeSet::new(),
         }
     }
 
@@ -232,14 +221,9 @@ impl GroupHome {
         Some(pages)
     }
 
-    /// Current exit phase.
-    pub fn phase(&self) -> ExitPhase {
-        self.phase
-    }
-
-    /// The agreed exit code once exiting.
-    pub fn exit_code(&self) -> i32 {
-        self.exit_code
+    /// The agreed exit status once the group is exiting.
+    pub fn exit(&self) -> Option<i32> {
+        self.exit
     }
 
     /// Number of live members.
@@ -459,41 +443,30 @@ impl GroupHome {
         (p.rpc, p.origin)
     }
 
-    /// Begins group exit: returns the replica kernels that must be ordered
-    /// to kill (excluding `already_killed_on`, which did it locally).
-    pub fn begin_exit(&mut self, code: i32, already_killed_on: KernelId) -> Vec<KernelId> {
-        if self.phase != ExitPhase::Running {
-            return Vec::new(); // duplicate exit_group: first wins
+    /// Begins group exit on the first report, from `reporter`: records
+    /// `code` and returns the other replicas, which must be ordered to
+    /// kill and report back. Later reports return nothing: the first
+    /// exit code wins.
+    pub fn begin_exit(&mut self, code: i32, reporter: KernelId) -> Vec<KernelId> {
+        if self.exit.is_some() {
+            return Vec::new();
         }
-        self.phase = ExitPhase::Killing;
-        self.exit_code = code;
-        let targets: Vec<KernelId> = self
-            .replicas
-            .iter()
-            .copied()
-            .filter(|&k| k != already_killed_on)
-            .collect();
-        self.kill_acks_awaiting = targets.iter().copied().collect();
-        // Members on the initiating kernel die immediately.
-        self.members.retain(|_, &mut k| k != already_killed_on);
+        self.exit = Some(code);
+        let targets = self.replicas_except(reporter);
+        self.kill_reports_awaiting = targets.iter().copied().collect();
         targets
     }
 
-    /// Records a kill acknowledgement listing the members that kernel
-    /// killed; returns true when the exit is fully acknowledged.
+    /// Records `from`'s kill report: the `killed` members retire, and
+    /// members still mapped to `from` (blocked or in flight there) are
+    /// gone too. Returns true once every ordered replica has reported.
     pub fn kill_acked(&mut self, from: KernelId, killed: &[Tid]) -> bool {
-        self.kill_acks_awaiting.remove(&from);
-        for t in killed {
-            self.members.remove(t);
+        self.kill_reports_awaiting.remove(&from);
+        for &t in killed {
+            self.member_exited(t);
         }
-        // Members that were blocked/in-flight on that kernel are gone too.
         self.members.retain(|_, &mut k| k != from);
-        self.kill_acks_awaiting.is_empty()
-    }
-
-    /// Marks the group reaped.
-    pub fn mark_reaped(&mut self) {
-        self.phase = ExitPhase::Reaped;
+        self.kill_reports_awaiting.is_empty()
     }
 }
 
@@ -511,7 +484,7 @@ mod tests {
         let h = home();
         assert_eq!(h.live_members(), 1);
         assert_eq!(h.replicas().collect::<Vec<_>>(), vec![KernelId(0)]);
-        assert_eq!(h.phase(), ExitPhase::Running);
+        assert_eq!(h.exit(), None);
         assert!(h.remote_replicas().is_empty());
     }
 
@@ -579,16 +552,22 @@ mod tests {
         let t3 = Tid::new(KernelId(2), 1);
         h.member_joined(t2, KernelId(1));
         h.member_joined(t3, KernelId(2));
-        // exit_group called on kernel 1.
+        // exit_group called on kernel 1: its report starts the exit.
         let targets = h.begin_exit(5, KernelId(1));
         assert_eq!(targets, vec![KernelId(0), KernelId(2)]);
-        assert_eq!(h.phase(), ExitPhase::Killing);
-        assert_eq!(h.exit_code(), 5);
+        assert_eq!(h.exit(), Some(5));
         // Kernel-1 members died with the initiator.
+        assert!(!h.kill_acked(KernelId(1), &[t2]));
         assert_eq!(h.live_members(), 2);
-        assert!(!h.kill_acked(KernelId(0), &[Tid::new(KernelId(0), 1)]));
-        assert!(h.kill_acked(KernelId(2), &[t3]));
+        // A concurrent exit_group's report only acks.
+        assert!(h.begin_exit(9, KernelId(2)).is_empty());
+        assert!(!h.kill_acked(KernelId(2), &[t3]));
+        assert!(h.kill_acked(KernelId(0), &[Tid::new(KernelId(0), 1)]));
         assert_eq!(h.live_members(), 0);
+        // Killed members are retired: a late location report is ignored.
+        h.member_at(t3, KernelId(0));
+        assert_eq!(h.live_members(), 0);
+        assert_eq!(h.exit(), Some(5), "first exit code wins");
     }
 
     #[test]
@@ -679,8 +658,9 @@ mod tests {
         let mut h = home();
         let first = h.begin_exit(1, KernelId(0));
         assert!(first.is_empty()); // only home replica, already killed there
+        assert!(h.kill_acked(KernelId(0), &[]));
         let second = h.begin_exit(2, KernelId(0));
         assert!(second.is_empty());
-        assert_eq!(h.exit_code(), 1, "first exit code wins");
+        assert_eq!(h.exit(), Some(1), "first exit code wins");
     }
 }

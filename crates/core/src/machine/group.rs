@@ -1,11 +1,14 @@
-//! Thread-group membership, remote thread creation, and the distributed
-//! group-exit barrier.
+//! Thread-group membership, remote thread creation, and distributed
+//! group exit.
 //!
 //! The group's home kernel (where the leader was spawned) tracks every
 //! member's location ([`crate::group::GroupHome`]). Remote clones run a
-//! `CloneReq`/`CloneResp` RPC against the target kernel; `exit_group`
-//! kills local members immediately and runs a kill/ack barrier across the
-//! replicas before the home reaps the group everywhere.
+//! `CloneReq`/`CloneResp` RPC against the target kernel. Every group step
+//! addressed to the home is posted, so the home runs the same handler for
+//! its own steps as for a replica's. An `exit_group`, like a received
+//! `GroupKill`, kills the kernel's local members and posts one kill
+//! report (`GroupExitReq`) to the home; the first report orders every
+//! other replica to kill, and the last one reaps the group everywhere.
 
 use popcorn_kernel::mm::Mm;
 use popcorn_kernel::program::{Placement, Program, SysResult};
@@ -14,7 +17,6 @@ use popcorn_kernel::types::{GroupId, Tid};
 use popcorn_msg::{KernelId, RpcId};
 use popcorn_sim::SimTime;
 
-use crate::group::ExitPhase;
 use crate::proto::ProtoMsg;
 
 use super::{CoreId, KernelCtx, Pending};
@@ -91,36 +93,18 @@ impl KernelCtx<'_, '_> {
         }
     }
 
-    /// The exit_group syscall: kill local members, then run (or request)
-    /// the group-wide kill barrier at the home.
-    pub(super) fn exit_group_syscall(&mut self, ki: usize, group: GroupId, code: i32, at: SimTime) {
-        let me = self.kid(ki);
-        let home = self.home_of(group);
+    /// An `exit_group` at kernel `ki`, or a `GroupKill` received there:
+    /// kill the group's local members and post the kill report
+    /// (`GroupExitReq`) to the home.
+    pub(super) fn kill_and_report(&mut self, ki: usize, group: GroupId, code: i32, at: SimTime) {
         let killed = self.kill_local_members(ki, group, code, at);
-        if me == home {
-            let targets = match self.groups.get_mut(&group) {
-                Some(h) => h.begin_exit(code, me),
-                None => Vec::new(),
-            };
-            if targets.is_empty() {
-                self.reap_group(group, at);
-            } else {
-                for t in targets {
-                    self.send(at, ki, t, ProtoMsg::GroupKill { group, code });
-                }
-            }
-        } else {
-            self.send(
-                at,
-                ki,
-                home,
-                ProtoMsg::GroupExitReq {
-                    group,
-                    code,
-                    killed,
-                },
-            );
-        }
+        let home = self.home_of(group);
+        let report = ProtoMsg::GroupExitReq {
+            group,
+            code,
+            killed,
+        };
+        self.post(at, ki, home, report);
     }
 
     /// Reports a member's exit at kernel `ki` to the home: a `TaskExited`
@@ -133,10 +117,9 @@ impl KernelCtx<'_, '_> {
     /// Tears the group down everywhere (run at the group's effective home
     /// kernel).
     pub(super) fn reap_group(&mut self, group: GroupId, at: SimTime) {
-        let Some(mut h) = self.groups.remove(&group) else {
+        let Some(h) = self.groups.remove(&group) else {
             return;
         };
-        h.mark_reaped();
         let home_ki = self.ki(h.home());
         for r in h.remote_replicas() {
             self.send(at, home_ki, r, ProtoMsg::GroupReap { group });
@@ -167,9 +150,7 @@ impl KernelCtx<'_, '_> {
     }
 
     /// Tells the home that member `tid` now lives at kernel `ki` (`joined`
-    /// for a new thread). At the home itself the board is updated inline,
-    /// and unlike [`KernelCtx::on_member_at`] no straggler joining a dying
-    /// group is killed.
+    /// for a new thread): a posted `MemberAt` step.
     pub(super) fn note_member_at(
         &mut self,
         ki: usize,
@@ -178,21 +159,13 @@ impl KernelCtx<'_, '_> {
         joined: bool,
         at: SimTime,
     ) {
-        let me = self.kid(ki);
         let home = self.home_of(group);
-        if me != home {
-            self.send(at, ki, home, ProtoMsg::MemberAt { group, tid, joined });
-        } else if let Some(h) = self.groups.get_mut(&group) {
-            if joined {
-                h.member_joined(tid, me);
-            } else {
-                h.member_at(tid, me);
-            }
-        }
+        self.post(at, ki, home, ProtoMsg::MemberAt { group, tid, joined });
     }
 
-    /// `MemberAt` at the home: record the member's location; stragglers
-    /// joining a dying group are killed where they landed.
+    /// `MemberAt` at the home: record the member's location; a straggler
+    /// that reaches a dying group, the home included, is killed where it
+    /// landed.
     pub(super) fn on_member_at(
         &mut self,
         from: KernelId,
@@ -208,10 +181,8 @@ impl KernelCtx<'_, '_> {
             } else {
                 h.member_at(tid, from);
             }
-            if h.phase() == ExitPhase::Killing {
-                // Straggler joined a dying group: kill it there.
-                let code = h.exit_code();
-                self.send(now, ki, from, ProtoMsg::GroupKill { group, code });
+            if let Some(code) = h.exit() {
+                self.post(now, ki, from, ProtoMsg::GroupKill { group, code });
             }
         }
     }
@@ -268,7 +239,7 @@ impl KernelCtx<'_, '_> {
     /// group.
     pub(super) fn on_task_exited(&mut self, group: GroupId, tid: Tid, now: SimTime) {
         let finished = match self.groups.get_mut(&group) {
-            Some(h) => h.member_exited(tid) == 0 && h.phase() == ExitPhase::Running,
+            Some(h) => h.member_exited(tid) == 0 && h.exit().is_none(),
             None => false,
         };
         if finished {
@@ -276,80 +247,28 @@ impl KernelCtx<'_, '_> {
         }
     }
 
-    /// `GroupExitReq` at the home: a replica called exit_group; start the
-    /// kill barrier (the home kills its own members inline).
+    /// `GroupExitReq` at the home: a kernel killed its members of the
+    /// group. The first report starts the exit and orders every other
+    /// replica to kill (the home's own order runs inline); every report
+    /// retires the members it killed, and the last awaited one reaps the
+    /// group.
     pub(super) fn on_group_exit_req(
         &mut self,
         from: KernelId,
-        to: KernelId,
         ki: usize,
         group: GroupId,
         code: i32,
         killed: Vec<Tid>,
         now: SimTime,
     ) {
-        let targets = match self.groups.get_mut(&group) {
-            Some(h) => {
-                let t = h.begin_exit(code, from);
-                for k in &killed {
-                    h.member_exited(*k);
-                }
-                t
-            }
-            None => Vec::new(),
+        let Some(h) = self.groups.get_mut(&group) else {
+            return;
         };
-        // The home itself is among the replicas: kill locally rather than
-        // messaging itself.
-        let mut remote_targets = Vec::new();
-        let mut home_included = false;
+        let targets = h.begin_exit(code, from);
+        let complete = h.kill_acked(from, &killed);
         for t in targets {
-            if t == to {
-                home_included = true;
-            } else {
-                remote_targets.push(t);
-            }
+            self.post(now, ki, t, ProtoMsg::GroupKill { group, code });
         }
-        if home_included {
-            let local_killed = self.kill_local_members(ki, group, code, now);
-            if let Some(h) = self.groups.get_mut(&group) {
-                h.kill_acked(to, &local_killed);
-            }
-        }
-        if remote_targets.is_empty() {
-            self.reap_group(group, now);
-        } else {
-            for t in remote_targets {
-                self.send(now, ki, t, ProtoMsg::GroupKill { group, code });
-            }
-        }
-    }
-
-    /// `GroupKill` at a replica: kill local members and ack with the tids.
-    pub(super) fn on_group_kill(
-        &mut self,
-        from: KernelId,
-        ki: usize,
-        group: GroupId,
-        code: i32,
-        now: SimTime,
-    ) {
-        let killed = self.kill_local_members(ki, group, code, now);
-        self.send(now, ki, from, ProtoMsg::GroupKillAck { group, killed });
-    }
-
-    /// `GroupKillAck` at the home: the last ack completes the barrier and
-    /// reaps the group.
-    pub(super) fn on_group_kill_ack(
-        &mut self,
-        from: KernelId,
-        group: GroupId,
-        killed: Vec<Tid>,
-        now: SimTime,
-    ) {
-        let complete = match self.groups.get_mut(&group) {
-            Some(h) => h.kill_acked(from, &killed),
-            None => false,
-        };
         if complete {
             self.reap_group(group, now);
         }

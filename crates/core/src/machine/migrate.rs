@@ -9,6 +9,7 @@
 //! origin revives the shadow in place: a scripted migrate syscall fails
 //! with `EIO`, a policy move resumes as it was.
 
+use popcorn_kernel::kernel::Departure;
 use popcorn_kernel::mm::Mm;
 use popcorn_kernel::osmodel;
 use popcorn_kernel::policy::PolicyView;
@@ -93,7 +94,9 @@ impl KernelCtx<'_, '_> {
         by_policy: bool,
         at: SimTime,
     ) -> bool {
-        let Some(d) = self.kernels[ki].extract_for_migration(tid, target, at) else {
+        let Some(Departure { thread, freed }) =
+            self.kernels[ki].extract_for_migration(tid, target, at)
+        else {
             return false;
         };
         let group = self.group_of(ki, tid);
@@ -102,7 +105,7 @@ impl KernelCtx<'_, '_> {
             cost += self.params.policy_eval_ns;
         }
         let send_at = at + SimTime::from_nanos(cost);
-        if let Some(core) = d.freed {
+        if let Some(core) = freed {
             self.kick(ki, core, send_at);
         }
         self.note_activity(at);
@@ -114,13 +117,10 @@ impl KernelCtx<'_, '_> {
         let msg = ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
             tid,
             group,
-            program: d.program,
-            ctx: d.ctx,
-            stats: d.stats,
+            thread,
             started: at,
             vmas,
-            resume: by_policy.then_some(d.resume),
-            pending: d.pending,
+            scripted: !by_policy,
         }));
         self.send(send_at, ki, target, msg);
         true
@@ -132,13 +132,10 @@ impl KernelCtx<'_, '_> {
         let TaskMigrateMsg {
             tid,
             group,
-            program,
-            ctx,
-            stats,
+            mut thread,
             started,
             vmas,
-            resume,
-            pending,
+            scripted,
         } = m;
         // An exiting group kills arrivals on contact.
         let home = self.home_of(group);
@@ -152,9 +149,10 @@ impl KernelCtx<'_, '_> {
         for vma in vmas {
             self.kernels[ki].mm_mut(group).install_vma(vma);
         }
-        let resume = resume.unwrap_or(Resume::Sys(SysResult::Val(0)));
-        let (core, was_back) =
-            self.kernels[ki].attach_migrated(tid, group, program, ctx, stats, resume, pending, now);
+        if scripted {
+            thread.resume = Resume::Sys(SysResult::Val(0));
+        }
+        let (core, was_back) = self.kernels[ki].attach_migrated(tid, group, thread, now);
         let attach = if was_back && self.params.shadow_task_reuse {
             SimTime::from_nanos(self.params.migration_revive_ns)
         } else {
@@ -183,11 +181,8 @@ impl KernelCtx<'_, '_> {
         let TaskMigrateMsg {
             tid,
             group,
-            program,
-            ctx,
-            stats,
-            resume,
-            pending,
+            mut thread,
+            scripted,
             ..
         } = m;
         self.stats.migrations_aborted.incr();
@@ -197,12 +192,12 @@ impl KernelCtx<'_, '_> {
             return; // the group died while the migration was in flight
         }
         // Scripted migrations fail their syscall with `EIO`; a policy move
-        // (resume travels in the message) reinstates the thread exactly as
-        // extracted — it never asked to migrate, so it must not see an
-        // error it has no code to handle.
-        let revived = resume.unwrap_or(Resume::Sys(SysResult::Err(Errno::Io)));
-        let (core, _back) = self.kernels[from]
-            .attach_migrated(tid, group, program, ctx, stats, revived, pending, at);
+        // reinstates the thread exactly as extracted — it never asked to
+        // migrate, so it must not see an error it has no code to handle.
+        if scripted {
+            thread.resume = Resume::Sys(SysResult::Err(Errno::Io));
+        }
+        let (core, _back) = self.kernels[from].attach_migrated(tid, group, thread, at);
         let ready = at + SimTime::from_nanos(self.params.migration_revive_ns);
         self.kick(from, core, ready);
     }

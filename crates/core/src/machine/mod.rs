@@ -14,8 +14,8 @@
 //!   substrate in `popcorn-msg`: send plans, retransmit timers, RPC
 //!   deadlines, and unwinding undeliverable traffic;
 //! - [`migrate`] — thread migration (out, in, aborted);
-//! - [`group`] — membership bookkeeping, remote thread creation, and the
-//!   distributed group-exit barrier;
+//! - [`group`] — membership bookkeeping, remote thread creation, and
+//!   distributed group exit (kill reports to the home);
 //! - [`vma`] — address-space layout: home-serialized VMA operations,
 //!   replica updates, unmap barriers and on-demand retrieval;
 //! - [`page`] — page coherence against the home kernel's directory;
@@ -418,7 +418,7 @@ pub struct KernelCtx<'m, 'e> {
     /// Protocol cost constants and ablation toggles.
     pub params: &'m PopcornParams,
     /// Per-group home state (membership, directory and shards, service
-    /// points, sync-word homes, exit barrier).
+    /// points, sync-word homes, exit status and awaited kill reports).
     pub groups: &'m mut BTreeMap<GroupId, GroupHome>,
     /// The futex wait queues and sync words (all groups).
     pub futex: &'m mut FutexTable,
@@ -535,9 +535,7 @@ impl KernelCtx<'_, '_> {
             SyscallReq::Migrate(target) => {
                 self.migrate_syscall(ki, core, tid, target, at);
             }
-            SyscallReq::ExitGroup { code } => {
-                self.exit_group_syscall(ki, group, code, at);
-            }
+            SyscallReq::ExitGroup { code } => self.kill_and_report(ki, group, code, at),
             _ => unreachable!("kernel-local syscalls are served above"),
         }
     }
@@ -689,11 +687,8 @@ impl KernelCtx<'_, '_> {
                 group,
                 code,
                 killed,
-            } => self.on_group_exit_req(from, to, ki, group, code, killed, now),
-            ProtoMsg::GroupKill { group, code } => self.on_group_kill(from, ki, group, code, now),
-            ProtoMsg::GroupKillAck { group, killed } => {
-                self.on_group_kill_ack(from, group, killed, now);
-            }
+            } => self.on_group_exit_req(from, ki, group, code, killed, now),
+            ProtoMsg::GroupKill { group, code } => self.kill_and_report(ki, group, code, now),
             ProtoMsg::GroupReap { group } => self.on_group_reap(ki, group),
             ProtoMsg::LoadReport { load } => self.on_load_report(ki, load),
             ProtoMsg::StealReq { thief } => self.on_steal_req(ki, thief, now),

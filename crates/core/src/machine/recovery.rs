@@ -54,7 +54,6 @@ use popcorn_msg::{KernelId, RpcId};
 use popcorn_sim::{Scheduler, SimTime};
 
 use crate::directory::{DirReclaim, Directory, PageRequest};
-use crate::group::ExitPhase;
 use crate::proto::ProtoMsg;
 
 use super::{page::InFlight, KernelCtx, Pending, PopEvent, PopMsg, PopcornMachine};
@@ -352,11 +351,11 @@ impl KernelCtx<'_, '_> {
                 h.member_exited(tid);
             }
         }
-        // A kill barrier waiting on the victim's ack completes without it.
+        // An exit waiting on the victim's kill report completes without it.
         let barrier_done = self
             .groups
             .get_mut(&group)
-            .is_some_and(|h| h.phase() == ExitPhase::Killing && h.kill_acked(victim, &[]));
+            .is_some_and(|h| h.exit().is_some() && h.kill_acked(victim, &[]));
         if barrier_done {
             self.reap_group(group, now);
             return;
@@ -469,7 +468,7 @@ impl KernelCtx<'_, '_> {
         let finished = self
             .groups
             .get(&group)
-            .is_some_and(|h| h.live_members() == 0 && h.phase() == ExitPhase::Running);
+            .is_some_and(|h| h.live_members() == 0 && h.exit().is_none());
         if finished {
             self.reap_group(group, now);
         }
@@ -680,16 +679,16 @@ impl KernelCtx<'_, '_> {
 /// The group of a one-way, home-addressed notification — the messages a
 /// successor must accept on the dead home's behalf, and that the sender
 /// must re-drive if the transport gives up on them: each one carries a
-/// state transition (an exit, an arrival, a barrier ack) that the home
-/// must eventually observe or its bookkeeping lies forever. Requests and
-/// responses (rpc-correlated) are deliberately excluded: failover and the
+/// state transition (a member's exit or arrival, a kernel's kill report
+/// during `exit_group`, a page or unmap ack) that the home must eventually
+/// observe or its bookkeeping lies forever. Requests and responses
+/// (rpc-correlated) are deliberately excluded: failover and the
 /// requester's deadline own those.
 fn home_notification_group(msg: &ProtoMsg) -> Option<GroupId> {
     match msg {
         ProtoMsg::TaskExited { group, .. }
         | ProtoMsg::MemberAt { group, .. }
         | ProtoMsg::GroupExitReq { group, .. }
-        | ProtoMsg::GroupKillAck { group, .. }
         | ProtoMsg::PageDone { group, .. }
         | ProtoMsg::VmaUpdateAck { group, .. } => Some(*group),
         _ => None,

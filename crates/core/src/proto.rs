@@ -7,11 +7,11 @@
 //! always costs a full 4 KiB on the wire regardless of how sparse its
 //! simulated contents are, matching the real system.
 
+use popcorn_kernel::kernel::ThreadImage;
 use popcorn_kernel::mm::{PageContents, PageState, Vma};
 use popcorn_kernel::policy::KernelLoad;
-use popcorn_kernel::program::{FutexOp, Op, Program, Resume, RmwOp};
-use popcorn_kernel::task::TaskStats;
-use popcorn_kernel::types::{CpuContext, Errno, GroupId, PageNo, Tid, VAddr};
+use popcorn_kernel::program::{FutexOp, Program, RmwOp};
+use popcorn_kernel::types::{Errno, GroupId, PageNo, Tid, VAddr};
 use popcorn_msg::{KernelId, RpcId, Wire};
 use popcorn_sim::SimTime;
 
@@ -108,7 +108,8 @@ pub enum FutexOutcome {
     Woken(u64),
 }
 
-/// A migrating thread: context, program state, accounting. Boxed inside
+/// A migrating thread: its image (program state, context, accounting,
+/// resume value and parked op) and where it belongs. Boxed inside
 /// [`ProtoMsg::TaskMigrate`] — see the enum docs for why.
 #[derive(Debug)]
 pub struct TaskMigrateMsg {
@@ -116,24 +117,17 @@ pub struct TaskMigrateMsg {
     pub tid: Tid,
     /// Its group.
     pub group: GroupId,
-    /// The user program state (moves with the thread).
-    pub program: Box<dyn Program>,
-    /// Architectural context.
-    pub ctx: CpuContext,
-    /// Accounting carried across kernels.
-    pub stats: TaskStats,
-    /// When the migrate syscall was issued (latency measurement).
+    /// The thread as extracted at the origin.
+    pub thread: ThreadImage,
+    /// When the move started (latency measurement).
     pub started: SimTime,
     /// VMAs pushed eagerly (ablation; empty = on-demand retrieval).
     pub vmas: Vec<Vma>,
-    /// Resume override at the destination. `None` (scripted migration: the
-    /// thread called `migrate`) resumes with the syscall's success result;
-    /// policy-initiated migrations move a thread that never asked, so its
-    /// in-flight resume value travels here and is reinstated verbatim.
-    pub resume: Option<Resume>,
-    /// Parked pending op travelling with a policy-migrated queued thread
-    /// (e.g. the remainder of a preempted compute burst).
-    pub pending: Option<Op>,
+    /// The thread called `migrate`: it resumes with the syscall's result
+    /// (success at the destination, `EIO` if the move is abandoned). A
+    /// policy move shifts a thread that never asked, so it resumes with
+    /// its own value from `thread`, verbatim.
+    pub scripted: bool,
 }
 
 /// The protocol message set.
@@ -395,28 +389,26 @@ pub enum ProtoMsg {
         /// The member.
         tid: Tid,
     },
-    /// `exit_group` initiated on a non-home kernel.
+    /// A kernel killed its members of an exiting group (the `exit_group`
+    /// caller's kernel, or one answering a `GroupKill`) and reports them
+    /// to the home. The first report to reach the home starts the exit
+    /// there; every report retires its killed members, and the last one
+    /// awaited reaps the group.
     GroupExitReq {
         /// The group.
         group: GroupId,
         /// Exit status.
         code: i32,
-        /// Members already killed locally by the sender.
+        /// Members the sender killed (shadows excluded).
         killed: Vec<Tid>,
     },
-    /// Home orders a replica to kill its local members.
+    /// Home orders a kernel to kill its local members; the kernel answers
+    /// with a `GroupExitReq`.
     GroupKill {
         /// The group.
         group: GroupId,
         /// Exit status.
         code: i32,
-    },
-    /// Replica reports the members it killed.
-    GroupKillAck {
-        /// The group.
-        group: GroupId,
-        /// Members killed (shadows excluded).
-        killed: Vec<Tid>,
     },
     /// Home orders replicas to drop all remaining group state.
     GroupReap {
@@ -515,7 +507,6 @@ impl ProtoMsg {
             | TaskExited { .. }
             | GroupExitReq { .. }
             | GroupKill { .. }
-            | GroupKillAck { .. }
             | GroupReap { .. } => Protocol::Group,
             VmaOpReq { .. }
             | VmaOpDone { .. }
@@ -569,7 +560,8 @@ impl Wire for ProtoMsg {
     fn wire_size(&self) -> usize {
         match self {
             ProtoMsg::TaskMigrate(m) => {
-                HDR + m.ctx.wire_size() + m.program.migration_payload() + m.vmas.len() * VMA_BYTES
+                let t = &m.thread;
+                HDR + t.ctx.wire_size() + t.program.migration_payload() + m.vmas.len() * VMA_BYTES
             }
             ProtoMsg::CloneReq { vmas, .. } => HDR + 208 + vmas.len() * VMA_BYTES,
             ProtoMsg::PageFetched { .. } => HDR + PAGE_BYTES,
@@ -577,9 +569,7 @@ impl Wire for ProtoMsg {
             ProtoMsg::PageGrant { contents, .. } => HDR + contents_bytes(contents),
             ProtoMsg::VmaFetchResp { vma, .. } => HDR + vma.map_or(0, |_| VMA_BYTES),
             ProtoMsg::VmaUpdate { .. } => HDR + VMA_BYTES,
-            ProtoMsg::GroupExitReq { killed, .. } | ProtoMsg::GroupKillAck { killed, .. } => {
-                HDR + killed.len() * 8
-            }
+            ProtoMsg::GroupExitReq { killed, .. } => HDR + killed.len() * 8,
             // Bulk shadow install: (page, version) pairs.
             ProtoMsg::PtReplicaGrant { pages, .. } => HDR + pages.len() * 8,
             // Telemetry snapshot: four counters plus two rates.
@@ -594,6 +584,8 @@ impl Wire for ProtoMsg {
 mod tests {
     use super::*;
     use popcorn_kernel::program::{Op, ProgEnv, Resume};
+    use popcorn_kernel::task::TaskStats;
+    use popcorn_kernel::types::CpuContext;
 
     #[derive(Debug)]
     struct Nop;
@@ -626,38 +618,32 @@ mod tests {
 
     #[test]
     fn migration_message_scales_with_context_and_payload() {
-        let lean = ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
-            tid: Tid::new(KernelId(0), 1),
-            group: GroupId(Tid::new(KernelId(0), 1)),
-            program: Box::new(Nop),
-            ctx: CpuContext::default(),
-            stats: TaskStats::default(),
-            started: SimTime::ZERO,
-            vmas: vec![],
-            resume: None,
-            pending: None,
-        }));
+        let migrate = |ctx: CpuContext, vmas: Vec<Vma>| {
+            ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
+                tid: Tid::new(KernelId(0), 1),
+                group: GroupId(Tid::new(KernelId(0), 1)),
+                thread: ThreadImage {
+                    program: Box::new(Nop),
+                    ctx,
+                    stats: TaskStats::default(),
+                    resume: Resume::Start,
+                    pending: None,
+                },
+                started: SimTime::ZERO,
+                vmas,
+                scripted: true,
+            }))
+        };
+        let lean = migrate(CpuContext::default(), vec![]);
         let fpu_ctx = CpuContext {
             fpu_used: true,
             ..CpuContext::default()
         };
-        let heavy = ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
-            tid: Tid::new(KernelId(0), 1),
-            group: GroupId(Tid::new(KernelId(0), 1)),
-            program: Box::new(Nop),
-            ctx: fpu_ctx,
-            stats: TaskStats::default(),
-            started: SimTime::ZERO,
-            vmas: vec![
-                Vma {
-                    start: VAddr(0x7f00_0000_0000),
-                    len: 4096,
-                };
-                3
-            ],
-            resume: None,
-            pending: None,
-        }));
+        let vma = Vma {
+            start: VAddr(0x7f00_0000_0000),
+            len: 4096,
+        };
+        let heavy = migrate(fpu_ctx, vec![vma; 3]);
         assert_eq!(heavy.wire_size() - lean.wire_size(), 512 + 3 * 24);
     }
 

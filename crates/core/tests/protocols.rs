@@ -393,53 +393,154 @@ fn remote_clone_allocates_tid_in_target_pid_space() {
     assert_eq!(r.metric("clone_remote"), 1.0);
 }
 
-#[test]
-fn exit_group_kills_members_on_all_kernels() {
-    // Leader spawns workers across kernels that spin forever; one worker
-    // calls exit_group. Everything must terminate.
-    #[derive(Debug)]
-    struct Spinner;
-    impl Program for Spinner {
-        fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
-            Op::Compute(10_000) // spins until killed
+/// Spins until killed.
+#[derive(Debug)]
+struct Spinner;
+
+impl Program for Spinner {
+    fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
+        Op::Compute(10_000)
+    }
+}
+
+/// Sleeps `ns`, then calls `exit_group(7)`.
+#[derive(Debug)]
+struct Killer {
+    ns: u64,
+    slept: bool,
+}
+
+impl Program for Killer {
+    fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
+        if !self.slept {
+            self.slept = true;
+            return Op::Syscall(SyscallReq::Nanosleep { ns: self.ns });
         }
+        Op::Syscall(SyscallReq::ExitGroup { code: 7 })
     }
-    #[derive(Debug)]
-    struct Killer {
-        delay_done: bool,
-    }
-    impl Program for Killer {
-        fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
-            if !self.delay_done {
-                self.delay_done = true;
-                return Op::Syscall(SyscallReq::Nanosleep { ns: 200_000 });
-            }
-            Op::Syscall(SyscallReq::ExitGroup { code: 7 })
-        }
-    }
-    let mut cfg = TeamConfig::new(6, 0);
-    cfg.placement = Placement::Auto;
-    let mut os = os(2);
-    os.load(Team::boxed(
-        cfg,
-        Box::new(|i, _| {
-            if i == 5 {
-                Box::new(Killer { delay_done: false }) as Box<dyn Program>
-            } else {
-                Box::new(Spinner) as Box<dyn Program>
-            }
-        }),
-    ));
-    let r = os.run_with(popcorn_sim::SimTime::from_secs(5), 20_000_000);
-    // The group dies; the leader (blocked in join) is killed too.
+}
+
+/// Asserts that the run drained with every thread dead and counted: no
+/// stuck task, no live task on any kernel, and as many exits as spawns.
+fn assert_group_gone(os: &PopcornOs, r: &popcorn_kernel::osmodel::RunReport, case: &str) {
     assert!(
         r.stuck_tasks.is_empty(),
-        "exit_group left stuck tasks: {:?}",
+        "{case}: stuck {:?}",
         r.stuck_tasks
     );
-    // No kernel hosts live tasks afterwards.
     for k in os.kernels() {
-        assert_eq!(k.live_tasks(), 0, "live tasks remain on {:?}", k.id());
+        assert_eq!(k.live_tasks(), 0, "{case}: live tasks on {:?}", k.id());
+    }
+    let spawned: u64 = os.kernels().iter().map(|k| k.stats.spawned.get()).sum();
+    assert_eq!(r.exited_tasks, spawned, "{case}: exited vs spawned");
+}
+
+#[test]
+fn exit_group_kills_members_on_all_kernels() {
+    // The leader spawns 8 spinning workers round-robin across the kernels
+    // (workers 0 and 4 share the home, kernel 0, with the leader); the
+    // listed workers call exit_group at 200 µs, alone or at once from
+    // several kernels. Everything must terminate, the leader (blocked in
+    // join) included, and each run's message count is pinned.
+    let cases: [(&'static [usize], [f64; 2]); 5] = [
+        (&[5], [14.0, 20.0]),
+        (&[0], [15.0, 27.0]),
+        (&[4], [15.0, 27.0]),
+        (&[3, 6], [14.0, 20.0]),
+        (&[1, 2, 3], [14.0, 20.0]),
+    ];
+    for (killers, messages) in cases {
+        for (kernels, expected) in [2u16, 4].into_iter().zip(messages) {
+            let mut cfg = TeamConfig::new(8, 0);
+            cfg.placement = Placement::Auto;
+            let mut os = os(kernels);
+            os.load(Team::boxed(
+                cfg,
+                Box::new(move |i, _| {
+                    if killers.contains(&i) {
+                        Box::new(Killer {
+                            ns: 200_000,
+                            slept: false,
+                        }) as Box<dyn Program>
+                    } else {
+                        Box::new(Spinner) as Box<dyn Program>
+                    }
+                }),
+            ));
+            let r = os.run_with(popcorn_sim::SimTime::from_secs(5), 20_000_000);
+            let case = format!("{kernels} kernels, killers {killers:?}");
+            assert_group_gone(&os, &r, &case);
+            assert_eq!(r.metric("messages"), expected, "{case}: messages");
+        }
+    }
+}
+
+#[test]
+fn thread_reaching_the_home_during_exit_group_is_killed() {
+    // Three kernels, home = kernel 0. A migrator on kernel 1 moves to the
+    // home while a killer on kernel 2 calls exit_group at 50 µs. Swept
+    // over the migrate delay, the arrival lands before, during and after
+    // the home's own kill; one that lands during it must be killed as a
+    // straggler, not reaped while still live.
+    #[derive(Debug)]
+    struct Leader {
+        migrate_after: u64,
+        cloned: u8,
+    }
+    impl Program for Leader {
+        fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
+            self.cloned += 1;
+            let (child, core): (Box<dyn Program>, u16) = match self.cloned {
+                1 => (
+                    Box::new(Migrator {
+                        after: self.migrate_after,
+                        step: 0,
+                    }),
+                    4,
+                ),
+                2 => (
+                    Box::new(Killer {
+                        ns: 50_000,
+                        slept: false,
+                    }),
+                    8,
+                ),
+                _ => return Op::Compute(10_000),
+            };
+            Op::Syscall(SyscallReq::Clone {
+                child,
+                placement: Placement::Core(popcorn_hw::CoreId(core)),
+            })
+        }
+    }
+    #[derive(Debug)]
+    struct Migrator {
+        after: u64,
+        step: u8,
+    }
+    impl Program for Migrator {
+        fn step(&mut self, _r: Resume, _e: &ProgEnv) -> Op {
+            self.step += 1;
+            match self.step {
+                1 => Op::Syscall(SyscallReq::Nanosleep { ns: self.after }),
+                2 => Op::Syscall(SyscallReq::Migrate(MigrateTarget::Kernel(KernelId(0)))),
+                _ => Op::Compute(10_000),
+            }
+        }
+    }
+    for migrate_after in (30_000..80_000).step_by(250) {
+        let mut os = PopcornOs::builder()
+            .topology(Topology::new(3, 4))
+            .kernels(3)
+            .build();
+        os.load(Box::new(Leader {
+            migrate_after,
+            cloned: 0,
+        }));
+        let r = os.run_with(popcorn_sim::SimTime::from_secs(1), 1_000_000);
+        let case = format!("migrate after {migrate_after} ns");
+        assert_group_gone(&os, &r, &case);
+        assert_eq!(r.exited_tasks, 3, "{case}");
     }
 }
 

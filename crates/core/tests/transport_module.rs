@@ -9,6 +9,7 @@ use popcorn_core::machine::{PopEvent, PopcornMachine};
 use popcorn_core::proto::{ProtoMsg, Protocol, TaskMigrateMsg};
 use popcorn_core::PopcornParams;
 use popcorn_hw::{HwParams, Topology};
+use popcorn_kernel::kernel::ThreadImage;
 use popcorn_kernel::mm::Mm;
 use popcorn_kernel::osmodel::{self, OsEvent, OsMachine};
 use popcorn_kernel::params::OsParams;
@@ -110,13 +111,16 @@ fn program_bearing_message_gets_no_duplicate_arrival() {
     let migrate = ProtoMsg::TaskMigrate(Box::new(TaskMigrateMsg {
         tid,
         group: GroupId(tid),
-        program: Box::new(Nop),
-        ctx: CpuContext::default(),
-        stats: TaskStats::default(),
+        thread: ThreadImage {
+            program: Box::new(Nop),
+            ctx: CpuContext::default(),
+            stats: TaskStats::default(),
+            resume: Resume::Start,
+            pending: None,
+        },
         started: SimTime::ZERO,
         vmas: vec![],
-        resume: None,
-        pending: None,
+        scripted: true,
     }));
     let (m, queued) = send_one(migrate, true);
     assert_eq!(

@@ -10,7 +10,7 @@
 //! reports a [`RunOutcome`]. A thread moving between kernels leaves
 //! through [`Kernel::extract_for_migration`], which leaves a dormant
 //! shadow behind, and arrives through [`Kernel::attach_migrated`]; the
-//! OS model carries the [`Departure`] between them.
+//! OS model carries the departing thread's [`ThreadImage`] between them.
 
 use std::collections::VecDeque;
 
@@ -136,20 +136,28 @@ pub enum RunOutcome {
     },
 }
 
-/// A thread taken off its kernel by [`Kernel::extract_for_migration`]:
-/// everything the destination needs to resume it.
+/// A thread lifted off its kernel: everything the destination needs to
+/// resume it, taken by [`Kernel::extract_for_migration`] and installed by
+/// [`Kernel::attach_migrated`].
 #[derive(Debug)]
-pub struct Departure {
+pub struct ThreadImage {
     /// The user program state.
     pub program: Box<dyn crate::program::Program>,
     /// Architectural context.
     pub ctx: crate::types::CpuContext,
     /// Accounting carried across kernels.
     pub stats: TaskStats,
-    /// The resume value the thread held when it left.
+    /// The value the thread resumes with.
     pub resume: Resume,
     /// Its parked pending op (e.g. the rest of a preempted compute burst).
     pub pending: Option<Op>,
+}
+
+/// A thread taken off its kernel by [`Kernel::extract_for_migration`].
+#[derive(Debug)]
+pub struct Departure {
+    /// The thread itself, as the destination resumes it.
+    pub thread: ThreadImage,
     /// The core it was current on, now free; `None` for a queued or
     /// blocked thread.
     pub freed: Option<CoreId>,
@@ -809,11 +817,13 @@ impl Kernel {
         task.state = TaskState::MigratedAway { to };
         task.woke_at = None;
         Some(Departure {
-            program: task.program.take().expect("migrating shadow"),
-            ctx: task.ctx.clone(),
-            stats: task.stats,
-            resume: std::mem::replace(&mut task.resume, Resume::Start),
-            pending: task.pending_op.take(),
+            thread: ThreadImage {
+                program: task.program.take().expect("migrating shadow"),
+                ctx: task.ctx.clone(),
+                stats: task.stats,
+                resume: std::mem::replace(&mut task.resume, Resume::Start),
+                pending: task.pending_op.take(),
+            },
             freed,
         })
     }
@@ -829,26 +839,22 @@ impl Kernel {
             .and_then(|cs| cs.runqueue.back().copied())
     }
 
-    /// Installs an arriving migrated thread, resuming with `resume` and
-    /// `pending` (the migrate syscall's result for a scripted move; the
-    /// thread's own values for a policy move, which it never asked for). If
-    /// a dormant shadow for `tid` exists (back-migration), it is revived in
-    /// place — the cheap path the paper measures; otherwise a fresh task is
-    /// created. Returns `(core_to_kick, was_back_migration)`.
+    /// Installs an arriving migrated thread from its `image` (whose resume
+    /// value the OS model sets to the migrate syscall's result for a
+    /// scripted move; a policy move keeps the thread's own, as it never
+    /// asked to move). If a dormant shadow for `tid` exists
+    /// (back-migration), it is revived in place — the cheap path the paper
+    /// measures; otherwise a fresh task is created. Returns
+    /// `(core_to_kick, was_back_migration)`.
     ///
     /// # Panics
     ///
     /// Panics if the group has no mm replica here yet.
-    #[allow(clippy::too_many_arguments)]
     pub fn attach_migrated(
         &mut self,
         tid: Tid,
         group: GroupId,
-        program: Box<dyn crate::program::Program>,
-        ctx: crate::types::CpuContext,
-        stats: TaskStats,
-        resume: Resume,
-        pending: Option<Op>,
+        image: ThreadImage,
         now: SimTime,
     ) -> (CoreId, bool) {
         assert!(
@@ -857,19 +863,20 @@ impl Kernel {
         );
         let back = if let Some(task) = self.tasks.get_mut(&tid) {
             assert!(task.is_shadow(), "{tid} exists here but is not a shadow");
-            task.program = Some(program);
+            task.program = Some(image.program);
             task.state = TaskState::Ready;
             true
         } else {
             let core = self.least_loaded_core();
-            self.tasks.insert(tid, Task::new(tid, group, program, core));
+            self.tasks
+                .insert(tid, Task::new(tid, group, image.program, core));
             false
         };
         let task = self.tasks.get_mut(&tid).expect("attached above");
-        task.ctx = ctx;
-        task.stats = stats;
-        task.resume = resume;
-        task.pending_op = pending;
+        task.ctx = image.ctx;
+        task.stats = image.stats;
+        task.resume = image.resume;
+        task.pending_op = image.pending;
         task.woke_at = Some(now);
         let core = task.core;
         self.core_state_mut(core).runqueue.push_back(tid);
@@ -1469,24 +1476,19 @@ mod tests {
     #[test]
     fn migration_extract_leaves_shadow_and_attach_revives() {
         let (mut k, g, tid, core, at) = in_migrate_syscall();
-        let d = k
+        let mut d = k
             .extract_for_migration(tid, KernelId(1), at)
             .expect("a thread in its syscall leaves");
         assert_eq!(d.freed, Some(core));
-        assert!(d.pending.is_none(), "a plain migrate carries no parked op");
+        assert!(
+            d.thread.pending.is_none(),
+            "a plain migrate carries no parked op"
+        );
         assert!(k.task(tid).unwrap().is_shadow());
         assert_eq!(k.live_tasks(), 0);
         // Back-migration revives the shadow in place.
-        let (kick, was_back) = k.attach_migrated(
-            tid,
-            g,
-            d.program,
-            d.ctx,
-            d.stats,
-            Resume::Sys(SysResult::Val(0)),
-            None,
-            at,
-        );
+        d.thread.resume = Resume::Sys(SysResult::Val(0));
+        let (kick, was_back) = k.attach_migrated(tid, g, d.thread, at);
         assert!(was_back);
         assert_eq!(kick, core);
         match k.run_core(at, core) {
@@ -1506,7 +1508,7 @@ mod tests {
             .extract_for_migration(tid, KernelId(1), SimTime::ZERO)
             .expect("a queued thread leaves");
         assert_eq!(d.freed, None);
-        assert_eq!(d.resume, Resume::Value(7));
+        assert_eq!(d.thread.resume, Resume::Value(7));
         assert_eq!(k.core_load(core), 0, "dequeued");
         assert!(k.task(tid).unwrap().is_shadow());
     }
@@ -1569,16 +1571,14 @@ mod tests {
         let mut k = kernel();
         let g = group(&mut k);
         let foreign = Tid::new(KernelId(3), 9);
-        let (core, was_back) = k.attach_migrated(
-            foreign,
-            g,
-            Box::new(Spin { chunks: 0 }),
-            Default::default(),
-            TaskStats::default(),
-            Resume::Sys(SysResult::Val(0)),
-            None,
-            SimTime::ZERO,
-        );
+        let image = ThreadImage {
+            program: Box::new(Spin { chunks: 0 }),
+            ctx: Default::default(),
+            stats: TaskStats::default(),
+            resume: Resume::Sys(SysResult::Val(0)),
+            pending: None,
+        };
+        let (core, was_back) = k.attach_migrated(foreign, g, image, SimTime::ZERO);
         assert!(!was_back);
         match k.run_core(SimTime::ZERO, core) {
             RunOutcome::Exited { tid, .. } => assert_eq!(tid, foreign),
